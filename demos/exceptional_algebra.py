@@ -20,7 +20,6 @@ from jvu.albert import (
     find_noncommuting_pair,
     forms,
     jordan_mul,
-    oct_norm,
     random_element,
     r_op,
     s_bilinear,
@@ -31,10 +30,10 @@ from jvu.albert import (
 rng = random.Random(42)
 
 print("Split octonions: the norm is multiplicative yet isotropic.")
-print("  n(E1) =", oct_norm(Octonion.basis(0)), " (a nonzero basis vector of norm 0)")
+print("  n(E1) =", Octonion.basis(0).norm(), " (a nonzero basis vector of norm 0)")
 u = Octonion([rng.randint(-9, 9) for _ in range(8)])
 v = Octonion([rng.randint(-9, 9) for _ in range(8)])
-print("  n(u v) == n(u) n(v):", oct_norm(u * v) == oct_norm(u) * oct_norm(v))
+print("  n(u v) == n(u) n(v):", (u * v).norm() == u.norm() * v.norm())
 print()
 
 print("The cubic identity a^3 = t(a) a^2 - s(a) a + n(a) 1 holds exactly:")

@@ -9,7 +9,7 @@ operator commutation in a concrete exceptional Jordan algebra over split
 octonions.  Everything is exact; there is no floating point anywhere.
 """
 
-from .fields import Field, FieldError, arith, field_from_name, make_field
+from .fields import Field, FieldError, field_from_name, make_field
 from .freealg import FreePoly, GeneratorSet
 from .jordan import (
     JordanElement,
@@ -59,7 +59,6 @@ __all__ = [
     "SpanningSet",
     "Subspace",
     "affine_solve",
-    "arith",
     "assoc_ideal_component",
     "circ",
     "cohn_gap_witness",

@@ -161,22 +161,6 @@ class Octonion:
         return f"Octonion{self.coords}"
 
 
-def oct_mul(u: Octonion, v: Octonion) -> Octonion:
-    return u * v
-
-
-def oct_conj(u: Octonion) -> Octonion:
-    return u.conj()
-
-
-def oct_trace(u: Octonion):
-    return u.trace()
-
-
-def oct_norm(u: Octonion):
-    return u.norm()
-
-
 # ---------------------------------------------------------------------------
 # Hermitian 3x3 elements
 
@@ -358,12 +342,6 @@ class AlbertOperator:
         if g <= 1:
             return self
         return AlbertOperator([[x // g for x in row] for row in self.num], self.den // g)
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return Fraction(self.num[i][j], self.den)
-
-    def fraction_rows(self):
-        return [[Fraction(x, self.den) for x in row] for row in self.num]
 
     def __matmul__(self, other: "AlbertOperator") -> "AlbertOperator":
         bt = list(zip(*other.num))

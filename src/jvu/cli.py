@@ -21,7 +21,14 @@ import time
 
 from . import __version__
 from . import albert
-from .expr import ParseError, format_linear_combination, format_poly, parse_expr
+from .expr import (
+    _KEYWORDS,
+    ParseError,
+    format_linear_combination,
+    format_poly,
+    format_scalar,
+    parse_expr,
+)
 from .fields import Field, FieldError, field_from_name
 from .freealg import FreePoly, GeneratorSet
 from .ideals import cohn_gap_witness
@@ -55,6 +62,46 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def parse_args(self, args=None, namespace=None):
+        ns = super().parse_args(args, namespace)
+        d = getattr(ns, "multidegree", None)
+        if d is None:
+            return ns
+        if hasattr(ns, "vars") and len(d) != len(ns.vars):
+            self.error("multidegree length must match the number of generators")
+        if sum(d) > ns.degree_bound:
+            self.error(f"--degree-bound {ns.degree_bound} is below the total degree {sum(d)}")
+        return ns
+
+
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
+
+
+def _multidegree(text: str) -> tuple[int, ...]:
+    try:
+        d = tuple(int(c) for c in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+    if any(c < 0 for c in d):
+        raise argparse.ArgumentTypeError(f"multidegree entries must be nonnegative, got {text!r}")
+    return d
+
+
+def _generator_names(text: str) -> tuple[str, ...]:
+    names = tuple(text.split(","))
+    if not all(n.isidentifier() for n in names):
+        raise argparse.ArgumentTypeError(f"generator names must be identifiers, got {text!r}")
+    if len(set(names)) != len(names):
+        raise argparse.ArgumentTypeError(f"generator names must be distinct, got {text!r}")
+    reserved = [n for n in names if n in _KEYWORDS]
+    if reserved:
+        raise argparse.ArgumentTypeError(f"generator names collide with keywords: {reserved}")
+    return names
+
 
 def _field(args) -> Field:
     try:
@@ -67,12 +114,6 @@ def _mode(args, field: Field) -> str:
     if getattr(args, "mode", None):
         return args.mode
     return QUADRATIC if field.characteristic == 2 else LINEAR
-
-
-def _scalar_str(c, field: Field) -> str:
-    if field.characteristic:
-        return str(c)
-    return str(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -91,11 +132,9 @@ def _run_lemma1(args):
 def _run_dims(args):
     field = _field(args)
     mode = _mode(args, field)
-    names = tuple(args.vars.split(","))
+    names = args.vars
     gens = GeneratorSet(names)
-    d = tuple(int(c) for c in args.multidegree.split(","))
-    if len(d) != len(names):
-        raise UsageError("multidegree length must match the number of generators")
+    d = args.multidegree
     sym_dim = symmetric_component_dim(gens, d, field)
     ss = jordan_spanning_set(gens, d, mode, unital=False, field=field, degree_bound=args.degree_bound)
     cb = ComponentBasis(gens, d)
@@ -137,7 +176,7 @@ def _run_counterexample(args):
     field = _field(args)
     mode = _mode(args, field)
     gens, x, y, z, f = _counterexample_setup(field)
-    d = (2, 2, 1)
+    d = args.multidegree
     default_witness = args.witness is None
     if default_witness:
         g = commutator_image(x, y, z)
@@ -195,7 +234,7 @@ def _run_counterexample(args):
     inputs = {
         "field": args.field,
         "mode": mode,
-        "multidegree": [2, 2, 1],
+        "multidegree": list(d),
         "generator": "circ(x, y)",
         "witness": witness_expr,
         "degree_bound": args.degree_bound,
@@ -292,8 +331,8 @@ def _run_coefficients(args):
     data = {
         "feasible": True,
         "homogeneous_dim": len(sol.homogeneous),
-        "particular": [_scalar_str(c, field) for c in particular],
-        "homogeneous_basis": [[_scalar_str(c, field) for c in h] for h in homogeneous],
+        "particular": [format_scalar(c, field) for c in particular],
+        "homogeneous_basis": [[format_scalar(c, field) for c in h] for h in homogeneous],
         "family": family,
         "matches_reference": matches,
     }
@@ -304,12 +343,12 @@ def _family_entry(p, h, field: Field) -> str:
     """Render alpha_i = p + L*h as a readable string in the parameter L."""
     parts = []
     if not field.is_zero(p):
-        parts.append(_scalar_str(p, field))
+        parts.append(format_scalar(p, field))
     if not field.is_zero(h):
         if h == field.one:
             parts.append("L")
         else:
-            parts.append(f"{_scalar_str(h, field)}*L")
+            parts.append(f"{format_scalar(h, field)}*L")
     if not parts:
         return "0"
     return " + ".join(parts).replace("+ -", "- ")
@@ -389,7 +428,7 @@ def _run_albert(args):
 
 def _run_parse(args):
     field = _field(args)
-    gens = GeneratorSet(tuple(args.vars.split(",")))
+    gens = GeneratorSet(args.vars)
     try:
         p = parse_expr(args.expr, gens, field)
     except ParseError as e:
@@ -432,26 +471,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dims", help="symmetric vs Jordan multilinear dimensions")
     common(p, field_default="gf2")
-    p.add_argument("--vars", default="x,y,z,t")
-    p.add_argument("--multidegree", default="1,1,1,1")
+    p.add_argument("--vars", type=_generator_names, default="x,y,z,t")
+    p.add_argument("--multidegree", type=_multidegree, default="1,1,1,1")
     p.add_argument("--mode", choices=[LINEAR, QUADRATIC], default=None)
 
     p = sub.add_parser("counterexample", help="the two-sided ideal gap at multidegree (2,2,1)")
     common(p)
     p.add_argument("--mode", choices=[LINEAR, QUADRATIC], default=None)
     p.add_argument("--witness", default=None, help="alternative witness expression over x,y,z")
+    p.set_defaults(multidegree=(2, 2, 1))
 
     p = sub.add_parser("coefficients", help="solve the 7-term multilinear ansatz")
     common(p)
 
     p = sub.add_parser("albert", help="cubic-form and commuting-U checks in H3(O)")
     common(p)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_positive_int, default=100)
 
     p = sub.add_parser("parse", help="parse an expression and print its canonical form")
     common(p)
     p.add_argument("--expr", required=True)
-    p.add_argument("--vars", default="x,y,z")
+    p.add_argument("--vars", type=_generator_names, default="x,y,z")
 
     return parser
 

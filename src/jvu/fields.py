@@ -156,20 +156,3 @@ def field_from_name(name: str) -> Field:
         return make_field(PRIME_FIELD, p)
     raise FieldError(f"bad field name {name!r} (expected q or gf<p>)")
 
-
-_OPS = {"add": 2, "sub": 2, "mul": 2, "neg": 1, "inv": 1}
-
-
-def arith(field: Field, op: str, a, b=None):
-    """Dispatch a single field operation by name, validating operands."""
-    if op not in _OPS:
-        raise FieldError(f"unknown operation {op!r}")
-    field.check(a)
-    if _OPS[op] == 2:
-        if b is None:
-            raise FieldError(f"{op} needs two operands")
-        field.check(b)
-        return getattr(field, op)(a, b)
-    if b is not None:
-        raise FieldError(f"{op} takes one operand")
-    return getattr(field, op)(a)

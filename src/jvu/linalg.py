@@ -190,15 +190,6 @@ class Subspace:
         return [list(r) for r in self.rows]
 
 
-def span_insert(s: Subspace, v: list) -> tuple[Subspace, bool]:
-    """Functional-style wrapper over Subspace.insert (mutates and returns s)."""
-    return s, s.insert(v)
-
-
-def span_dim(s: Subspace) -> int:
-    return s.dim
-
-
 @dataclass
 class AffineSolution:
     """The full solution set {x : A x = b}: one particular solution (or None
@@ -213,46 +204,39 @@ class AffineSolution:
 
 
 def affine_solve(columns: list[list], rhs: list, field: Field) -> AffineSolution:
-    """Solve sum(x_j * columns[j]) = rhs exactly by Gauss-Jordan elimination."""
-    n_cols = len(columns)
+    """Solve sum(x_j * columns[j]) = rhs exactly on a certified RREF Subspace.
+
+    Columns are fed in order: an independent column is inserted, a dependent
+    one's membership certificate c gives the homogeneous solution
+    e_j - sum(c[k] * e_placed[k]).  The certificate of rhs is the particular
+    solution.  RREF is unique, so this is the reduced normal form: zero on
+    every free column, and one homogeneous vector per free column.
+    """
     m = len(rhs)
     if any(len(c) != m for c in columns):
         raise ValueError("column length mismatch")
     f = field
-    # augmented rows [A | b]
-    rows = [[columns[j][i] for j in range(n_cols)] + [rhs[i]] for i in range(m)]
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        pr = next((i for i in range(r, m) if not f.is_zero(rows[i][c])), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = f.inv(rows[r][c])
-        rows[r] = [f.mul(inv, x) for x in rows[r]]
-        for i in range(m):
-            if i != r and not f.is_zero(rows[i][c]):
-                coef = rows[i][c]
-                rows[i] = [f.sub(x, f.mul(coef, y)) for x, y in zip(rows[i], rows[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    # infeasible iff some remaining row is (0 ... 0 | nonzero)
-    for i in range(r, m):
-        if not f.is_zero(rows[i][n_cols]):
-            return AffineSolution(None, [])
-    free_cols = [c for c in range(n_cols) if c not in pivot_cols]
-    particular = [f.zero] * n_cols
-    for i, c in enumerate(pivot_cols):
-        particular[c] = rows[i][n_cols]
+    n_cols = len(columns)
+    span = Subspace(f, m)
+    placed: list[int] = []  # insert index -> column index
     homogeneous = []
-    for fc in free_cols:
+    for j, col in enumerate(columns):
+        verdict, cert = span.membership(col)
+        if verdict == "outside":
+            span.insert(col)
+            placed.append(j)
+            continue
         vec = [f.zero] * n_cols
-        vec[fc] = f.one
-        for i, c in enumerate(pivot_cols):
-            vec[c] = f.neg(rows[i][fc])
+        vec[j] = f.one
+        for k, c in cert.items():
+            vec[placed[k]] = f.neg(c)
         homogeneous.append(vec)
+    verdict, cert = span.membership(rhs)
+    if verdict == "outside":
+        return AffineSolution(None, [])
+    particular = [f.zero] * n_cols
+    for k, c in cert.items():
+        particular[placed[k]] = c
     return AffineSolution(particular, homogeneous)
 
 

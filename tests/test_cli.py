@@ -1,10 +1,22 @@
 """The command-line front end: verbs, reports, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
+import pytest
+
+import jvu
 from jvu.cli import EXIT_CONFIRMED, EXIT_ERROR, EXIT_REFUTED, run_command
+
+#: environment in which a `python -m jvu.cli` subprocess imports this same jvu
+SUBPROCESS_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [os.path.dirname(os.path.dirname(jvu.__file__)), os.environ.get("PYTHONPATH")])
+    ),
+}
 
 REPORT_KEYS = {
     "schema_version",
@@ -147,6 +159,27 @@ def test_usage_error_exit_code():
     assert code == EXIT_ERROR
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["albert", "--samples", "-3"],
+        ["albert", "--samples", "0"],
+        ["dims", "--multidegree", "a,b,c,d"],
+        ["dims", "--vars", "x,x"],
+        ["dims", "--vars", "one,x", "--multidegree", "1,1"],
+        ["dims", "--degree-bound", "2"],
+        ["counterexample", "--degree-bound", "3"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_bad_input_is_usage_error(argv):
+    """Rejected while parsing arguments, before any verdict is computed."""
+    code, report = run_command(argv)
+    assert code == EXIT_ERROR
+    assert report["verdict"] == "error"
+    assert "Error:" not in report["error"]  # a usage message, not an internal exception
+
+
 def test_determinism_modulo_elapsed():
     """Identical command and seed produce identical reports except timing."""
     _, r1 = run_command(["counterexample", "--field", "gf2", "--seed", "7"])
@@ -163,6 +196,7 @@ def test_out_file_written(tmp_path):
         [sys.executable, "-m", "jvu.cli", "lemma1", "--field", "gf2", "--out", str(out)],
         capture_output=True,
         text=True,
+        env=SUBPROCESS_ENV,
         timeout=60,
     )
     assert proc.returncode == 0
@@ -175,6 +209,7 @@ def test_console_entry_point_subprocess():
         [sys.executable, "-m", "jvu.cli", "dims", "--field", "gf2"],
         capture_output=True,
         text=True,
+        env=SUBPROCESS_ENV,
         timeout=120,
     )
     assert proc.returncode == 0

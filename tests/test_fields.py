@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_nonzero_scalar, rand_scalar
-from jvu.fields import FieldError, arith, field_from_name, make_field
+from jvu.fields import FieldError, field_from_name, make_field
 
 QQ = make_field("rationals")
 GF2 = make_field("prime-field", 2)
@@ -52,15 +52,11 @@ def test_inverse_of_zero_fails():
         QQ.inv(Fraction(0))
 
 
-def test_arith_dispatch_and_operand_validation():
-    assert arith(QQ, "add", Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
-    assert arith(GF5, "neg", 3) == 2
+def test_check_rejects_operand_from_other_field():
     with pytest.raises(FieldError):
-        arith(GF2, "add", Fraction(1, 2), 1)  # mixed-field operand
+        GF2.check(Fraction(1, 2))
     with pytest.raises(FieldError):
-        arith(QQ, "neg", Fraction(1), Fraction(1))
-    with pytest.raises(FieldError):
-        arith(QQ, "pow", Fraction(1), Fraction(1))
+        QQ.check(1)
 
 
 @pytest.mark.parametrize("field", [QQ, GF2, GF5])

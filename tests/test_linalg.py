@@ -21,6 +21,7 @@ from jvu.linalg import (
 
 QQ = make_field("rationals")
 GF2 = make_field("prime-field", 2)
+GF5 = make_field("prime-field", 5)
 
 G2 = GeneratorSet(("x", "y"))
 G3 = GeneratorSet(("x", "y", "z"))
@@ -250,6 +251,55 @@ def test_from_vector_round_trip():
     for field in (QQ, GF2):
         vec = [rand_scalar(rng, field) for _ in range(len(cb))]
         assert to_vector(from_vector(vec, cb, field), cb) == [field.add(c, field.zero) for c in vec]
+
+
+def _apply(columns, x, m, field):
+    out = [field.zero] * m
+    for c, col in zip(x, columns):
+        out = [field.add(o, field.mul(c, v)) for o, v in zip(out, col)]
+    return out
+
+
+def _random_system(rng, field, m, n, rank, feasible):
+    """n columns of length m spanning at most `rank` dimensions, some of them
+    zero, and a right-hand side that is in their span when `feasible`."""
+
+    def combination(vecs):
+        return _apply(vecs, [rand_scalar(rng, field) for _ in vecs], m, field)
+
+    basis = [[rand_scalar(rng, field) for _ in range(m)] for _ in range(rank)]
+    columns = [[field.zero] * m if rng.random() < 0.2 else combination(basis) for _ in range(n)]
+    rhs = combination(columns) if feasible else [rand_scalar(rng, field) for _ in range(m)]
+    return columns, rhs
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF5])
+def test_affine_solve_normal_form(field):
+    """The solution is the unique reduced normal form, checked against a
+    separately built Subspace: the particular solution and each homogeneous
+    vector vanish on the other free columns, and a free column is one that
+    did not grow the span when the columns were inserted in order."""
+    rng = random.Random(12)
+    shapes = [(m, n) for m in range(6) for n in range(6)] + [(8, 3), (3, 8), (6, 6)]
+    for m, n in shapes:
+        for rank in sorted({0, min(m, n) // 2, min(m, n)}):
+            for feasible in (True, False):
+                columns, rhs = _random_system(rng, field, m, n, rank, feasible)
+                span = Subspace(field, m)
+                free = [j for j, col in enumerate(columns) if not span.insert(col)]
+                sol = affine_solve(columns, rhs, field)
+                assert sol.feasible == span.contains(rhs)
+                if feasible:
+                    assert sol.feasible
+                if not sol.feasible:
+                    assert sol.particular is None and sol.homogeneous == []
+                    continue
+                assert _apply(columns, sol.particular, m, field) == rhs
+                assert all(sol.particular[j] == 0 for j in free)
+                assert len(sol.homogeneous) == n - span.dim
+                for j, h in zip(free, sol.homogeneous):
+                    assert _apply(columns, h, m, field) == [field.zero] * m
+                    assert [h[k] for k in free] == [int(k == j) for k in free]
 
 
 def test_affine_solve_shapes_validated():
