@@ -21,7 +21,6 @@ from jvu.albert import (
     forms,
     jordan_mul,
     random_element,
-    r_op,
     s_bilinear,
     sample_zero_pair,
     u_op,
@@ -63,6 +62,8 @@ print("  [U_a, U_b] is zero:      ", commutator(u_op(a), u_op(b)).is_zero())
 print()
 
 e11 = AlbertElement.diag_idempotent(0)
-print("Peirce eigenvalues of a primitive idempotent: R_e has eigenvalues 0, 1/2, 1;")
-print("the 0- and 1-spaces multiply to zero, which is where the sampler draws from.")
-print("  r_op(e11) applied to e22:", r_op(e11).apply(AlbertElement.diag_idempotent(1)).is_zero())
+e22 = AlbertElement.diag_idempotent(1)
+print("Peirce spaces of an idempotent e are U-images: J_0(e) = U_{1-e}(J), J_1(e) = U_e(J).")
+print("They multiply to zero, which is where the sampler draws from.")
+print("  U_{1-e11}(e22) = e22:", u_op(AlbertElement.unit() - e11).apply(e22) == e22)
+print("  e11 . e22 = 0:      ", jordan_mul(e11, e22).is_zero())

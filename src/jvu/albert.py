@@ -9,14 +9,23 @@ product a.b = (AB + BA)/2, form the exceptional Jordan algebra; elements are
 27x27 rational matrices (stored as an integer matrix over a common
 denominator, so operator products stay in fast integer arithmetic).
 
+Each level has one product definition: ``_zorn_mul`` for octonions, the
+closed-form entries of (AB + BA)/2 in ``jordan_mul`` for Hermitian elements,
+and the structure constants built from ``jordan_mul`` for ``r_op``.
+
 The cubic form data t, s, n is the Freudenthal determinant package; the sign
 conventions are pinned by requiring the cubic characteristic identity
 a^3 = t(a) a^2 - s(a) a + n(a) 1 to vanish identically, which the test suite
 re-checks against all sign variants.
+
+Zero-product pairs come from the Peirce decomposition of an idempotent e:
+the 0- and 1-spaces are the U-images J_0(e) = U_{1-e}(J) and J_1(e) = U_e(J),
+and J_0(e) J_1(e) = 0.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,22 +75,6 @@ def _zorn_mul(x, y):
     )
 
 
-def _build_table():
-    table = []
-    for i in range(OCT_DIM):
-        ei = tuple(1 if k == i else 0 for k in range(OCT_DIM))
-        row = []
-        for j in range(OCT_DIM):
-            ej = tuple(1 if k == j else 0 for k in range(OCT_DIM))
-            row.append(_zorn_mul(ei, ej))
-        table.append(row)
-    return table
-
-
-#: basis products as integer coordinate vectors; basis order E1, E2, u1..u3, v1..v3
-MUL_TABLE = _build_table()
-
-
 class Octonion:
     """A split octonion: 8 exact rational coordinates over the Zorn basis."""
 
@@ -115,20 +108,7 @@ class Octonion:
         return Octonion(tuple(-a for a in self.coords))
 
     def __mul__(self, other):
-        out = [0] * OCT_DIM
-        for i, a in enumerate(self.coords):
-            if not a:
-                continue
-            row = MUL_TABLE[i]
-            for j, b in enumerate(other.coords):
-                if not b:
-                    continue
-                ab = a * b
-                t = row[j]
-                for k in range(OCT_DIM):
-                    if t[k]:
-                        out[k] += ab * t[k]
-        return Octonion(out)
+        return Octonion(_zorn_mul(self.coords, other.coords))
 
     def scale(self, c):
         return Octonion(tuple(c * a for a in self.coords))
@@ -248,41 +228,32 @@ class AlbertElement:
     def __repr__(self):
         return f"AlbertElement(d={self.d}, o={self.o})"
 
-    def _matrix(self):
-        d1, d2, d3 = self.d
-        o1, o2, o3 = self.o
-        one = Octonion.one()
-        return [
-            [one.scale(d1), o3, o2.conj()],
-            [o3.conj(), one.scale(d2), o1],
-            [o2, o1.conj(), one.scale(d3)],
-        ]
-
-    @classmethod
-    def _from_matrix(cls, m):
-        d = []
-        for i in range(3):
-            q = m[i][i]
-            # Hermitian diagonals are scalar multiples of the octonion unit
-            assert q.coords[0] == q.coords[1] and not any(q.coords[2:]), q
-            d.append(q.coords[0])
-        return cls(tuple(d), (m[1][2], m[2][0], m[0][1]))
-
-
-def _matmul3(a, b):
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(3)), Octonion.zero()) for j in range(3)]
-        for i in range(3)
-    ]
-
 
 def jordan_mul(a: AlbertElement, b: AlbertElement) -> AlbertElement:
-    """The Jordan product (AB + BA)/2 of Hermitian matrices."""
-    ma, mb = a._matrix(), b._matrix()
-    ab, ba = _matmul3(ma, mb), _matmul3(mb, ma)
+    """The Jordan product (AB + BA)/2 of Hermitian matrices, entry by entry
+    in the layout of AlbertElement: for each cyclic (i, j, k) of (0, 1, 2),
+
+        d_i = a.d_i b.d_i + (t(a.o_j conj b.o_j) + t(a.o_k conj b.o_k)) / 2,
+        o_i = ((a.d_j + a.d_k) b.o_i + (b.d_j + b.d_k) a.o_i
+               + conj(b.o_j a.o_k) + conj(a.o_j b.o_k)) / 2.
+    """
     half = Fraction(1, 2)
-    m = [[(ab[i][j] + ba[i][j]).scale(half) for j in range(3)] for i in range(3)]
-    return AlbertElement._from_matrix(m)
+    ao, bo = a.o, b.o
+    d, o = [], []
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        d.append(
+            a.d[i] * b.d[i]
+            + half * ((ao[j] * bo[j].conj()).trace() + (ao[k] * bo[k].conj()).trace())
+        )
+        o.append(
+            (
+                bo[i].scale(a.d[j] + a.d[k])
+                + ao[i].scale(b.d[j] + b.d[k])
+                + (bo[j] * ao[k]).conj()
+                + (ao[j] * bo[k]).conj()
+            ).scale(half)
+        )
+    return AlbertElement(d, o)
 
 
 def associator(x: AlbertElement, y: AlbertElement, z: AlbertElement) -> AlbertElement:
@@ -393,24 +364,18 @@ def commutator(p: AlbertOperator, q: AlbertOperator) -> AlbertOperator:
     return (p @ q) - (q @ p)
 
 
-_SC2: list | None = None  # sparse rows of 2 * (basis_i . basis_j)
-
-
-def _structure_constants():
-    global _SC2
-    if _SC2 is None:
-        basis = [AlbertElement.basis(k) for k in range(DIM)]
-        sc = [[None] * DIM for _ in range(DIM)]
-        for i in range(DIM):
-            for j in range(i, DIM):
-                prod = jordan_mul(basis[i], basis[j])
-                row = tuple(
-                    (k, int(2 * c)) for k, c in enumerate(prod.coords()) if c
-                )
-                sc[i][j] = row
-                sc[j][i] = row
-        _SC2 = sc
-    return _SC2
+@functools.cache
+def _structure_constants() -> tuple:
+    """Sparse rows of 2 * (basis_i . basis_j): entry [i][j] is a tuple of
+    (k, coefficient) pairs.  Built on first use, not at import."""
+    basis = [AlbertElement.basis(k) for k in range(DIM)]
+    return tuple(
+        tuple(
+            tuple((k, int(2 * c)) for k, c in enumerate(jordan_mul(basis[i], basis[j]).coords()) if c)
+            for j in range(DIM)
+        )
+        for i in range(DIM)
+    )
 
 
 def r_op(a: AlbertElement) -> AlbertOperator:
@@ -606,20 +571,9 @@ def left_kernel(op: AlbertOperator) -> list[list[Fraction]]:
     return affine_solve(cols, zero, _QQ).homogeneous
 
 
-def peirce_eigenspaces(e: AlbertElement):
-    """Kernel bases of R_e and R_e - I for an idempotent e (the 0- and
-    1-eigenspaces of the Peirce decomposition; their product is zero)."""
-    re = r_op(e)
-    return left_kernel(re), left_kernel(re - AlbertOperator.identity())
-
-
-def _integer_combination(rng, basis, lo=-9, hi=9):
-    coords = [Fraction(0)] * DIM
-    for vec in basis:
-        c = rng.randint(lo, hi)
-        if c:
-            coords = [x + c * y for x, y in zip(coords, vec)]
-    nums, _ = _clear_denominators(coords)  # scale-invariant checks: drop denominators
+def _integral(x: AlbertElement) -> AlbertElement:
+    """x with its denominators cleared (the checks are scale-invariant)."""
+    nums, _ = _clear_denominators(x.coords())
     return AlbertElement.from_coords(nums)
 
 
@@ -627,13 +581,15 @@ def sample_zero_pair(seed_or_rng) -> tuple[AlbertElement, AlbertElement]:
     """A reproducible pair (a, b) with a.b = 0, via Peirce decomposition.
 
     Builds a rank-one element c = U_w(e11) from a random integer w, rescales
-    to an idempotent e = c / t(c), and draws integer combinations from the 0-
-    and 1-eigenspaces of R_e, whose product vanishes identically.  The result
-    is re-verified exactly before returning.  Retries on degenerate draws and
-    aborts after 100 attempts.
+    to an idempotent e = c / t(c), and takes a = U_{1-e}(r1) in the Peirce
+    0-space J_0(e) = U_{1-e}(J) and b = U_e(r2) in the 1-space J_1(e) = U_e(J)
+    for random integer r1, r2; J_0(e) J_1(e) = 0.  Denominators are cleared,
+    and the result is re-verified exactly before returning.  Retries on
+    degenerate draws and aborts after 100 attempts.
     """
     rng = seed_or_rng if isinstance(seed_or_rng, random.Random) else random.Random(seed_or_rng)
     e11 = AlbertElement.diag_idempotent(0)
+    unit = AlbertElement.unit()
     for _ in range(100):
         w = random_element(rng)
         c = u_op(w).apply(e11)
@@ -643,11 +599,8 @@ def sample_zero_pair(seed_or_rng) -> tuple[AlbertElement, AlbertElement]:
         e = c.scale(Fraction(1) / Fraction(tc))
         if jordan_mul(e, e) != e:
             continue
-        j0, j1 = peirce_eigenspaces(e)
-        if not j0 or not j1:
-            continue
-        a = _integer_combination(rng, j0)
-        b = _integer_combination(rng, j1)
+        a = _integral(u_op(unit - e).apply(random_element(rng)))
+        b = _integral(u_op(e).apply(random_element(rng)))
         if a.is_zero() or b.is_zero():
             continue
         if not jordan_mul(a, b).is_zero():
@@ -656,9 +609,13 @@ def sample_zero_pair(seed_or_rng) -> tuple[AlbertElement, AlbertElement]:
     raise RuntimeError("no zero pair found in 100 attempts")
 
 
-def find_noncommuting_pair(rng: random.Random, attempts: int = 50):
+#: random pairs tried by find_noncommuting_pair before giving up
+NONCOMMUTING_ATTEMPTS = 50
+
+
+def find_noncommuting_pair(rng: random.Random):
     """A pair with a.b != 0 and [U_a, U_b] != 0 (shows the checks are not vacuous)."""
-    for _ in range(attempts):
+    for _ in range(NONCOMMUTING_ATTEMPTS):
         a, b = random_element(rng), random_element(rng)
         if jordan_mul(a, b).is_zero():
             continue

@@ -464,19 +464,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--field", default=field_default, help="q or gf<p> (default %(default)s)")
         p.add_argument("--out", default=None, help="write the JSON report to this file")
         p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--degree-bound", type=int, default=8, dest="degree_bound")
 
     p = sub.add_parser("lemma1", help="verify the U-commutator bracketing identity")
     common(p)
 
     p = sub.add_parser("dims", help="symmetric vs Jordan multilinear dimensions")
     common(p, field_default="gf2")
+    p.add_argument("--degree-bound", type=int, default=8, dest="degree_bound")
     p.add_argument("--vars", type=_generator_names, default="x,y,z,t")
     p.add_argument("--multidegree", type=_multidegree, default="1,1,1,1")
     p.add_argument("--mode", choices=[LINEAR, QUADRATIC], default=None)
 
     p = sub.add_parser("counterexample", help="the two-sided ideal gap at multidegree (2,2,1)")
     common(p)
+    p.add_argument("--degree-bound", type=int, default=8, dest="degree_bound")
     p.add_argument("--mode", choices=[LINEAR, QUADRATIC], default=None)
     p.add_argument("--witness", default=None, help="alternative witness expression over x,y,z")
     p.set_defaults(multidegree=(2, 2, 1))

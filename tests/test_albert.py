@@ -23,7 +23,6 @@ from jvu.albert import (
     left_kernel,
     norm_form,
     norm_trilinear,
-    peirce_eigenspaces,
     r_op,
     random_element,
     s_bilinear,
@@ -129,6 +128,48 @@ def test_unit_is_identity():
     for _ in range(10):
         a = random_element(rng)
         assert jordan_mul(a, UNIT) == a
+
+
+def hermitian_matrix(x: AlbertElement):
+    """The 3x3 octonion matrix of x in the layout of the AlbertElement docstring."""
+    d1, d2, d3 = x.d
+    o1, o2, o3 = x.o
+    one = Octonion.one()
+    return [
+        [one.scale(d1), o3, o2.conj()],
+        [o3.conj(), one.scale(d2), o1],
+        [o2, o1.conj(), one.scale(d3)],
+    ]
+
+
+def test_jordan_mul_matches_hermitian_matrix_product():
+    """jordan_mul against (AB + BA)/2 computed as a product of octonion matrices."""
+    rng = random.Random(43)
+
+    def check(a, b):
+        ma, mb = hermitian_matrix(a), hermitian_matrix(b)
+        expected = [
+            [
+                sum((ma[i][k] * mb[k][j] + mb[i][k] * ma[k][j] for k in range(3)), Octonion.zero()).scale(
+                    Fraction(1, 2)
+                )
+                for j in range(3)
+            ]
+            for i in range(3)
+        ]
+        assert hermitian_matrix(jordan_mul(a, b)) == expected
+
+    for _ in range(30):
+        check(random_element(rng), random_element(rng))
+    for _ in range(30):
+        a, b = (
+            AlbertElement.from_coords([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(27)])
+            for _ in range(2)
+        )
+        check(a, b)
+    for i in range(27):
+        for j in range(i, 27):
+            check(AlbertElement.basis(i), AlbertElement.basis(j))
 
 
 # -- operators ---------------------------------------------------------------
@@ -321,12 +362,22 @@ def test_sample_zero_pair_deterministic():
 
 
 def test_peirce_dimensions_of_primitive_idempotent():
-    j0, j1 = peirce_eigenspaces(E11)
-    assert len(j0) == 10
-    assert len(j1) == 1
+    """The Peirce spaces of E11 by two routes: eigenspaces of R_e, and the
+    U-images J_0 = U_{1-e}(J), J_1 = U_e(J) that the sampler draws from."""
+    re = r_op(E11)
+    assert len(left_kernel(re)) == 10
+    assert len(left_kernel(u_op(UNIT - E11))) == 17  # image of dimension 10
+    assert len(left_kernel(re - AlbertOperator.identity())) == 1
+    assert len(left_kernel(u_op(E11))) == 26  # image of dimension 1
     # the half eigenspace fills the rest of the 27 dimensions
     half_identity = AlbertOperator([[1 if i == j else 0 for j in range(27)] for i in range(27)], 2)
-    assert len(left_kernel(r_op(E11) - half_identity)) == 16
+    assert len(left_kernel(re - half_identity)) == 16
+    rng = random.Random(42)
+    for _ in range(5):
+        x = random_element(rng)
+        assert re.apply(u_op(UNIT - E11).apply(x)).is_zero()
+        j1 = u_op(E11).apply(x)
+        assert re.apply(j1) == j1
 
 
 def test_sampled_pairs_pass_all_zero_product_checks():
@@ -335,6 +386,7 @@ def test_sampled_pairs_pass_all_zero_product_checks():
         a, b = sample_zero_pair(rng)
         checks = check_zero_pair(a, b)
         assert checks.all_hold
+        assert checks.a2b_zero
         assert zero_pair_operator_collapse(a, b)
 
 

@@ -169,6 +169,7 @@ def test_usage_error_exit_code():
         ["dims", "--vars", "one,x", "--multidegree", "1,1"],
         ["dims", "--degree-bound", "2"],
         ["counterexample", "--degree-bound", "3"],
+        ["albert", "--degree-bound", "9"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -180,10 +181,18 @@ def test_bad_input_is_usage_error(argv):
     assert "Error:" not in report["error"]  # a usage message, not an internal exception
 
 
-def test_determinism_modulo_elapsed():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["counterexample", "--field", "gf2", "--seed", "7"],
+        ["albert", "--samples", "2", "--seed", "7"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_determinism_modulo_elapsed(argv):
     """Identical command and seed produce identical reports except timing."""
-    _, r1 = run_command(["counterexample", "--field", "gf2", "--seed", "7"])
-    _, r2 = run_command(["counterexample", "--field", "gf2", "--seed", "7"])
+    _, r1 = run_command(argv)
+    _, r2 = run_command(argv)
     r1.pop("elapsed_ms"), r2.pop("elapsed_ms")
     assert json.dumps(r1) == json.dumps(r2)
 
