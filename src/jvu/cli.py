@@ -33,7 +33,9 @@ from .fields import Field, FieldError, field_from_name
 from .freealg import FreePoly, GeneratorSet
 from .ideals import cohn_gap_witness
 from .jordan import (
+    DEFAULT_DEGREE_BOUND,
     LINEAR,
+    MAX_DEGREE_BOUND,
     QUADRATIC,
     JordanElement,
     circ,
@@ -78,6 +80,13 @@ def _positive_int(text: str) -> int:
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
+
+
+def _degree_bound(text: str) -> int:
+    n = int(text)
+    if n > MAX_DEGREE_BOUND:
+        raise argparse.ArgumentTypeError(f"--degree-bound is at most {MAX_DEGREE_BOUND}, got {text!r}")
     return n
 
 
@@ -470,14 +479,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dims", help="symmetric vs Jordan multilinear dimensions")
     common(p, field_default="gf2")
-    p.add_argument("--degree-bound", type=int, default=8, dest="degree_bound")
+    p.add_argument("--degree-bound", type=_degree_bound, default=DEFAULT_DEGREE_BOUND, dest="degree_bound")
     p.add_argument("--vars", type=_generator_names, default="x,y,z,t")
     p.add_argument("--multidegree", type=_multidegree, default="1,1,1,1")
     p.add_argument("--mode", choices=[LINEAR, QUADRATIC], default=None)
 
     p = sub.add_parser("counterexample", help="the two-sided ideal gap at multidegree (2,2,1)")
     common(p)
-    p.add_argument("--degree-bound", type=int, default=8, dest="degree_bound")
+    p.add_argument("--degree-bound", type=_degree_bound, default=DEFAULT_DEGREE_BOUND, dest="degree_bound")
     p.add_argument("--mode", choices=[LINEAR, QUADRATIC], default=None)
     p.add_argument("--witness", default=None, help="alternative witness expression over x,y,z")
     p.set_defaults(multidegree=(2, 2, 1))

@@ -17,6 +17,7 @@ be special.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 
 from .fields import Field
@@ -27,7 +28,9 @@ from .jordan import (
     JordanElement,
     LINEAR,
     QUADRATIC,
+    degree_residual,
     dominated,
+    fitting_indices,
     je_circ,
     je_u,
     je_ulin,
@@ -48,10 +51,6 @@ def _sub_multidegrees(limit: MultiDegree) -> list[MultiDegree]:
 def _degree_diff(d: MultiDegree, e: MultiDegree) -> MultiDegree | None:
     diff = tuple(a - b for a, b in zip(d, e))
     return diff if all(c >= 0 for c in diff) else None
-
-
-def _degree_sum2(a: MultiDegree, b: MultiDegree) -> MultiDegree:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 @dataclass
@@ -95,6 +94,30 @@ def _multiplier_reps(gens, d, mode, field, degree_bound):
         if reps:
             out.append((e, reps))
     return table, out
+
+
+def _ideal_products(v: JordanElement, multipliers, fits, d: MultiDegree, mode: str):
+    """Every circle, U and linearized-U product of v with multipliers whose
+    multidegree stays <= d.  ``fits`` filters the multiplier buckets by the
+    residual d - deg(v).  Order: circle and U by bucket then rep, linearized
+    U by bucket pair (e1 <= e2 in bucket order) then rep pair."""
+    rest = degree_residual(d, v.multidegree)
+    for p in fits(rest):
+        for a in multipliers[p][1]:
+            yield je_circ(v, a)
+    if mode != QUADRATIC:
+        return
+    for p in fits(tuple(c // 2 for c in rest)):  # 2e <= rest
+        for a in multipliers[p][1]:
+            yield je_u(a, v)
+    for p1 in fits(rest):
+        e1, reps1 = multipliers[p1]
+        p2s = fits(degree_residual(rest, e1))
+        for p2 in p2s[bisect_left(p2s, p1) :]:
+            reps2 = multipliers[p2][1]
+            for ai, a in enumerate(reps1):
+                for b in reps2[ai + 1 :] if p1 == p2 else reps2:
+                    yield je_ulin(a, b, v)
 
 
 def outer_ideal_component(
@@ -145,43 +168,14 @@ def outer_ideal_component(
             for u in hull_reps:
                 push(je_u(f, u))
 
+    fits = fitting_indices([e for e, _ in multipliers])
     rounds = 0
     while frontier:
         work, frontier = frontier, []
-        grew = False
         for v in work:
-            dv = v.multidegree
-            for e, reps in multipliers:
-                if _degree_diff(d, _degree_sum2(dv, e)) is None:
-                    continue
-                for a in reps:
-                    cand = je_circ(v, a)
-                    if table.insert(cand):
-                        frontier.append(cand)
-                        grew = True
-            if mode != QUADRATIC:
-                continue
-            for e, reps in multipliers:
-                tot = tuple(dvc + 2 * ec for dvc, ec in zip(dv, e))
-                if dominated(tot, d):
-                    for a in reps:
-                        cand = je_u(a, v)
-                        if table.insert(cand):
-                            frontier.append(cand)
-                            grew = True
-            for i, (e1, reps1) in enumerate(multipliers):
-                for e2, reps2 in multipliers[i:]:
-                    tot = tuple(a + b + c for a, b, c in zip(dv, e1, e2))
-                    if not dominated(tot, d):
-                        continue
-                    for ai, a in enumerate(reps1):
-                        bs = reps2[ai + 1 :] if e1 == e2 else reps2
-                        for b in bs:
-                            cand = je_ulin(a, b, v)
-                            if table.insert(cand):
-                                frontier.append(cand)
-                                grew = True
-        if grew:
+            for cand in _ideal_products(v, multipliers, fits, d, mode):
+                push(cand)
+        if frontier:
             rounds += 1
 
     return OuterIdealComponent(
@@ -203,6 +197,7 @@ def outer_ideal_is_closed(comp: OuterIdealComponent) -> bool:
     table = comp.table
     gens = comp.generator.value.gens
     _, multipliers = _multiplier_reps(gens, comp.multidegree, comp.mode, comp.field, sum(comp.multidegree))
+    fits = fitting_indices([e for e, _ in multipliers])
 
     def inside(elem: JordanElement) -> bool:
         if elem.value.is_zero():
@@ -213,22 +208,19 @@ def outer_ideal_is_closed(comp: OuterIdealComponent) -> bool:
         return table.subspace(e).contains(to_vector(elem.value, table.component_basis(e)))
 
     for v in table.all_reps():
-        dv = v.multidegree
-        for e, reps in multipliers:
-            if _degree_diff(comp.multidegree, _degree_sum2(dv, e)) is None:
-                continue
-            for a in reps:
+        rest = degree_residual(comp.multidegree, v.multidegree)
+        for p in fits(rest):
+            for a in multipliers[p][1]:
                 if not inside(je_circ(v, a)):
                     return False
                 if comp.mode == QUADRATIC and not inside(je_u(a, v)):
                     return False
         if comp.mode == QUADRATIC:
-            for i, (e1, reps1) in enumerate(multipliers):
-                for e2, reps2 in multipliers[i:]:
-                    if not dominated(_degree_sum2(dv, _degree_sum2(e1, e2)), comp.multidegree):
-                        continue
-                    for a in reps1:
-                        for b in reps2:
+            for p1 in fits(rest):
+                p2s = fits(degree_residual(rest, multipliers[p1][0]))
+                for p2 in p2s[bisect_left(p2s, p1) :]:
+                    for a in multipliers[p1][1]:
+                        for b in multipliers[p2][1]:
                             if not inside(je_ulin(a, b, v)):
                                 return False
     return True

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from jvu.albert import (
+    _u_image,
     AlbertElement,
     AlbertOperator,
     Octonion,
@@ -195,6 +196,25 @@ def test_u_op_on_unit_gives_square():
     for _ in range(10):
         a = random_element(rng)
         assert u_op(a).apply(UNIT) == jordan_mul(a, a)
+
+
+def test_u_image_equals_u_op_apply():
+    """The sampler's operator-free U-image is exactly u_op(x).apply(y):
+    random integer pairs, random fractional pairs and all basis pairs."""
+    rng = random.Random(33)
+
+    def frac():
+        return AlbertElement.from_coords([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(27)])
+
+    pairs = [(random_element(rng), random_element(rng)) for _ in range(10)]
+    pairs += [(frac(), frac()) for _ in range(10)]
+    for x, y in pairs:
+        assert _u_image(x, y) == u_op(x).apply(y)
+    basis = [AlbertElement.basis(k) for k in range(27)]
+    for x in basis:
+        ux = u_op(x)
+        for y in basis:
+            assert _u_image(x, y) == ux.apply(y)
 
 
 def test_operator_arithmetic_exact():

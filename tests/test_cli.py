@@ -169,6 +169,7 @@ def test_usage_error_exit_code():
         ["dims", "--vars", "one,x", "--multidegree", "1,1"],
         ["dims", "--degree-bound", "2"],
         ["counterexample", "--degree-bound", "3"],
+        ["dims", "--degree-bound", "10"],
         ["albert", "--degree-bound", "9"],
     ],
     ids=lambda argv: " ".join(argv),

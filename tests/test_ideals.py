@@ -1,5 +1,7 @@
 """Graded ideal components on both sides of the Cohn criterion."""
 
+import hashlib
+
 import pytest
 
 from jvu.fields import make_field
@@ -10,6 +12,9 @@ from jvu.jordan import (
     commutator_image,
     eval_recipe,
     je_circ,
+    jordan_closure_table,
+    recipe_str,
+    spanning_is_fixed_point,
     u_apply,
 )
 from jvu.ideals import (
@@ -222,3 +227,48 @@ def test_gf3_sanity_bridge():
     g = commutator_image(x, y, z)
     report = cohn_gap_witness(f, g, D, "linear", GF5)
     assert report.gap
+
+
+#: sha256 of the newline-joined recipe strings of the outer ideal's inserted
+#: list at (3,2,1), recorded before the candidate loops were bucketed by
+#: degree: the insert order fixes every certificate's indices.
+INSERTED_321 = {
+    "quadratic": (73, "05682fc6c3121529521146a47ef49252ac4315fbf2f67b854dc67a71b0b0312e"),
+    "linear": (45, "07dcf7fca2a66facc20c0882a9c72772e7197ff9ba7e86fa6e85360705eb184b"),
+}
+
+
+@pytest.mark.parametrize("field,mode", [(GF2, "quadratic"), (QQ, "linear")], ids=["gf2-quadratic", "q-linear"])
+def test_outer_inserted_recipes_pinned(field, mode):
+    *_, f = setup_elems(field)
+    comp = outer_ideal_component(f, (3, 2, 1), mode, field)
+    recipes = "\n".join(recipe_str(e.recipe) for e in comp.inserted)
+    assert (len(comp.inserted), hashlib.sha256(recipes.encode()).hexdigest()) == INSERTED_321[mode]
+
+
+#: (outer, assoc) dimensions of the ideals of x o y on the ladder, the same
+#: over GF(2) in quadratic mode and over Q in linear mode.
+LADDER_DIMS = {
+    (2, 2, 1): (10, 21),
+    (3, 2, 1): (24, 48),
+    (2, 2, 2): (27, 54),
+    (3, 2, 2): (75, 150),
+}
+
+
+@pytest.mark.parametrize("d", list(LADDER_DIMS), ids=lambda d: "".join(map(str, d)))
+def test_cross_route_ladder(d):
+    """GF(2) quadratic against Q linear: the GF(2) outer dimension is at most
+    the Q one (reduction of the integer lattice), the associative dimensions
+    agree, and both routes' closures re-verify as fixed points."""
+    dims = {}
+    for field, mode in ((GF2, "quadratic"), (QQ, "linear")):
+        *_, f = setup_elems(field)
+        outer = outer_ideal_component(f, d, mode, field)
+        assert outer_ideal_is_closed(outer)
+        closure = jordan_closure_table(G3, d, mode, mode == "quadratic", field)
+        assert spanning_is_fixed_point(closure, mode)
+        dims[mode] = (outer.dim, assoc_ideal_component(f.value, d).dim)
+    assert dims["quadratic"][0] <= dims["linear"][0]
+    assert dims["quadratic"][1] == dims["linear"][1]
+    assert dims["quadratic"] == LADDER_DIMS[d]

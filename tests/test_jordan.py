@@ -10,6 +10,7 @@ from jvu.fields import make_field
 from jvu.freealg import FreePoly, GeneratorSet
 from jvu.jordan import (
     JordanElement,
+    _spanning_candidates,
     circ,
     commutator_image,
     eval_recipe,
@@ -233,3 +234,60 @@ def test_square_polarizes_to_circ():
     for _ in range(50):
         p, q = rand_poly(rng, G3, QQ), rand_poly(rng, G3, QQ)
         assert square(p + q) == square(p) + square(q) + circ(p, q)
+
+
+def _reference_candidates(reps, old_ids, mode, limit):
+    """The per-candidate filter that degree bucketing replaced: walk every
+    tuple of representatives and test its degree sum against the limit.  The
+    one shortcut, skipping a (b, c) pair already over the limit, is valid
+    because degrees are nonnegative.  Yields recipes, not products."""
+
+    def fits(*elems):
+        return all(sum(c) <= m for c, m in zip(zip(*(e.multidegree for e in elems)), limit))
+
+    def all_old(*elems):
+        return all(id(e) in old_ids for e in elems)
+
+    for i, v in enumerate(reps):
+        if mode == "quadratic" and not all_old(v) and fits(v, v):
+            yield ("square", v.recipe)
+        for w in reps[i:]:
+            if not all_old(v, w) and fits(v, w):
+                yield ("circ", v.recipe, w.recipe)
+    if mode != "quadratic":
+        return
+    for b in reps:
+        for a in reps:
+            if not all_old(b, a) and fits(b, b, a):
+                yield ("U", b.recipe, a.recipe)
+    for i, b in enumerate(reps):
+        for c in reps[i + 1 :]:
+            if not fits(b, c):
+                continue
+            for a in reps:
+                if not all_old(b, c, a) and fits(b, c, a):
+                    yield ("Ulin", b.recipe, c.recipe, a.recipe)
+
+
+@pytest.mark.parametrize("old_half", [False, True], ids=["no-old", "half-old"])
+@pytest.mark.parametrize(
+    "gens, limit, mode, unital, field",
+    [
+        (G3, (2, 2, 1), "quadratic", True, GF2),
+        (G3, (3, 2, 1), "quadratic", True, GF2),
+        (G3, (2, 2, 2), "quadratic", False, GF2),
+        (G3, (2, 2, 1), "linear", False, QQ),
+        (G3, (3, 2, 2), "linear", False, QQ),
+        (G4, (1, 1, 1, 1), "quadratic", False, GF2),
+    ],
+    ids=["gf2-quad-221-unital", "gf2-quad-321-unital", "gf2-quad-222", "q-lin-221", "q-lin-322", "gf2-quad-1111"],
+)
+def test_spanning_candidates_match_reference(gens, limit, mode, unital, field, old_half):
+    """Degree-bucketed enumeration yields exactly the reference stream, in
+    order: the order fixes recipes, inserted lists and certificate indices."""
+    reps = jordan_closure_table(gens, limit, mode, unital, field).all_reps()
+    old_ids = {id(e) for e in reps[: len(reps) // 2]} if old_half else set()
+    got = [recipe_str(c.recipe) for c in _spanning_candidates(reps, old_ids, mode, limit)]
+    want = [recipe_str(r) for r in _reference_candidates(reps, old_ids, mode, limit)]
+    assert got == want
+    assert got  # the case enumerates something
