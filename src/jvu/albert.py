@@ -581,9 +581,11 @@ def left_kernel(op: AlbertOperator) -> list[list[Fraction]]:
 
 
 def _integral(x: AlbertElement) -> AlbertElement:
-    """x with its denominators cleared (the checks are scale-invariant)."""
+    """x with its denominators cleared and its content divided out (the
+    checks are scale-invariant)."""
     nums, _ = _clear_denominators(x.coords())
-    return AlbertElement.from_coords(nums)
+    content = gcd(*nums) or 1
+    return AlbertElement.from_coords([n // content for n in nums])
 
 
 def sample_zero_pair(seed_or_rng) -> tuple[AlbertElement, AlbertElement]:

@@ -67,7 +67,8 @@ class OuterIdealComponent:
     span: Subspace
     inserted: list[JordanElement]  # aligned with span insert indices
     rounds_to_fixpoint: int  # rounds that added at least one new span vector
-    table: GradedSpanTable = dc_field(repr=False, default=None)
+    table: GradedSpanTable = dc_field(repr=False)  # the ideal's spans at every multidegree <= d
+    hull: GradedSpanTable = dc_field(repr=False)  # the Jordan closure the ideal multiplies by
 
     @property
     def dim(self) -> int:
@@ -81,19 +82,11 @@ class OuterIdealComponent:
         return verdict, from_vector(data, self.component_basis, self.field)
 
 
-def _multiplier_reps(gens, d, mode, field, degree_bound):
-    """Spanning representatives of SJ[X] at every nonzero multidegree <= d."""
-    cap = tuple(d)
-    table = jordan_closure_table(gens, cap, mode, mode == QUADRATIC, field, degree_bound)
-    zero = (0,) * len(gens)
-    out = []
-    for e in _sub_multidegrees(cap):
-        if e == zero:
-            continue
-        reps = table.reps(e)
-        if reps:
-            out.append((e, reps))
-    return table, out
+def _multiplier_reps(hull: GradedSpanTable):
+    """The hull's representatives grouped by nonzero multidegree, and
+    ``fitting_indices`` over those groups."""
+    multipliers = [(e, reps) for e in _sub_multidegrees(hull.limit) if any(e) and (reps := hull.reps(e))]
+    return multipliers, fitting_indices([e for e, _ in multipliers])
 
 
 def _ideal_products(v: JordanElement, multipliers, fits, d: MultiDegree, mode: str):
@@ -145,7 +138,8 @@ def outer_ideal_component(
     if mode not in (LINEAR, QUADRATIC):
         raise ValueError(f"unknown mode {mode!r}")
     gens = f.value.gens
-    jordan_table, multipliers = _multiplier_reps(gens, d, mode, field, degree_bound)
+    hull = jordan_closure_table(gens, d, mode, mode == QUADRATIC, field, degree_bound)
+    multipliers, fits = _multiplier_reps(hull)
 
     table = GradedSpanTable(gens, field, d)
     frontier: list[JordanElement] = []
@@ -163,12 +157,11 @@ def outer_ideal_component(
             if _degree_diff(d, tuple(a + b for a, b in zip(udeg, e))) is None:
                 continue
             hull_reps = (
-                [JordanElement.unit(gens, field)] if e == zero else jordan_table.reps(e)
+                [JordanElement.unit(gens, field)] if e == zero else hull.reps(e)
             )
             for u in hull_reps:
                 push(je_u(f, u))
 
-    fits = fitting_indices([e for e, _ in multipliers])
     rounds = 0
     while frontier:
         work, frontier = frontier, []
@@ -188,6 +181,7 @@ def outer_ideal_component(
         inserted=table.inserted(d),
         rounds_to_fixpoint=rounds,
         table=table,
+        hull=hull,
     )
 
 
@@ -195,35 +189,12 @@ def outer_ideal_is_closed(comp: OuterIdealComponent) -> bool:
     """Re-verify the fixed point: every admissible multiplication applied to
     every basis representative lands inside the recorded spans."""
     table = comp.table
-    gens = comp.generator.value.gens
-    _, multipliers = _multiplier_reps(gens, comp.multidegree, comp.mode, comp.field, sum(comp.multidegree))
-    fits = fitting_indices([e for e, _ in multipliers])
-
-    def inside(elem: JordanElement) -> bool:
-        if elem.value.is_zero():
-            return True
-        e = elem.multidegree
-        if not dominated(e, comp.multidegree):
-            return True
-        return table.subspace(e).contains(to_vector(elem.value, table.component_basis(e)))
-
-    for v in table.all_reps():
-        rest = degree_residual(comp.multidegree, v.multidegree)
-        for p in fits(rest):
-            for a in multipliers[p][1]:
-                if not inside(je_circ(v, a)):
-                    return False
-                if comp.mode == QUADRATIC and not inside(je_u(a, v)):
-                    return False
-        if comp.mode == QUADRATIC:
-            for p1 in fits(rest):
-                p2s = fits(degree_residual(rest, multipliers[p1][0]))
-                for p2 in p2s[bisect_left(p2s, p1) :]:
-                    for a in multipliers[p1][1]:
-                        for b in multipliers[p2][1]:
-                            if not inside(je_ulin(a, b, v)):
-                                return False
-    return True
+    multipliers, fits = _multiplier_reps(comp.hull)
+    return all(
+        table.contains(c)
+        for v in table.all_reps()
+        for c in _ideal_products(v, multipliers, fits, comp.multidegree, comp.mode)
+    )
 
 
 @dataclass

@@ -237,6 +237,13 @@ class GradedSpanTable:
             return 0
         return self._spans[d].dim
 
+    def contains(self, elem: JordanElement) -> bool:
+        """True iff elem is zero or lies in the span of its multidegree."""
+        if elem.value.is_zero():
+            return True
+        d = elem.multidegree
+        return self.subspace(d).contains(to_vector(elem.value, self.component_basis(d)))
+
 
 def degree_residual(limit: MultiDegree, d: MultiDegree) -> MultiDegree:
     """limit - d componentwise; negative entries mean nothing fits."""
@@ -315,9 +322,6 @@ class SpanningSet:
         return iter(self.elements)
 
 
-_SPANNING_CACHE: dict = {}
-
-
 def jordan_closure_table(
     gens: GeneratorSet,
     limit: MultiDegree,
@@ -336,9 +340,6 @@ def jordan_closure_table(
         raise ValueError(f"unknown mode {mode!r}")
     if sum(limit) > degree_bound:
         raise ValueError(f"total degree {sum(limit)} exceeds bound {degree_bound}")
-    key = (gens.names, tuple(limit), mode, unital, field)
-    if key in _SPANNING_CACHE:
-        return _SPANNING_CACHE[key]
     table = GradedSpanTable(gens, field, limit)
     seeds = [JordanElement.generator(gens, field, n) for n in gens.names]
     if unital:
@@ -355,7 +356,6 @@ def jordan_closure_table(
         old_ids = {id(e) for e in reps}
         if not grew:
             break
-    _SPANNING_CACHE[key] = table
     return table
 
 
@@ -374,20 +374,11 @@ def jordan_spanning_set(
     return SpanningSet(table.reps(d), d, mode)
 
 
-def spanning_is_fixed_point(
-    table: GradedSpanTable, mode: str
-) -> bool:
+def spanning_is_fixed_point(table: GradedSpanTable, mode: str) -> bool:
     """Re-verify closure: one more full round over the final representatives
     must land entirely inside the recorded spans."""
     reps = table.all_reps()
-    for cand in _spanning_candidates(reps, set(), mode, table.limit):
-        if cand.value.is_zero():
-            continue
-        d = cand.multidegree
-        vec = to_vector(cand.value, table.component_basis(d))
-        if not table.subspace(d).contains(vec):
-            return False
-    return True
+    return all(table.contains(c) for c in _spanning_candidates(reps, set(), mode, table.limit))
 
 
 def symmetric_component_dim(gens: GeneratorSet, d: MultiDegree, field: Field) -> int:

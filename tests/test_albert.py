@@ -3,6 +3,7 @@ data, operator identities, and zero-product commutation."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -372,6 +373,7 @@ def test_sample_zero_pair_postcondition():
         a, b = sample_zero_pair(rng)
         assert jordan_mul(a, b).is_zero()
         assert not a.is_zero() and not b.is_zero()
+        assert gcd(*a.coords()) == 1 and gcd(*b.coords()) == 1
 
 
 def test_sample_zero_pair_deterministic():

@@ -1,5 +1,6 @@
 """Graded ideal components on both sides of the Cohn criterion."""
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from jvu.fields import make_field
 from jvu.freealg import FreePoly, GeneratorSet
 from jvu.jordan import (
+    GradedSpanTable,
     JordanElement,
     circ,
     commutator_image,
@@ -80,6 +82,35 @@ def test_outer_closure_is_fixed_point():
         comp = outer_ideal_component(f, D, mode_for(field), field)
         assert outer_ideal_is_closed(comp)
         assert comp.rounds_to_fixpoint >= 1
+
+
+@pytest.mark.parametrize("field", [GF2, QQ], ids=["gf2-quadratic", "q-linear"])
+def test_outer_reverifier_rejects_unclosed_table(field):
+    """A table holding only f is not closed under multiplication by the hull."""
+    *_, f = setup_elems(field)
+    comp = outer_ideal_component(f, D, mode_for(field), field)
+    bare = GradedSpanTable(G3, field, D)
+    bare.insert(f)
+    assert not outer_ideal_is_closed(dataclasses.replace(comp, table=bare))
+
+
+@pytest.mark.parametrize("field", [GF2, QQ], ids=["gf2-quadratic", "q-linear"])
+def test_spanning_reverifier_rejects_generators_only(field):
+    """The generators alone are not closed under the mode's operations."""
+    bare = GradedSpanTable(G3, field, D)
+    for name in G3.names:
+        bare.insert(JordanElement.generator(G3, field, name))
+    assert not spanning_is_fixed_point(bare, mode_for(field))
+
+
+def test_closure_tables_are_not_shared():
+    """Each closure call builds its own table, so writing into one a caller
+    got back cannot change a later ideal."""
+    x, y, _, f = setup_elems(GF2)
+    table = jordan_closure_table(G3, D, "quadratic", True, GF2)
+    assert jordan_closure_table(G3, D, "quadratic", True, GF2) is not table
+    table.insert(JordanElement(x * y, ("gen", "x")))  # not a Jordan element
+    assert outer_ideal_component(f, D, "quadratic", GF2).dim == 10
 
 
 def test_outer_basis_vectors_symmetric():
@@ -266,8 +297,7 @@ def test_cross_route_ladder(d):
         *_, f = setup_elems(field)
         outer = outer_ideal_component(f, d, mode, field)
         assert outer_ideal_is_closed(outer)
-        closure = jordan_closure_table(G3, d, mode, mode == "quadratic", field)
-        assert spanning_is_fixed_point(closure, mode)
+        assert spanning_is_fixed_point(outer.hull, mode)
         dims[mode] = (outer.dim, assoc_ideal_component(f.value, d).dim)
     assert dims["quadratic"][0] <= dims["linear"][0]
     assert dims["quadratic"][1] == dims["linear"][1]

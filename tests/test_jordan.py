@@ -1,5 +1,6 @@
 """Jordan operations, the bracketing identity, and spanning-set closures."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -269,6 +270,13 @@ def _reference_candidates(reps, old_ids, mode, limit):
                     yield ("Ulin", b.recipe, c.recipe, a.recipe)
 
 
+@functools.cache
+def _closure_reps(gens, limit, mode, unital, field):
+    """The closure's representatives, computed once per case and shared by
+    its no-old and half-old runs."""
+    return jordan_closure_table(gens, limit, mode, unital, field).all_reps()
+
+
 @pytest.mark.parametrize("old_half", [False, True], ids=["no-old", "half-old"])
 @pytest.mark.parametrize(
     "gens, limit, mode, unital, field",
@@ -285,7 +293,7 @@ def _reference_candidates(reps, old_ids, mode, limit):
 def test_spanning_candidates_match_reference(gens, limit, mode, unital, field, old_half):
     """Degree-bucketed enumeration yields exactly the reference stream, in
     order: the order fixes recipes, inserted lists and certificate indices."""
-    reps = jordan_closure_table(gens, limit, mode, unital, field).all_reps()
+    reps = _closure_reps(gens, limit, mode, unital, field)
     old_ids = {id(e) for e in reps[: len(reps) // 2]} if old_half else set()
     got = [recipe_str(c.recipe) for c in _spanning_candidates(reps, old_ids, mode, limit)]
     want = [recipe_str(r) for r in _reference_candidates(reps, old_ids, mode, limit)]
