@@ -10,12 +10,10 @@ tricks are unavailable.
 """
 
 from jvu import (
-    ComponentBasis,
     FreePoly,
     GeneratorSet,
-    Subspace,
     format_poly,
-    jordan_spanning_set,
+    jordan_closure_table,
     make_field,
     symmetric_component_dim,
     to_vector,
@@ -25,25 +23,20 @@ from jvu.jordan import recipe_str
 gens = GeneratorSet(("x", "y", "z", "t"))
 d = (1, 1, 1, 1)
 
+tables = {}
 for name, field in (("GF(2)", make_field("prime-field", 2)), ("rationals", make_field("rationals"))):
     sym_dim = symmetric_component_dim(gens, d, field)
-
-    spanning = jordan_spanning_set(gens, d, "quadratic", field=field)
-    cb = ComponentBasis(gens, d)
-    span = Subspace(field, len(cb))
-    for elem in spanning:
-        span.insert(to_vector(elem.value, cb))
+    table = tables[name] = jordan_closure_table(gens, d, "quadratic", False, field)
 
     print(f"over {name}:")
     print(f"  symmetric multilinear dimension: {sym_dim}")
-    print(f"  Jordan multilinear dimension:    {span.dim}")
+    print(f"  Jordan multilinear dimension:    {table.dim(d)}")
 
     tetrad = FreePoly.from_word(gens, field, (3, 2, 0, 1)).symmetrize()
-    verdict, _ = span.membership(to_vector(tetrad, cb))
+    verdict, _ = table.subspace(d).membership(to_vector(tetrad, table.component_basis(d)))
     print(f"  tetrad {format_poly(tetrad)}: {verdict} the Jordan span")
     print()
 
 print("A few of the Jordan spanning elements and the recipes that build them:")
-field = make_field("prime-field", 2)
-for elem in list(jordan_spanning_set(gens, d, "quadratic", field=field))[:4]:
+for elem in tables["GF(2)"].reps(d)[:4]:
     print(f"  {recipe_str(elem.recipe):24s} = {format_poly(elem.value)}")

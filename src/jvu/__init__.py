@@ -2,7 +2,7 @@
 in special Jordan algebras.
 
 The library side computes inside the free associative algebra F<X> over the
-rationals or GF(p): symmetrized words, Jordan spanning sets, graded ideal
+rationals or GF(p): symmetrized words, Jordan closure tables, graded ideal
 components with membership certificates, and linear-combination solving.
 The 27-dimensional side verifies cubic-form identities and zero-product
 operator commutation in a concrete exceptional Jordan algebra over split
@@ -13,10 +13,9 @@ from .fields import Field, FieldError, field_from_name, make_field
 from .freealg import FreePoly, GeneratorSet
 from .jordan import (
     JordanElement,
-    SpanningSet,
     circ,
     commutator_image,
-    jordan_spanning_set,
+    jordan_closure_table,
     square,
     symmetric_component_dim,
     u_apply,
@@ -56,7 +55,6 @@ __all__ = [
     "JordanElement",
     "OuterIdealComponent",
     "ParseError",
-    "SpanningSet",
     "Subspace",
     "affine_solve",
     "assoc_ideal_component",
@@ -65,7 +63,7 @@ __all__ = [
     "commutator_image",
     "field_from_name",
     "format_poly",
-    "jordan_spanning_set",
+    "jordan_closure_table",
     "make_field",
     "outer_ideal_component",
     "parse_expr",

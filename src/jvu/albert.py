@@ -499,13 +499,10 @@ def check_operator_identity(a: AlbertElement, b: AlbertElement) -> bool:
     return (lhs - rhs).is_zero()
 
 
-def zero_pair_operator_collapse(a: AlbertElement, b: AlbertElement) -> bool:
+def zero_pair_operator_collapse(ra: AlbertOperator, rb_sq: AlbertOperator, rb2_ra: AlbertOperator) -> bool:
     """When ab = 0 the operator identity degenerates to
-    R_b^2 R_a + R_a R_b^2 = R_{b^2} R_a."""
-    ra, rb = r_op(a), r_op(b)
-    rb2 = rb @ rb
-    lhs = (rb2 @ ra) + (ra @ rb2)
-    return (lhs - (r_op(jordan_mul(b, b)) @ ra)).is_zero()
+    R_b^2 R_a + R_a R_b^2 = R_{b^2} R_a; takes R_a, R_b^2 and R_{b^2} R_a."""
+    return ((rb_sq @ ra) + (ra @ rb_sq) - rb2_ra).is_zero()
 
 
 @dataclass
@@ -517,6 +514,7 @@ class ZeroPairChecks:
     r_a_b2_commute: bool
     commutators_match: bool  # [U_a, U_b] = [R_{a^2}, R_{b^2}]
     u_commutator_zero: bool
+    operator_collapse: bool  # R_b^2 R_a + R_a R_b^2 = R_{b^2} R_a
     s_ab_zero: bool
     a2b_zero: bool
 
@@ -527,38 +525,29 @@ class ZeroPairChecks:
             and self.r_a_b2_commute
             and self.commutators_match
             and self.u_commutator_zero
+            and self.operator_collapse
             and (self.s_ab_zero or self.a2b_zero)
         )
 
 
-def _require_zero_product(a, b):
+def check_zero_pair(a: AlbertElement, b: AlbertElement) -> ZeroPairChecks:
+    """All the zero-product consequences at once, from one set of operators
+    R_a, R_b, R_{a^2}, R_{b^2}, R_a^2, R_b^2; see ZeroPairChecks."""
     if not jordan_mul(a, b).is_zero():
         raise ValueError("precondition a.b = 0 violated")
-
-
-def check_commutator_reduction(a: AlbertElement, b: AlbertElement) -> bool:
-    """[U_a, U_b] = [R_{a^2}, R_{b^2}] for a pair with a.b = 0."""
-    _require_zero_product(a, b)
-    lhs = commutator(u_op(a), u_op(b))
-    rhs = commutator(r_op(jordan_mul(a, a)), r_op(jordan_mul(b, b)))
-    return (lhs - rhs).is_zero()
-
-
-def check_zero_pair(a: AlbertElement, b: AlbertElement) -> ZeroPairChecks:
-    """All the zero-product consequences at once; see ZeroPairChecks."""
-    _require_zero_product(a, b)
     ra, rb = r_op(a), r_op(b)
     a2, b2 = jordan_mul(a, a), jordan_mul(b, b)
     ra2, rb2 = r_op(a2), r_op(b2)
-    ua = (ra @ ra).scale_int(2) - ra2
-    ub = (rb @ rb).scale_int(2) - rb2
-    u_comm = commutator(ua, ub)
+    ra_sq, rb_sq = ra @ ra, rb @ rb
+    rb2_ra = rb2 @ ra
+    u_comm = commutator(ra_sq.scale_int(2) - ra2, rb_sq.scale_int(2) - rb2)
     r_comm = commutator(ra2, rb2)
     return ZeroPairChecks(
         r_a2_b_commute=commutator(ra2, rb).is_zero(),
-        r_a_b2_commute=commutator(ra, rb2).is_zero(),
+        r_a_b2_commute=((ra @ rb2) - rb2_ra).is_zero(),
         commutators_match=(u_comm - r_comm).is_zero(),
         u_commutator_zero=u_comm.is_zero(),
+        operator_collapse=zero_pair_operator_collapse(ra, rb_sq, rb2_ra),
         s_ab_zero=s_bilinear(a, b) == 0,
         a2b_zero=jordan_mul(a2, b).is_zero(),
     )
@@ -603,13 +592,12 @@ def sample_zero_pair(seed_or_rng) -> tuple[AlbertElement, AlbertElement]:
     unit = AlbertElement.unit()
     for _ in range(100):
         w = random_element(rng)
-        c = _u_image(w, e11)
+        c = _integral(_u_image(w, e11))
         tc = trace_form(c)
-        if tc == 0:
+        # e = c / t(c) is idempotent iff c^2 = t(c) c, tested on integers
+        if tc == 0 or jordan_mul(c, c) != c.scale(tc):
             continue
-        e = c.scale(Fraction(1) / Fraction(tc))
-        if jordan_mul(e, e) != e:
-            continue
+        e = c.scale(Fraction(1, tc))
         a = _integral(_u_image(unit - e, random_element(rng)))
         b = _integral(_u_image(e, random_element(rng)))
         if a.is_zero() or b.is_zero():

@@ -40,7 +40,8 @@ from .linalg import ComponentBasis, Subspace, from_vector, to_vector, words_of_m
 
 
 def _sub_multidegrees(limit: MultiDegree) -> list[MultiDegree]:
-    """All multidegrees <= limit componentwise, ascending by total degree then lex."""
+    """All multidegrees <= limit componentwise, ascending by total degree then
+    lex; none when an entry of limit is negative."""
     ranges = [range(c + 1) for c in limit]
     out: list[MultiDegree] = [()]
     for r in ranges:
@@ -48,13 +49,23 @@ def _sub_multidegrees(limit: MultiDegree) -> list[MultiDegree]:
     return sorted(out, key=lambda d: (sum(d), d))
 
 
-def _degree_diff(d: MultiDegree, e: MultiDegree) -> MultiDegree | None:
-    diff = tuple(a - b for a, b in zip(d, e))
-    return diff if all(c >= 0 for c in diff) else None
+class _SpanComponent:
+    """Dimension and membership of an ideal component's ``span``."""
+
+    @property
+    def dim(self) -> int:
+        return self.span.dim
+
+    def membership(self, p: FreePoly):
+        """("inside", {insert index -> coeff}) or ("outside", residual FreePoly)."""
+        verdict, data = self.span.membership(to_vector(p, self.component_basis))
+        if verdict == "inside":
+            return verdict, data
+        return verdict, from_vector(data, self.component_basis, self.field)
 
 
 @dataclass
-class OuterIdealComponent:
+class OuterIdealComponent(_SpanComponent):
     """The multidegree-d slice of the Jordan outer ideal generated by f,
     with a generation certificate per inserted vector and a closure that has
     been run to a fixed point."""
@@ -69,17 +80,6 @@ class OuterIdealComponent:
     rounds_to_fixpoint: int  # rounds that added at least one new span vector
     table: GradedSpanTable = dc_field(repr=False)  # the ideal's spans at every multidegree <= d
     hull: GradedSpanTable = dc_field(repr=False)  # the Jordan closure the ideal multiplies by
-
-    @property
-    def dim(self) -> int:
-        return self.span.dim
-
-    def membership(self, p: FreePoly):
-        """("inside", {insert index -> coeff}) or ("outside", residual FreePoly)."""
-        verdict, data = self.span.membership(to_vector(p, self.component_basis))
-        if verdict == "inside":
-            return verdict, data
-        return verdict, from_vector(data, self.component_basis, self.field)
 
 
 def _multiplier_reps(hull: GradedSpanTable):
@@ -150,12 +150,9 @@ def outer_ideal_component(
 
     push(f)
     if mode == QUADRATIC:
-        ff = f.multidegree
-        udeg = tuple(2 * c for c in ff)
         zero = (0,) * len(gens)
-        for e in _sub_multidegrees(d):
-            if _degree_diff(d, tuple(a + b for a, b in zip(udeg, e))) is None:
-                continue
+        # every e with 2 deg(f) + e <= d; none when 2 deg(f) exceeds d
+        for e in _sub_multidegrees(degree_residual(d, tuple(2 * c for c in f.multidegree))):
             hull_reps = (
                 [JordanElement.unit(gens, field)] if e == zero else hull.reps(e)
             )
@@ -198,7 +195,7 @@ def outer_ideal_is_closed(comp: OuterIdealComponent) -> bool:
 
 
 @dataclass
-class AssocIdealComponent:
+class AssocIdealComponent(_SpanComponent):
     """The multidegree-d slice of the two-sided associative ideal generated
     by f: the span of all w1 f w2 over complementary word pairs."""
 
@@ -209,16 +206,6 @@ class AssocIdealComponent:
     span: Subspace
     products: list[tuple]  # (w1, w2) pairs aligned with span insert indices
 
-    @property
-    def dim(self) -> int:
-        return self.span.dim
-
-    def membership(self, p: FreePoly):
-        verdict, data = self.span.membership(to_vector(p, self.component_basis))
-        if verdict == "inside":
-            return verdict, data
-        return verdict, from_vector(data, self.component_basis, self.field)
-
 
 def assoc_ideal_component(f: FreePoly, d: MultiDegree) -> AssocIdealComponent:
     """Span of {w1 * f * w2} over all word pairs with complementary multidegree."""
@@ -226,15 +213,15 @@ def assoc_ideal_component(f: FreePoly, d: MultiDegree) -> AssocIdealComponent:
     df = f.multidegree()
     if df is None:
         raise ValueError("ideal generator must be homogeneous and nonzero")
-    rest = _degree_diff(d, df)
-    if rest is None:
+    rest = degree_residual(d, df)
+    if any(c < 0 for c in rest):
         raise ValueError(f"generator multidegree {df} not below target {d}")
     gens, field = f.gens, f.field
     cb = ComponentBasis(gens, d)
     span = Subspace(field, len(cb))
     products: list[tuple] = []
     for e1 in _sub_multidegrees(rest):
-        e2 = _degree_diff(rest, e1)
+        e2 = degree_residual(rest, e1)
         for w1 in words_of_multidegree(gens, e1):
             left = FreePoly.from_word(gens, field, w1) * f
             for w2 in words_of_multidegree(gens, e2):

@@ -304,24 +304,6 @@ def _spanning_candidates(reps, old_ids, mode, limit):
                     yield je_ulin(b, reps[k], reps[j])
 
 
-class SpanningSet:
-    """Homogeneous Jordan elements spanning one multidegree component of SJ[X]
-    (or of its unital hull)."""
-
-    __slots__ = ("elements", "multidegree", "mode")
-
-    def __init__(self, elements: list[JordanElement], d: MultiDegree, mode: str):
-        self.elements = elements
-        self.multidegree = tuple(d)
-        self.mode = mode
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-
 def jordan_closure_table(
     gens: GeneratorSet,
     limit: MultiDegree,
@@ -357,21 +339,6 @@ def jordan_closure_table(
         if not grew:
             break
     return table
-
-
-def jordan_spanning_set(
-    gens: GeneratorSet,
-    d: MultiDegree,
-    mode: str,
-    field: Field,
-    unital: bool = False,
-    degree_bound: int = DEFAULT_DEGREE_BOUND,
-) -> SpanningSet:
-    """A finite set of homogeneous Jordan elements spanning the multidegree-d
-    component of SJ[X] (resp. of its unital hull when ``unital``)."""
-    d = tuple(d)
-    table = jordan_closure_table(gens, d, mode, unital, field, degree_bound)
-    return SpanningSet(table.reps(d), d, mode)
 
 
 def spanning_is_fixed_point(table: GradedSpanTable, mode: str) -> bool:

@@ -23,8 +23,8 @@ from jvu.cli import EXIT_CONFIRMED, run_command
 from jvu.fields import make_field
 from jvu.freealg import FreePoly, GeneratorSet
 from jvu.ideals import outer_ideal_component, outer_ideal_is_closed
-from jvu.jordan import eval_recipe, jordan_closure_table, jordan_spanning_set
-from jvu.linalg import ComponentBasis, Subspace, to_vector
+from jvu.jordan import eval_recipe, jordan_closure_table
+from jvu.linalg import Subspace, to_vector
 
 from conftest import rand_poly, rand_scalar
 
@@ -80,15 +80,11 @@ def test_criterion_2_dimension_claim():
 def test_criterion_3_tetrad_outside_jordan_span():
     t0 = time.perf_counter()
     d = (1, 1, 1, 1)
-    span_set = jordan_spanning_set(G4, d, "quadratic", field=GF2)
-    cb = ComponentBasis(G4, d)
-    span = Subspace(GF2, len(cb))
-    for e in span_set:
-        span.insert(to_vector(e.value, cb))
+    table = jordan_closure_table(G4, d, "quadratic", False, GF2)
     tetrad = FreePoly.from_word(
         G4, GF2, (G4.index("t"), G4.index("z"), G4.index("x"), G4.index("y"))
     ).symmetrize()
-    verdict, residual = span.membership(to_vector(tetrad, cb))
+    verdict, residual = table.subspace(d).membership(to_vector(tetrad, table.component_basis(d)))
     elapsed = time.perf_counter() - t0
     ok = verdict == "outside" and any(residual) and elapsed < 10.0
     _report(3, "tetrad sym(t*z*x*y) outside the Jordan span over gf2", ok, f"{elapsed:.2f}s")
@@ -163,6 +159,7 @@ def test_criterion_7_zero_pairs_seed_42():
         checks = check_zero_pair(a, b)
         ok = ok and checks.r_a2_b_commute and checks.r_a_b2_commute
         ok = ok and checks.commutators_match and checks.u_commutator_zero
+        ok = ok and checks.operator_collapse
         ok = ok and (checks.s_ab_zero or checks.a2b_zero)
         s_ab_zero += checks.s_ab_zero
         a2b_zero += checks.a2b_zero

@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+from jvu import albert
 from jvu.albert import (
     _u_image,
     AlbertElement,
@@ -15,7 +16,6 @@ from jvu.albert import (
     associator,
     check_cubic,
     check_eq1,
-    check_commutator_reduction,
     check_operator_identity,
     check_zero_pair,
     commutator,
@@ -352,8 +352,8 @@ def test_associator_bridge():
 
 
 def test_orthogonal_idempotents_pair():
-    assert check_commutator_reduction(E22, E11)
     checks = check_zero_pair(E22, E11)
+    assert checks.commutators_match and checks.operator_collapse
     assert checks.all_hold
     assert commutator(u_op(E22), u_op(E11)).is_zero()
 
@@ -361,8 +361,6 @@ def test_orthogonal_idempotents_pair():
 def test_zero_pair_precondition_enforced():
     rng = random.Random(39)
     a, b = find_noncommuting_pair(rng)
-    with pytest.raises(ValueError):
-        check_commutator_reduction(a, b)
     with pytest.raises(ValueError):
         check_zero_pair(a, b)
 
@@ -409,7 +407,36 @@ def test_sampled_pairs_pass_all_zero_product_checks():
         checks = check_zero_pair(a, b)
         assert checks.all_hold
         assert checks.a2b_zero
-        assert zero_pair_operator_collapse(a, b)
+        assert checks.operator_collapse
+
+
+def test_check_zero_pair_builds_each_operator_once(monkeypatch):
+    """R_a, R_b, R_{a^2}, R_{b^2} are 4 r_op calls; R_a^2, R_b^2, R_{b^2} R_a
+    and the commutators and collapse over them are 12 operator products."""
+    a, b = sample_zero_pair(41)
+    calls = {"r_op": 0, "matmul": 0}
+    r_op_orig, matmul_orig = albert.r_op, AlbertOperator.__matmul__
+
+    def counted_r_op(x):
+        calls["r_op"] += 1
+        return r_op_orig(x)
+
+    def counted_matmul(p, q):
+        calls["matmul"] += 1
+        return matmul_orig(p, q)
+
+    monkeypatch.setattr(albert, "r_op", counted_r_op)
+    monkeypatch.setattr(AlbertOperator, "__matmul__", counted_matmul)
+    assert check_zero_pair(a, b).all_hold
+    assert calls == {"r_op": 4, "matmul": 12}
+
+
+def test_operator_collapse_fails_off_zero_pairs():
+    """The collapsed identity needs a.b = 0: on a noncommuting pair it is false,
+    so a vacuous collapse check cannot pass."""
+    a, b = find_noncommuting_pair(random.Random(1))
+    ra, rb = r_op(a), r_op(b)
+    assert not zero_pair_operator_collapse(ra, rb @ rb, r_op(jordan_mul(b, b)) @ ra)
 
 
 def test_nonvacuous_commutator_exists():

@@ -1,5 +1,6 @@
 """The command-line front end: verbs, reports, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -229,3 +230,30 @@ def test_console_entry_point_subprocess():
         "jordan_dim": 11,
         "tetrad": {"expr": "sym(t*z*x*y)", "in_jordan_span": False},
     }
+
+
+#: sha256 of json.dumps(report minus elapsed_ms, indent=2) per argv, recorded
+#: before the Albert checks shared one operator set per pair and `dims` read
+#: its closure table directly.  A change that adds a report field re-pins these.
+REPORT_SHA256 = {
+    "lemma1 --field q": "758bb184cdfe3bbb423794a4014ff7d254521bf0db745484bdeb85303629956d",
+    "lemma1 --field gf2": "5b325f2d79fbc9c39cc74eb71b57ff89cab6883aa8dea5426af33136b93369f8",
+    "lemma1 --field gf5": "fa6c143a0eafaa4953e3a5597457613f038e39db9168870beb2d3fb0ff370fdb",
+    "coefficients --field q": "a189bdecc9c28aab735289ae26e496c07bbdef17ed62f9450e0ddfb5fa0dd095",
+    "coefficients --field gf2": "a054387b593020dae7c59b8dda2c1540a14d60c8a069666447e3301ac69f07ad",
+    "coefficients --field gf5": "0b7ceae6869fb70c1730d5d9d6552e03bff6e396456560e2bdfd4576d32eb022",
+    "dims --field gf2": "e19913092d4fe29c6725d58a00fbf36130b7a4272a0ca63e5be3ebc82ccd2f31",
+    "dims --field q": "08cb9442319cae329f97952125d583f9e48a44bca521f946fa0acbdc781a2e70",
+    "counterexample --field gf2": "e3178125cb18b6935d1d2c8af86f76c4365dd0f44af3145de1cb423900f34374",
+    "counterexample --field q": "bb62e42cf3e65c73250edd992544fbfefb9aed8ae905d2c4f084e0fd725e5356",
+    "albert --samples 2 --seed 7": "4893335ee7c7992fe005ef99e9e633a0915d2c5befbd27914ed543576cbf6894",
+}
+
+
+@pytest.mark.parametrize("argv", list(REPORT_SHA256))
+def test_reports_pinned(argv):
+    code, report = run_command(argv.split())
+    assert code == EXIT_CONFIRMED
+    del report["elapsed_ms"]
+    text = json.dumps(report, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[argv]

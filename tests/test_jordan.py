@@ -17,7 +17,6 @@ from jvu.jordan import (
     eval_recipe,
     je_circ,
     jordan_closure_table,
-    jordan_spanning_set,
     recipe_str,
     spanning_is_fixed_point,
     square,
@@ -26,7 +25,7 @@ from jvu.jordan import (
     u_lin,
     commutator_identity_residual,
 )
-from jvu.linalg import ComponentBasis, Subspace, to_vector
+from jvu.linalg import to_vector
 
 QQ = make_field("rationals")
 GF2 = make_field("prime-field", 2)
@@ -116,48 +115,45 @@ def test_commutator_identity_gf5_frozen_expansion():
     assert lhs == sym_part - u_part
 
 
-def _span_of(elements, gens, d, field):
-    cb = ComponentBasis(gens, d)
-    s = Subspace(field, len(cb))
-    for e in elements:
-        s.insert(to_vector(e.value, cb))
-    return s, cb
+def _closure(gens, d, mode, field):
+    return jordan_closure_table(gens, d, mode, False, field)
+
+
+def _in_span(table, d, p):
+    return table.subspace(d).contains(to_vector(p, table.component_basis(d)))
 
 
 def test_spanning_multilinear_three_gens_linear():
     """Hand enumeration: the 3 symmetrized classes {xyz}, {xzy}, {yxz} span,
     and the Jordan span reaches all of them."""
-    ss = jordan_spanning_set(G3, (1, 1, 1), "linear", field=QQ)
-    span, cb = _span_of(ss, G3, (1, 1, 1), QQ)
-    assert span.dim == 3
+    d = (1, 1, 1)
+    table = _closure(G3, d, "linear", QQ)
+    assert table.dim(d) == 3
     for w in ((0, 1, 2), (0, 2, 1), (1, 0, 2)):
-        sym = FreePoly.from_word(G3, QQ, w).symmetrize()
-        assert span.contains(to_vector(sym, cb))
+        assert _in_span(table, d, FreePoly.from_word(G3, QQ, w).symmetrize())
 
 
 def test_spanning_multilinear_four_gens_gf2_dim_11():
-    ss = jordan_spanning_set(G4, (1, 1, 1, 1), "quadratic", field=GF2)
-    span, _ = _span_of(ss, G4, (1, 1, 1, 1), GF2)
-    assert span.dim == 11
+    assert _closure(G4, (1, 1, 1, 1), "quadratic", GF2).dim((1, 1, 1, 1)) == 11
 
 
 def test_spanning_one_generator_cube():
+    x = gen(G1, QQ, "x")
     for mode in ("linear", "quadratic"):
-        ss = jordan_spanning_set(G1, (3,), mode, field=QQ)
-        span, cb = _span_of(ss, G1, (3,), QQ)
-        assert span.dim == 1
-        x = gen(G1, QQ, "x")
-        assert span.contains(to_vector(x * x * x, cb))
+        table = _closure(G1, (3,), mode, QQ)
+        assert table.dim((3,)) == 1
+        assert _in_span(table, (3,), x * x * x)
 
 
 def test_spanning_elements_are_symmetric():
     """Jordan span lies inside the reverse-fixed elements."""
+    d = (1, 1, 1, 1)
     for field in (QQ, GF2):
-        ss = jordan_spanning_set(G4, (1, 1, 1, 1), "quadratic", field=field)
-        assert len(ss) >= 11
-        for e in ss:
+        reps = _closure(G4, d, "quadratic", field).reps(d)
+        assert len(reps) >= 11
+        for e in reps:
             assert e.value.reverse() == e.value
-            assert e.value.is_homogeneous((1, 1, 1, 1))
+            assert e.value.is_homogeneous(d)
 
 
 def test_spanning_fixed_point_certified():
@@ -169,28 +165,23 @@ def test_spanning_fixed_point_certified():
 def test_linear_and_quadratic_spans_agree_over_q():
     """With 1/2 available the two operation alphabets span the same components."""
     for d in ((1, 1, 1, 1), (2, 1, 1, 0)):
-        lin = jordan_spanning_set(G4, d, "linear", field=QQ)
-        quad = jordan_spanning_set(G4, d, "quadratic", field=QQ)
-        slin, cb = _span_of(lin, G4, d, QQ)
-        squad, _ = _span_of(quad, G4, d, QQ)
-        assert slin.dim == squad.dim
-        for e in quad:
-            assert slin.contains(to_vector(e.value, cb))
+        lin = _closure(G4, d, "linear", QQ)
+        quad = _closure(G4, d, "quadratic", QQ)
+        assert lin.dim(d) == quad.dim(d)
+        for e in quad.reps(d):
+            assert lin.contains(e)
 
 
 def test_linear_mode_is_smaller_in_char2():
     """Over GF(2) the circle alphabet alone cannot span the multilinear
     component; the quadratic alphabet is genuinely needed."""
-    lin = jordan_spanning_set(G3, (1, 1, 1), "linear", field=GF2)
-    quad = jordan_spanning_set(G3, (1, 1, 1), "quadratic", field=GF2)
-    slin, _ = _span_of(lin, G3, (1, 1, 1), GF2)
-    squad, _ = _span_of(quad, G3, (1, 1, 1), GF2)
-    assert slin.dim < squad.dim == 3
+    d = (1, 1, 1)
+    assert _closure(G3, d, "linear", GF2).dim(d) < _closure(G3, d, "quadratic", GF2).dim(d) == 3
 
 
 def test_degree_bound_enforced():
     with pytest.raises(ValueError):
-        jordan_spanning_set(G4, (3, 3, 2, 1), "quadratic", field=QQ)
+        _closure(G4, (3, 3, 2, 1), "quadratic", QQ)
 
 
 def test_symmetric_component_dims():
@@ -226,7 +217,7 @@ def test_recipes_evaluate_and_render():
     assert recipe_str(e.recipe) == "circ(x, y)"
     assert eval_recipe(e.recipe, G3, QQ) == e.value
     rng = random.Random(15)
-    for elem in jordan_spanning_set(G4, (1, 1, 1, 1), "quadratic", field=GF2):
+    for elem in _closure(G4, (1, 1, 1, 1), "quadratic", GF2).reps((1, 1, 1, 1)):
         assert eval_recipe(elem.recipe, G4, GF2) == elem.value
 
 
