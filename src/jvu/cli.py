@@ -159,8 +159,8 @@ def _run_dims(args):
     if canonical:
         tetrad_expr = "sym(t*z*x*y)"
         tetrad = parse_expr(tetrad_expr, gens, field)
-        verdict_str, _ = table.subspace(d).membership(to_vector(tetrad, table.component_basis(d)))
-        data["tetrad"] = {"expr": tetrad_expr, "in_jordan_span": verdict_str == "inside"}
+        inside = table.subspace(d).contains(to_vector(tetrad, table.component_basis(d)))
+        data["tetrad"] = {"expr": tetrad_expr, "in_jordan_span": inside}
     if canonical and field.characteristic == 2:
         ok = sym_dim == 12 and jordan_dim == 11 and not data["tetrad"]["in_jordan_span"]
         verdict = "confirmed" if ok else "refuted"

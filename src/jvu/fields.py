@@ -44,11 +44,13 @@ class Field:
     elsewhere rely on that exact-zero canonicalization.
     """
 
-    __slots__ = ("kind", "characteristic")
+    __slots__ = ("kind", "characteristic", "zero", "one")
 
     def __init__(self, kind: str, characteristic: int):
         self.kind = kind
         self.characteristic = characteristic
+        self.zero = Fraction(0) if kind == RATIONALS else 0
+        self.one = Fraction(1) if kind == RATIONALS else 1
 
     def __repr__(self):
         if self.kind == RATIONALS:
@@ -64,14 +66,6 @@ class Field:
 
     def __hash__(self):
         return hash((self.kind, self.characteristic))
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.kind == RATIONALS else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.kind == RATIONALS else 1
 
     def from_int(self, n: int):
         """Image of the integer n in this field."""

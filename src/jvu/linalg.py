@@ -1,8 +1,8 @@
 """Exact linear algebra over a Field.
 
 Homogeneous polynomials are vectorized against the complete deglex-ordered
-word list of one multidegree; subspaces are kept in reduced row-echelon form
-with a transformation record, so membership tests return an explicit
+word list of one multidegree; subspaces are kept in reduced row-echelon form,
+and a membership test that finds a vector inside solves an explicit
 coefficient certificate over the vectors that were inserted, not just a
 verdict.  Ambient dimensions in this workbench stay small (a few hundred at
 most), so vectors are dense lists.
@@ -81,13 +81,14 @@ def from_vector(vec, cb: ComponentBasis, field: Field) -> FreePoly:
 
 
 class Subspace:
-    """An echelonized subspace with pivot bookkeeping and insert certificates.
+    """An echelonized subspace with pivot bookkeeping and certificates on demand.
 
     Rows are in reduced row-echelon form: pivots strictly increasing, pivot
     entries 1, pivot columns otherwise zero.  The RREF basis of a span is
-    unique, so the final rows do not depend on insertion order.  Each row also
-    carries its expansion over the vectors passed to :meth:`insert`, which is
-    what membership certificates are assembled from.
+    unique, so the final rows do not depend on insertion order.  Beside the
+    rows the span keeps only the inserts that grew it, with their insert
+    indices; :meth:`membership` solves a certificate over them when a vector
+    is inside, and inserts do no certificate work.
     """
 
     def __init__(self, field: Field, ambient_dim: int):
@@ -95,28 +96,30 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.rows: list[list] = []
         self.pivots: list[int] = []
-        self.row_reps: list[dict[int, object]] = []  # insert index -> coefficient
         self.n_inserted = 0
+        self._grew: list[tuple[int, list]] = []  # (insert index, vector) per independent insert
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, v: list):
-        """One RREF reduction pass: v = sum(coeffs[i] * rows[i]) + residual."""
+    @property
+    def row_reps(self) -> list[dict[int, object]]:
+        """Each row's expansion over the inserted vectors, solved when read."""
+        return [self.membership(row)[1] for row in self.rows]
+
+    def _reduce(self, v: list) -> list:
+        """One RREF reduction pass: the residual of v against the rows."""
         f = self.field
         v = list(v)
-        coeffs: dict[int, object] = {}
-        for i, p in enumerate(self.pivots):
+        for p, row in zip(self.pivots, self.rows):
             c = v[p]
             if f.is_zero(c):
                 continue
-            coeffs[i] = c
-            row = self.rows[i]
             for j in range(p, self.ambient_dim):
                 if not f.is_zero(row[j]):
                     v[j] = f.sub(v[j], f.mul(c, row[j]))
-        return coeffs, v
+        return v
 
     def insert(self, v: list) -> bool:
         """Insert a vector; returns True iff it enlarged the span."""
@@ -125,69 +128,52 @@ class Subspace:
         f = self.field
         idx = self.n_inserted
         self.n_inserted += 1
-        coeffs, r = self._reduce(v)
+        r = self._reduce(v)
         pivot = next((j for j, c in enumerate(r) if not f.is_zero(c)), None)
         if pivot is None:
             return False
-        # normalize the new row and its representation over inserted vectors
         inv = f.inv(r[pivot])
         r = [f.mul(inv, c) for c in r]
-        rep: dict[int, object] = {idx: inv}
-        for i, c in coeffs.items():
-            scaled = f.neg(f.mul(inv, c))
-            for k, old in self.row_reps[i].items():
-                s = f.add(rep.get(k, f.zero), f.mul(scaled, old))
-                if f.is_zero(s):
-                    rep.pop(k, None)
-                else:
-                    rep[k] = s
         # back-eliminate the new pivot column from existing rows
-        for i, row in enumerate(self.rows):
+        for row in self.rows:
             c = row[pivot]
             if f.is_zero(c):
                 continue
             for j in range(pivot, self.ambient_dim):
                 if not f.is_zero(r[j]):
                     row[j] = f.sub(row[j], f.mul(c, r[j]))
-            old_rep = self.row_reps[i]
-            for k, v2 in rep.items():
-                s = f.sub(old_rep.get(k, f.zero), f.mul(c, v2))
-                if f.is_zero(s):
-                    old_rep.pop(k, None)
-                else:
-                    old_rep[k] = s
         pos = next((i for i, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
         self.rows.insert(pos, r)
         self.pivots.insert(pos, pivot)
-        self.row_reps.insert(pos, rep)
+        self._grew.append((idx, list(v)))
         return True
 
     def contains(self, v: list) -> bool:
-        _, r = self._reduce(v)
-        return all(self.field.is_zero(c) for c in r)
+        return all(self.field.is_zero(c) for c in self._reduce(v))
 
     def membership(self, v: list):
         """Return ("inside", certificate) or ("outside", residual).
 
-        The certificate maps insert indices to coefficients such that the
-        corresponding combination of inserted vectors equals v exactly.
+        The certificate maps insert indices to nonzero coefficients such that
+        the corresponding combination of inserted vectors equals v exactly.
+        It is solved per query on the same kernel, and nothing is cached, so
+        there is nothing for a later insert to invalidate.  An element of the
+        span is fixed by its entries on the pivot columns, so with
+        B_0..B_{r-1} the inserts that grew the span, the system with one row
+        (B_0[p], ..., B_{r-1}[p], v[p]) per pivot p is square and invertible:
+        its RREF is [I | x], and x is the certificate.  It is unique because
+        the B_k are independent.
         """
         f = self.field
-        coeffs, r = self._reduce(v)
+        r = self._reduce(v)
         if any(not f.is_zero(c) for c in r):
             return "outside", r
-        cert: dict[int, object] = {}
-        for i, c in coeffs.items():
-            for k, old in self.row_reps[i].items():
-                s = f.add(cert.get(k, f.zero), f.mul(c, old))
-                if f.is_zero(s):
-                    cert.pop(k, None)
-                else:
-                    cert[k] = s
-        return "inside", cert
-
-    def basis_vectors(self) -> list[list]:
-        return [list(r) for r in self.rows]
+        n = len(self._grew)
+        system = Subspace(f, n + 1)
+        for p in self.pivots:
+            system.insert([b[p] for _, b in self._grew] + [v[p]])
+        x = [row[n] for row in system.rows]
+        return "inside", {idx: c for (idx, _), c in zip(self._grew, x) if not f.is_zero(c)}
 
 
 @dataclass
@@ -204,13 +190,15 @@ class AffineSolution:
 
 
 def affine_solve(columns: list[list], rhs: list, field: Field) -> AffineSolution:
-    """Solve sum(x_j * columns[j]) = rhs exactly on a certified RREF Subspace.
+    """Solve sum(x_j * columns[j]) = rhs exactly on one RREF Subspace.
 
-    Columns are fed in order: an independent column is inserted, a dependent
-    one's membership certificate c gives the homogeneous solution
-    e_j - sum(c[k] * e_placed[k]).  The certificate of rhs is the particular
-    solution.  RREF is unique, so this is the reduced normal form: zero on
-    every free column, and one homogeneous vector per free column.
+    Every column is inserted in order, so insert index j is column j.  Each
+    column that did not grow the span has a membership certificate c over the
+    earlier independent columns, and e_j - sum(c[k] * e_k) is its homogeneous
+    solution.  The certificate of rhs is the particular solution.
+    Certificates over an independent set are unique, so this is the reduced
+    normal form: zero on every free column, and one homogeneous vector per
+    free column.
     """
     m = len(rhs)
     if any(len(c) != m for c in columns):
@@ -218,25 +206,20 @@ def affine_solve(columns: list[list], rhs: list, field: Field) -> AffineSolution
     f = field
     n_cols = len(columns)
     span = Subspace(f, m)
-    placed: list[int] = []  # insert index -> column index
+    free = [j for j, col in enumerate(columns) if not span.insert(col)]
     homogeneous = []
-    for j, col in enumerate(columns):
-        verdict, cert = span.membership(col)
-        if verdict == "outside":
-            span.insert(col)
-            placed.append(j)
-            continue
+    for j in free:
         vec = [f.zero] * n_cols
         vec[j] = f.one
-        for k, c in cert.items():
-            vec[placed[k]] = f.neg(c)
+        for k, c in span.membership(columns[j])[1].items():
+            vec[k] = f.neg(c)
         homogeneous.append(vec)
     verdict, cert = span.membership(rhs)
     if verdict == "outside":
         return AffineSolution(None, [])
     particular = [f.zero] * n_cols
     for k, c in cert.items():
-        particular[placed[k]] = c
+        particular[k] = c
     return AffineSolution(particular, homogeneous)
 
 

@@ -117,7 +117,7 @@ def test_outer_basis_vectors_symmetric():
     for field in (QQ, GF2):
         *_, f = setup_elems(field)
         comp = outer_ideal_component(f, D, mode_for(field), field)
-        for row in comp.span.basis_vectors():
+        for row in comp.span.rows:
             p = FreePoly(G3, field, dict(zip(comp.component_basis.words, row)))
             assert p.reverse() == p
 
@@ -146,7 +146,7 @@ def test_outer_inside_assoc_everywhere():
         *_, f = setup_elems(field)
         comp = outer_ideal_component(f, D, mode_for(field), field)
         assoc = assoc_ideal_component(f.value, D)
-        for row in comp.span.basis_vectors():
+        for row in comp.span.rows:
             p = FreePoly(G3, field, dict(zip(comp.component_basis.words, row)))
             verdict, _ = assoc.membership(p)
             assert verdict == "inside"

@@ -82,23 +82,38 @@ def test_insert_twelve_symmetrized_words_gf2():
     assert s.dim == 12
 
 
-def test_membership_certificate_reconstructs():
+@pytest.mark.parametrize("field", [QQ, GF2, GF5], ids=["q", "gf2", "gf5"])
+def test_membership_certificate_reconstructs(field):
+    """Certificates recombine to the target, name only inserts that grew the
+    span, survive later growth unchanged, and leave the span untouched."""
     rng = random.Random(8)
-    for field in (QQ, GF2):
-        vecs = [[rand_scalar(rng, field) for _ in range(6)] for _ in range(4)]
-        s = Subspace(field, 6)
-        for v in vecs:
-            s.insert(list(v))
-        coeffs = [rand_scalar(rng, field) for _ in range(4)]
-        target = [field.zero] * 6
+
+    def combine(coeffs, vecs):
+        out = [field.zero] * 6
         for c, v in zip(coeffs, vecs):
-            target = [field.add(t, field.mul(c, x)) for t, x in zip(target, v)]
-        verdict, cert = s.membership(target)
-        assert verdict == "inside"
-        recombined = [field.zero] * 6
-        for idx, c in cert.items():
-            recombined = [field.add(t, field.mul(c, x)) for t, x in zip(recombined, vecs[idx])]
-        assert recombined == target
+            out = [field.add(t, field.mul(c, x)) for t, x in zip(out, v)]
+        return out
+
+    s = Subspace(field, 6)
+    inserted, grew = [], []
+    while s.dim < 4:
+        # an independent candidate, then a combination of what is already in
+        for v in ([rand_scalar(rng, field) for _ in range(6)],
+                  combine([rand_scalar(rng, field) for _ in inserted], inserted)):
+            if s.insert(list(v)):
+                grew.append(len(inserted))
+            inserted.append(v)
+    assert len(inserted) > len(grew)
+    target = combine([rand_scalar(rng, field) for _ in inserted], inserted)
+    state = ([list(r) for r in s.rows], list(s.pivots), s.dim, s.n_inserted)
+    verdict, cert = s.membership(target)
+    assert verdict == "inside"
+    assert set(cert) <= set(grew)
+    assert combine(cert.values(), [inserted[idx] for idx in cert]) == target
+    assert ([list(r) for r in s.rows], list(s.pivots), s.dim, s.n_inserted) == state
+    while not s.insert([rand_scalar(rng, field) for _ in range(6)]):
+        pass
+    assert s.membership(target) == ("inside", cert)
 
 
 def test_membership_trivial_cases():
