@@ -298,10 +298,6 @@ class AlbertOperator:
     def identity(cls):
         return cls([[1 if i == j else 0 for j in range(DIM)] for i in range(DIM)])
 
-    @classmethod
-    def zero(cls):
-        return cls([[0] * DIM for _ in range(DIM)])
-
     def normalized(self):
         g = self.den
         for row in self.num:
@@ -520,14 +516,17 @@ class ZeroPairChecks:
 
     @property
     def all_hold(self) -> bool:
-        return (
-            self.r_a2_b_commute
-            and self.r_a_b2_commute
-            and self.commutators_match
-            and self.u_commutator_zero
-            and self.operator_collapse
-            and (self.s_ab_zero or self.a2b_zero)
-        )
+        return all(getattr(self, k) for k in OPERATOR_CHECKS) and (self.s_ab_zero or self.a2b_zero)
+
+
+#: The ZeroPairChecks fields that must hold on every pair, in report order.
+OPERATOR_CHECKS = (
+    "r_a2_b_commute",
+    "r_a_b2_commute",
+    "commutators_match",
+    "u_commutator_zero",
+    "operator_collapse",
+)
 
 
 def check_zero_pair(a: AlbertElement, b: AlbertElement) -> ZeroPairChecks:

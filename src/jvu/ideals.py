@@ -21,12 +21,10 @@ from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 
 from .fields import Field
-from .freealg import FreePoly, GeneratorSet, MultiDegree
+from .freealg import FreePoly, MultiDegree
 from .jordan import (
-    DEFAULT_DEGREE_BOUND,
     GradedSpanTable,
     JordanElement,
-    LINEAR,
     QUADRATIC,
     degree_residual,
     dominated,
@@ -68,25 +66,32 @@ class _SpanComponent:
 class OuterIdealComponent(_SpanComponent):
     """The multidegree-d slice of the Jordan outer ideal generated by f,
     with a generation certificate per inserted vector and a closure that has
-    been run to a fixed point."""
+    been run to a fixed point.  ``field``, ``component_basis``, ``span`` and
+    ``inserted`` read ``table`` at ``multidegree``."""
 
     generator: JordanElement
     multidegree: MultiDegree
     mode: str
-    field: Field
-    component_basis: ComponentBasis
-    span: Subspace
-    inserted: list[JordanElement]  # aligned with span insert indices
     rounds_to_fixpoint: int  # rounds that added at least one new span vector
     table: GradedSpanTable = dc_field(repr=False)  # the ideal's spans at every multidegree <= d
     hull: GradedSpanTable = dc_field(repr=False)  # the Jordan closure the ideal multiplies by
 
+    @property
+    def field(self) -> Field:
+        return self.table.field
 
-def _multiplier_reps(hull: GradedSpanTable):
-    """The hull's representatives grouped by nonzero multidegree, and
-    ``fitting_indices`` over those groups."""
-    multipliers = [(e, reps) for e in _sub_multidegrees(hull.limit) if any(e) and (reps := hull.reps(e))]
-    return multipliers, fitting_indices([e for e, _ in multipliers])
+    @property
+    def component_basis(self) -> ComponentBasis:
+        return self.table.component_basis(self.multidegree)
+
+    @property
+    def span(self) -> Subspace:
+        return self.table.subspace(self.multidegree)
+
+    @property
+    def inserted(self) -> list[JordanElement]:
+        """Every element inserted at d, aligned with the span's insert indices."""
+        return self.table.inserted(self.multidegree)
 
 
 def _ideal_products(v: JordanElement, multipliers, fits, d: MultiDegree, mode: str):
@@ -113,85 +118,52 @@ def _ideal_products(v: JordanElement, multipliers, fits, d: MultiDegree, mode: s
                     yield je_ulin(a, b, v)
 
 
-def outer_ideal_component(
-    f: JordanElement,
-    d: MultiDegree,
-    mode: str,
-    field: Field,
-    degree_bound: int = DEFAULT_DEGREE_BOUND,
-) -> OuterIdealComponent:
+def _outer_products(hull: GradedSpanTable, d: MultiDegree, mode: str):
+    """The ideal's products: every ``_ideal_products`` of each new
+    representative with the hull's representatives, grouped by nonzero
+    multidegree and filtered by one ``fitting_indices`` over those groups."""
+    multipliers = [(e, reps) for e in _sub_multidegrees(hull.limit) if any(e) and (reps := hull.reps(e))]
+    fits = fitting_indices([e for e, _ in multipliers])
+    return lambda new: (c for v in new for c in _ideal_products(v, multipliers, fits, d, mode))
+
+
+def outer_ideal_component(f: JordanElement, d: MultiDegree, mode: str, field: Field) -> OuterIdealComponent:
     """Compute the multidegree-d component of the outer ideal generated by f.
 
     Quadratic mode seeds with f and U_f applied to spanning elements of the
     unital hull, then closes under circle, U, and linearized-U multiplication
     by spanning Jordan elements of every admissible complementary multidegree;
     linear mode seeds with f and closes under circle multiplication only.
-    Breadth-first rounds run until a full round adds nothing.
+    ``GradedSpanTable.close`` runs breadth-first rounds until a round adds
+    nothing.
     """
     d = tuple(d)
-    if sum(d) > degree_bound:
-        raise ValueError(f"total degree {sum(d)} exceeds bound {degree_bound}")
     if f.multidegree is None:
         raise ValueError("ideal generator must be homogeneous")
     if not dominated(f.multidegree, d):
         raise ValueError(f"generator multidegree {f.multidegree} not below target {d}")
-    if mode not in (LINEAR, QUADRATIC):
-        raise ValueError(f"unknown mode {mode!r}")
     gens = f.value.gens
-    hull = jordan_closure_table(gens, d, mode, mode == QUADRATIC, field, degree_bound)
-    multipliers, fits = _multiplier_reps(hull)
+    hull = jordan_closure_table(gens, d, mode, mode == QUADRATIC, field)
 
-    table = GradedSpanTable(gens, field, d)
-    frontier: list[JordanElement] = []
-
-    def push(elem: JordanElement):
-        if table.insert(elem):
-            frontier.append(elem)
-
-    push(f)
+    seeds = [f]
     if mode == QUADRATIC:
         zero = (0,) * len(gens)
         # every e with 2 deg(f) + e <= d; none when 2 deg(f) exceeds d
         for e in _sub_multidegrees(degree_residual(d, tuple(2 * c for c in f.multidegree))):
-            hull_reps = (
-                [JordanElement.unit(gens, field)] if e == zero else hull.reps(e)
-            )
-            for u in hull_reps:
-                push(je_u(f, u))
+            hull_reps = [JordanElement.unit(gens, field)] if e == zero else hull.reps(e)
+            seeds.extend(je_u(f, u) for u in hull_reps)
 
-    rounds = 0
-    while frontier:
-        work, frontier = frontier, []
-        for v in work:
-            for cand in _ideal_products(v, multipliers, fits, d, mode):
-                push(cand)
-        if frontier:
-            rounds += 1
-
+    table = GradedSpanTable(gens, field, d)
+    rounds = table.close(seeds, _outer_products(hull, d, mode))
     return OuterIdealComponent(
-        generator=f,
-        multidegree=d,
-        mode=mode,
-        field=field,
-        component_basis=table.component_basis(d),
-        span=table.subspace(d),
-        inserted=table.inserted(d),
-        rounds_to_fixpoint=rounds,
-        table=table,
-        hull=hull,
+        generator=f, multidegree=d, mode=mode, rounds_to_fixpoint=rounds, table=table, hull=hull
     )
 
 
 def outer_ideal_is_closed(comp: OuterIdealComponent) -> bool:
     """Re-verify the fixed point: every admissible multiplication applied to
     every basis representative lands inside the recorded spans."""
-    table = comp.table
-    multipliers, fits = _multiplier_reps(comp.hull)
-    return all(
-        table.contains(c)
-        for v in table.all_reps()
-        for c in _ideal_products(v, multipliers, fits, comp.multidegree, comp.mode)
-    )
+    return comp.table.is_closed(_outer_products(comp.hull, comp.multidegree, comp.mode))
 
 
 @dataclass
@@ -256,7 +228,6 @@ def cohn_gap_witness(
     d: MultiDegree,
     mode: str,
     field: Field,
-    degree_bound: int = DEFAULT_DEGREE_BOUND,
 ) -> GapWitnessReport:
     """Check g against both ideal components generated by f at multidegree d.
 
@@ -269,7 +240,7 @@ def cohn_gap_witness(
     if g.reverse() != g:
         raise ValueError("witness must be symmetric under reversal")
     assoc = assoc_ideal_component(f.value, d)
-    outer = outer_ideal_component(f, d, mode, field, degree_bound)
+    outer = outer_ideal_component(f, d, mode, field)
     a_verdict, a_data = assoc.membership(g)
     o_verdict, o_data = outer.membership(g)
     return GapWitnessReport(

@@ -26,8 +26,7 @@ from .linalg import ComponentBasis, Subspace, to_vector
 LINEAR = "linear"
 QUADRATIC = "quadratic"
 
-DEFAULT_DEGREE_BOUND = 8
-#: Largest total degree the command line accepts.  `jvu dims` at (3,3,3)
+#: Largest total degree a closure accepts.  `jvu dims` at (3,3,3)
 #: over GF(2) in quadratic mode takes about 40 s (Python 3.11, one core of a
 #: 2-core x86-64 VM) against 2 s at (3,3,2); each further degree costs many
 #: times more.
@@ -81,7 +80,8 @@ class JordanElement:
     """A symmetric polynomial together with the Jordan expression producing it.
 
     Recipe nodes: ("gen", name), ("unit",), ("square", r), ("circ", r, r),
-    ("U", b, a) for a U_b, ("Ulin", b, c, a), ("scale", scalar, r).
+    ("U", b, a) for a U_b, ("Ulin", b, c, a).  ``expr.parse_expr`` evaluates
+    the rendered recipe, ``recipe_str``, which is how certificates replay.
     """
 
     __slots__ = ("value", "recipe", "multidegree")
@@ -134,32 +134,6 @@ def recipe_str(recipe) -> str:
         return f"U({recipe_str(recipe[1])}; {recipe_str(recipe[2])})"
     if kind == "Ulin":
         return f"Ulin({recipe_str(recipe[1])}, {recipe_str(recipe[2])}; {recipe_str(recipe[3])})"
-    if kind == "scale":
-        return f"{recipe[1]}*({recipe_str(recipe[2])})"
-    raise ValueError(f"unknown recipe node {kind!r}")
-
-
-def eval_recipe(recipe, gens: GeneratorSet, field: Field) -> FreePoly:
-    """Re-evaluate a recipe from scratch (used to replay certificates)."""
-    kind = recipe[0]
-    if kind == "gen":
-        return FreePoly.generator(gens, field, recipe[1])
-    if kind == "unit":
-        return FreePoly.one(gens, field)
-    if kind == "square":
-        return square(eval_recipe(recipe[1], gens, field))
-    if kind == "circ":
-        return circ(eval_recipe(recipe[1], gens, field), eval_recipe(recipe[2], gens, field))
-    if kind == "U":
-        return u_apply(eval_recipe(recipe[1], gens, field), eval_recipe(recipe[2], gens, field))
-    if kind == "Ulin":
-        return u_lin(
-            eval_recipe(recipe[1], gens, field),
-            eval_recipe(recipe[2], gens, field),
-            eval_recipe(recipe[3], gens, field),
-        )
-    if kind == "scale":
-        return eval_recipe(recipe[2], gens, field).scale(recipe[1])
     raise ValueError(f"unknown recipe node {kind!r}")
 
 
@@ -177,6 +151,10 @@ class GradedSpanTable:
     Any intermediate whose multidegree exceeds the limit componentwise can
     never return below it under further multiplications, so such elements are
     pruned before they are ever computed.
+
+    ``close`` runs a closure to its fixed point and ``is_closed`` re-verifies
+    one; a caller supplies only ``products``, which maps a list of
+    representatives to the candidates they generate.
     """
 
     def __init__(self, gens: GeneratorSet, field: Field, limit: MultiDegree):
@@ -244,6 +222,22 @@ class GradedSpanTable:
         d = elem.multidegree
         return self.subspace(d).contains(to_vector(elem.value, self.component_basis(d)))
 
+    def close(self, seeds, products) -> int:
+        """Insert the seeds, then ``products(new)`` round after round, where
+        ``new`` lists the representatives the previous round added, until a
+        round adds none.  Returns the number of rounds that added something."""
+        new = [s for s in seeds if self.insert(s)]
+        rounds = 0
+        while new:
+            new = [c for c in products(new) if self.insert(c)]
+            rounds += bool(new)
+        return rounds
+
+    def is_closed(self, products) -> bool:
+        """Re-verify a fixed point: one more round over every representative
+        lands inside the recorded spans."""
+        return all(self.contains(c) for c in products(self.all_reps()))
+
 
 def degree_residual(limit: MultiDegree, d: MultiDegree) -> MultiDegree:
     """limit - d componentwise; negative entries mean nothing fits."""
@@ -304,48 +298,48 @@ def _spanning_candidates(reps, old_ids, mode, limit):
                     yield je_ulin(b, reps[k], reps[j])
 
 
+def _closure_products(table: GradedSpanTable, mode: str):
+    """The closure's products: every candidate over the table's current
+    representatives that has a slot in ``new``."""
+
+    def products(new):
+        new_ids = {id(v) for v in new}
+        reps = table.all_reps()
+        old_ids = {id(v) for v in reps if id(v) not in new_ids}
+        return _spanning_candidates(reps, old_ids, mode, table.limit)
+
+    return products
+
+
 def jordan_closure_table(
     gens: GeneratorSet,
     limit: MultiDegree,
     mode: str,
     unital: bool,
     field: Field,
-    degree_bound: int = DEFAULT_DEGREE_BOUND,
 ) -> GradedSpanTable:
     """Close the generators (plus the formal unit, if requested) under the
     mode's operation alphabet, keeping every multidegree <= limit.
 
-    Runs breadth-first rounds until a full round adds no new span vector, so
-    the result is a certified fixed point.
+    ``GradedSpanTable.close`` runs breadth-first rounds until a round adds
+    no new span vector.
     """
     if mode not in (LINEAR, QUADRATIC):
         raise ValueError(f"unknown mode {mode!r}")
-    if sum(limit) > degree_bound:
-        raise ValueError(f"total degree {sum(limit)} exceeds bound {degree_bound}")
+    if sum(limit) > MAX_DEGREE_BOUND:
+        raise ValueError(f"total degree {sum(limit)} exceeds bound {MAX_DEGREE_BOUND}")
     table = GradedSpanTable(gens, field, limit)
     seeds = [JordanElement.generator(gens, field, n) for n in gens.names]
     if unital:
         seeds.append(JordanElement.unit(gens, field))
-    for s in seeds:
-        table.insert(s)
-    old_ids: set[int] = set()
-    while True:
-        reps = table.all_reps()
-        grew = False
-        for cand in _spanning_candidates(reps, old_ids, mode, table.limit):
-            if table.insert(cand):
-                grew = True
-        old_ids = {id(e) for e in reps}
-        if not grew:
-            break
+    table.close(seeds, _closure_products(table, mode))
     return table
 
 
 def spanning_is_fixed_point(table: GradedSpanTable, mode: str) -> bool:
     """Re-verify closure: one more full round over the final representatives
     must land entirely inside the recorded spans."""
-    reps = table.all_reps()
-    return all(table.contains(c) for c in _spanning_candidates(reps, set(), mode, table.limit))
+    return table.is_closed(_closure_products(table, mode))
 
 
 def symmetric_component_dim(gens: GeneratorSet, d: MultiDegree, field: Field) -> int:

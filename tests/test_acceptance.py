@@ -20,10 +20,11 @@ from jvu.albert import (
     u_op,
 )
 from jvu.cli import EXIT_CONFIRMED, run_command
+from jvu.expr import parse_expr
 from jvu.fields import make_field
 from jvu.freealg import FreePoly, GeneratorSet
 from jvu.ideals import outer_ideal_component, outer_ideal_is_closed
-from jvu.jordan import eval_recipe, jordan_closure_table
+from jvu.jordan import jordan_closure_table, recipe_str
 from jvu.linalg import Subspace, to_vector
 
 from conftest import rand_poly, rand_scalar
@@ -227,7 +228,7 @@ def test_criterion_8_property_suites():
             span = comp.table.subspace(d)
             vecs = [to_vector(e.value, cb) for e in comp.table.inserted(d)]
             for e in comp.table.inserted(d):
-                replay_ok = replay_ok and eval_recipe(e.recipe, G3, field) == e.value
+                replay_ok = replay_ok and parse_expr(recipe_str(e.recipe), G3, field) == e.value
                 replay_count += 1
             for row, rep in zip(span.rows, span.row_reps):
                 combo = [field.zero] * len(cb)

@@ -5,6 +5,7 @@ import hashlib
 
 import pytest
 
+from jvu.expr import parse_expr
 from jvu.fields import make_field
 from jvu.freealg import FreePoly, GeneratorSet
 from jvu.jordan import (
@@ -12,7 +13,6 @@ from jvu.jordan import (
     JordanElement,
     circ,
     commutator_image,
-    eval_recipe,
     je_circ,
     jordan_closure_table,
     recipe_str,
@@ -130,7 +130,7 @@ def test_outer_certificates_replay():
         comp = outer_ideal_component(f, D, mode_for(field), field)
         vecs = [to_vector(e.value, comp.component_basis) for e in comp.inserted]
         for e, vec in zip(comp.inserted, vecs):
-            assert eval_recipe(e.recipe, G3, field) == e.value
+            assert parse_expr(recipe_str(e.recipe), G3, field) == e.value
         for row, rep in zip(comp.span.rows, comp.span.row_reps):
             recombined = [field.zero] * len(comp.component_basis)
             for idx, c in rep.items():
@@ -247,7 +247,7 @@ def test_outer_component_validates_input():
     with pytest.raises(ValueError):
         outer_ideal_component(f, (0, 1, 1), "linear", QQ)  # generator degree not below
     with pytest.raises(ValueError):
-        outer_ideal_component(f, (4, 4, 2), "linear", QQ, degree_bound=8)
+        outer_ideal_component(f, (4, 4, 2), "linear", QQ)  # total degree above the ceiling
     with pytest.raises(ValueError):
         outer_ideal_component(f, D, "cubic", QQ)
 
@@ -262,10 +262,11 @@ def test_gf3_sanity_bridge():
 
 #: sha256 of the newline-joined recipe strings of the outer ideal's inserted
 #: list at (3,2,1), recorded before the candidate loops were bucketed by
-#: degree: the insert order fixes every certificate's indices.
+#: degree: the insert order fixes every certificate's indices.  The middle
+#: entry is ``rounds_to_fixpoint``, which pins the closure's round structure.
 INSERTED_321 = {
-    "quadratic": (73, "05682fc6c3121529521146a47ef49252ac4315fbf2f67b854dc67a71b0b0312e"),
-    "linear": (45, "07dcf7fca2a66facc20c0882a9c72772e7197ff9ba7e86fa6e85360705eb184b"),
+    "quadratic": (73, 3, "05682fc6c3121529521146a47ef49252ac4315fbf2f67b854dc67a71b0b0312e"),
+    "linear": (45, 4, "07dcf7fca2a66facc20c0882a9c72772e7197ff9ba7e86fa6e85360705eb184b"),
 }
 
 
@@ -274,7 +275,8 @@ def test_outer_inserted_recipes_pinned(field, mode):
     *_, f = setup_elems(field)
     comp = outer_ideal_component(f, (3, 2, 1), mode, field)
     recipes = "\n".join(recipe_str(e.recipe) for e in comp.inserted)
-    assert (len(comp.inserted), hashlib.sha256(recipes.encode()).hexdigest()) == INSERTED_321[mode]
+    digest = hashlib.sha256(recipes.encode()).hexdigest()
+    assert (len(comp.inserted), comp.rounds_to_fixpoint, digest) == INSERTED_321[mode]
 
 
 #: (outer, assoc) dimensions of the ideals of x o y on the ladder, the same

@@ -1,12 +1,14 @@
 """Jordan operations, the bracketing identity, and spanning-set closures."""
 
 import functools
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import rand_poly
+from jvu.expr import parse_expr
 from jvu.fields import make_field
 from jvu.freealg import FreePoly, GeneratorSet
 from jvu.jordan import (
@@ -14,7 +16,6 @@ from jvu.jordan import (
     _spanning_candidates,
     circ,
     commutator_image,
-    eval_recipe,
     je_circ,
     jordan_closure_table,
     recipe_str,
@@ -180,8 +181,9 @@ def test_linear_mode_is_smaller_in_char2():
 
 
 def test_degree_bound_enforced():
+    """Total degree 10 is above ``MAX_DEGREE_BOUND``; refused before any work."""
     with pytest.raises(ValueError):
-        _closure(G4, (3, 3, 2, 1), "quadratic", QQ)
+        _closure(G4, (3, 3, 2, 2), "quadratic", QQ)
 
 
 def test_symmetric_component_dims():
@@ -215,10 +217,9 @@ def test_recipes_evaluate_and_render():
     y = JordanElement.generator(G3, QQ, "y")
     e = je_circ(x, y)
     assert recipe_str(e.recipe) == "circ(x, y)"
-    assert eval_recipe(e.recipe, G3, QQ) == e.value
-    rng = random.Random(15)
+    assert parse_expr(recipe_str(e.recipe), G3, QQ) == e.value
     for elem in _closure(G4, (1, 1, 1, 1), "quadratic", GF2).reps((1, 1, 1, 1)):
-        assert eval_recipe(elem.recipe, G4, GF2) == elem.value
+        assert parse_expr(recipe_str(elem.recipe), G4, GF2) == elem.value
 
 
 def test_square_polarizes_to_circ():
@@ -290,3 +291,32 @@ def test_spanning_candidates_match_reference(gens, limit, mode, unital, field, o
     want = [recipe_str(r) for r in _reference_candidates(reps, old_ids, mode, limit)]
     assert got == want
     assert got  # the case enumerates something
+
+
+#: (inserted count, sha256) of the closure's insert stream: per multidegree
+#: in ``table.multidegrees()`` order, a "d dim" line and then the recipe of
+#: every inserted element.  Recorded before the fixed-point loop moved into
+#: ``GradedSpanTable.close``; the candidate oracle above fixes the order
+#: within a round, this fixes the rounds.
+CLOSURE_STREAMS = {
+    "gf2-quad-321-unital": (1055, "5e53b9811e3704d897c45309a3ce46a5ad59aa5e6b324c12096db950f721ccb9"),
+    "q-lin-222": (246, "9ae889df6c3dc429a5702bf549977b57a63f884811679cca94fd886f1d0f4c8c"),
+}
+
+
+@pytest.mark.parametrize(
+    "case, limit, mode, unital, field",
+    [
+        ("gf2-quad-321-unital", (3, 2, 1), "quadratic", True, GF2),
+        ("q-lin-222", (2, 2, 2), "linear", False, QQ),
+    ],
+    ids=["gf2-quad-321-unital", "q-lin-222"],
+)
+def test_closure_insert_stream_pinned(case, limit, mode, unital, field):
+    table = jordan_closure_table(G3, limit, mode, unital, field)
+    lines = []
+    for d in table.multidegrees():
+        lines.append(f"{d} {table.dim(d)}")
+        lines.extend(recipe_str(e.recipe) for e in table.inserted(d))
+    count = len(lines) - len(table.multidegrees())
+    assert (count, hashlib.sha256("\n".join(lines).encode()).hexdigest()) == CLOSURE_STREAMS[case]
