@@ -159,11 +159,6 @@ class AlbertElement:
             raise ValueError("need 3 diagonal scalars and 3 octonions")
 
     @classmethod
-    def zero(cls):
-        z = Octonion.zero()
-        return cls((0, 0, 0), (z, z, z))
-
-    @classmethod
     def unit(cls):
         z = Octonion.zero()
         return cls((1, 1, 1), (z, z, z))

@@ -7,43 +7,38 @@ multilinear ansatz family), ``albert`` (cubic-form and commuting-U checks in
 the 27-dimensional exceptional algebra), ``parse`` (expression utility).
 
 Exit codes: 0 when the claim under test is confirmed (or for pure
-computations), 2 when it is refuted, 1 on usage or internal errors.
+computations), 2 when it is refuted, 1 on usage or internal errors and
+when ``--out`` cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import random
+import re
 import sys
 import time
 
 from . import __version__
 from . import albert
-from .expr import (
-    _KEYWORDS,
-    ParseError,
-    format_linear_combination,
-    format_poly,
-    format_scalar,
-    parse_expr,
-)
+from .expr import _KEYWORDS, ParseError, format_poly, format_scalar, parse_expr
 from .fields import Field, FieldError, field_from_name
-from .freealg import FreePoly, GeneratorSet
+from .freealg import GeneratorSet
 from .ideals import cohn_gap_witness
 from .jordan import (
+    COMMUTATOR_WITNESS,
     LINEAR,
     MAX_DEGREE_BOUND,
     QUADRATIC,
+    SYMMETRIZED_PRODUCT,
+    U_IMAGE,
     JordanElement,
-    circ,
-    commutator_image,
     je_circ,
     jordan_closure_table,
-    recipe_str,
     symmetric_component_dim,
-    u_apply,
     commutator_identity_residual,
 )
 from .linalg import ComponentBasis, solve_combination, to_vector
@@ -52,6 +47,21 @@ SCHEMA_VERSION = 1
 #: Default of ``--degree-bound``, a guard of the command line only: the
 #: library refuses a total degree above ``MAX_DEGREE_BOUND`` itself.
 DEFAULT_DEGREE_BOUND = 8
+
+#: the seven ansatz expressions; t stands for the substituted generator
+ANSATZ_EXPRS = (
+    "sym(x*z*y*t)",
+    "sym(x*z*t*y)",
+    "sym(t*z*x*y)",
+    "sym(t*z*y*x)",
+    "sym(y*z*t*x)",
+    "sym(y*z*x*t)",
+    "U(t; z)",
+)
+#: the tetrad {t z x y}; with t := x o y it is the symmetrized product of Lemma 1
+GOAL_EXPR = "sym(t*z*x*y)"
+#: x o y, the generator of both ideals and the value substituted for t
+CIRC_XY = "circ(x, y)"
 
 EXIT_CONFIRMED = 0
 EXIT_ERROR = 1
@@ -159,10 +169,9 @@ def _run_dims(args):
     data = {"symmetric_dim": sym_dim, "jordan_dim": jordan_dim}
     canonical = names == ("x", "y", "z", "t") and d == (1, 1, 1, 1)
     if canonical:
-        tetrad_expr = "sym(t*z*x*y)"
-        tetrad = parse_expr(tetrad_expr, gens, field)
+        tetrad = parse_expr(GOAL_EXPR, gens, field)
         inside = table.subspace(d).contains(to_vector(tetrad, table.component_basis(d)))
-        data["tetrad"] = {"expr": tetrad_expr, "in_jordan_span": inside}
+        data["tetrad"] = {"expr": GOAL_EXPR, "in_jordan_span": inside}
     if canonical and field.characteristic == 2:
         ok = sym_dim == 12 and jordan_dim == 11 and not data["tetrad"]["in_jordan_span"]
         verdict = "confirmed" if ok else "refuted"
@@ -171,66 +180,46 @@ def _run_dims(args):
     return verdict, inputs, data, {}
 
 
-def _counterexample_setup(field: Field):
-    gens = GeneratorSet(("x", "y", "z"))
-    x = FreePoly.generator(gens, field, "x")
-    y = FreePoly.generator(gens, field, "y")
-    z = FreePoly.generator(gens, field, "z")
-    f = je_circ(JordanElement.generator(gens, field, "x"), JordanElement.generator(gens, field, "y"))
-    return gens, x, y, z, f
-
-
 def _run_counterexample(args):
     field = _field(args)
     mode = _mode(args, field)
-    gens, x, y, z, f = _counterexample_setup(field)
+    gens = GeneratorSet(("x", "y", "z"))
     d = args.multidegree
-    default_witness = args.witness is None
-    if default_witness:
-        g = commutator_image(x, y, z)
-        witness_expr = "U(y; U(x; z)) - U(x; U(y; z))"
-    else:
-        witness_expr = args.witness
-        try:
-            g = parse_expr(witness_expr, gens, field)
-        except ParseError as e:
-            raise UsageError(f"bad witness: {e}") from None
+    witness_expr = COMMUTATOR_WITNESS if args.witness is None else args.witness
+    try:
+        g = parse_expr(witness_expr, gens, field)
+    except ParseError as e:
+        raise UsageError(f"bad witness: {e}") from None
+    if g.is_zero() or not g.is_homogeneous(d):
+        raise UsageError(f"witness must be nonzero homogeneous of multidegree {d}")
+    if g.reverse() != g:
+        raise UsageError("witness must be symmetric under reversal")
+    f = je_circ(JordanElement.generator(gens, field, "x"), JordanElement.generator(gens, field, "y"))
     report = cohn_gap_witness(f, g, d, mode, field)
     outer, assoc = report.outer, report.assoc
 
-    w = (circ(x, y) * z * x * y).symmetrize()
-    s = u_apply(circ(x, y), z)
+    w = parse_expr(SYMMETRIZED_PRODUCT, gens, field)
+    s = parse_expr(U_IMAGE, gens, field)
     w_verdict, w_data = outer.membership(w)
     s_verdict, s_data = outer.membership(s)
 
-    def replay(terms, target, what):
-        cert = format_linear_combination(terms, field)
-        if parse_expr(cert, gens, field) != target:
+    def replay(comp, cert, target, what):
+        text = comp.certificate_expr(cert)
+        if parse_expr(text, gens, field) != target:
             raise RuntimeError(f"{what} certificate failed to replay")
-        return cert
-
-    inserted = outer.inserted
-
-    def outer_terms(coeffs):
-        return [(c, recipe_str(inserted[idx].recipe)) for idx, c in sorted(coeffs.items())]
+        return text
 
     certificates = {}
     if report.g_in_assoc:
-        terms = []
-        f_str = f"({format_poly(f.value)})"
-        for idx, c in sorted(report.assoc_certificate.items()):
-            w1, w2 = assoc.products[idx]
-            factors = [t for t in (g.word_str(w1) if w1 else "", f_str, g.word_str(w2) if w2 else "") if t]
-            terms.append((c, "*".join(factors)))
-        certificates["witness_in_assoc"] = replay(terms, g, "associative")
+        certificates["witness_in_assoc"] = replay(assoc, report.assoc_certificate, g, "associative")
     else:
         certificates["witness_assoc_residual"] = format_poly(report.assoc_residual)
     if report.g_in_outer:
-        certificates["witness_in_outer"] = replay(outer_terms(report.outer_certificate), g, "outer")
+        certificates["witness_in_outer"] = replay(outer, report.outer_certificate, g, "outer")
     else:
         certificates["witness_outer_residual"] = format_poly(report.outer_residual)
     if s_verdict == "inside":
-        certificates["u_image_in_outer"] = replay(outer_terms(s_data), s, "seed")
+        certificates["u_image_in_outer"] = replay(outer, s_data, s, "seed")
     if w_verdict == "outside":
         certificates["symmetrized_product_outer_residual"] = format_poly(w_data)
 
@@ -238,7 +227,7 @@ def _run_counterexample(args):
         "field": args.field,
         "mode": mode,
         "multidegree": list(d),
-        "generator": "circ(x, y)",
+        "generator": CIRC_XY,
         "witness": witness_expr,
         "degree_bound": args.degree_bound,
     }
@@ -252,7 +241,7 @@ def _run_counterexample(args):
         "assoc_dim": assoc.dim,
         "rounds_to_fixpoint": outer.rounds_to_fixpoint,
     }
-    if default_witness:
+    if args.witness is None:
         ok = (
             report.gap
             and not data["symmetrized_product_in_outer"]
@@ -263,35 +252,10 @@ def _run_counterexample(args):
     return ("confirmed" if ok else "refuted"), inputs, data, certificates
 
 
-#: the seven ansatz expressions; t stands for the substituted generator
-ANSATZ_EXPRS = (
-    "sym(x*z*y*t)",
-    "sym(x*z*t*y)",
-    "sym(t*z*x*y)",
-    "sym(t*z*y*x)",
-    "sym(y*z*t*x)",
-    "sym(y*z*x*t)",
-    "U(t; z)",
-)
-
-
 def coefficient_targets(field: Field):
     """The seven ansatz elements with t := x o y substituted, plus the goal."""
     gens = GeneratorSet(("x", "y", "z"))
-    x = FreePoly.generator(gens, field, "x")
-    y = FreePoly.generator(gens, field, "y")
-    z = FreePoly.generator(gens, field, "z")
-    t = circ(x, y)
-    targets = [
-        (x * z * y * t).symmetrize(),
-        (x * z * t * y).symmetrize(),
-        (t * z * x * y).symmetrize(),
-        (t * z * y * x).symmetrize(),
-        (y * z * t * x).symmetrize(),
-        (y * z * x * t).symmetrize(),
-        u_apply(t, z),
-    ]
-    rhs = (t * z * x * y).symmetrize()
+    *targets, rhs = (parse_expr(re.sub(r"\bt\b", CIRC_XY, e), gens, field) for e in (*ANSATZ_EXPRS, GOAL_EXPR))
     return gens, targets, rhs
 
 
@@ -312,7 +276,7 @@ def _run_coefficients(args):
     gens, targets, rhs = coefficient_targets(field)
     cb = ComponentBasis(gens, (2, 2, 1))
     sol = solve_combination(targets, rhs, cb)
-    inputs = {"field": args.field, "ansatz": list(ANSATZ_EXPRS), "goal": "sym(t*z*x*y) with t = circ(x, y)"}
+    inputs = {"field": args.field, "ansatz": list(ANSATZ_EXPRS), "goal": f"{GOAL_EXPR} with t = {CIRC_XY}"}
     if not sol.feasible:
         return "refuted", inputs, {"feasible": False}, {}
     particular, homogeneous = sol.particular, sol.homogeneous
@@ -485,10 +449,15 @@ def _write_report(report: dict, out: str | None):
         print(text)
         return
     tmp = f"{out}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
-    os.replace(tmp, out)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.write("\n")
+        os.replace(tmp, out)
+    except OSError:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _execute(args) -> tuple[int, dict]:
@@ -503,12 +472,9 @@ def _execute(args) -> tuple[int, dict]:
     }
     try:
         verdict, inputs, data, certificates = _VERBS[args.verb](args)
-    except UsageError as e:
-        report.update(verdict="error", error=str(e))
-        report["elapsed_ms"] = int((time.perf_counter() - t0) * 1000)
-        return EXIT_ERROR, report
-    except Exception as e:  # internal error: still emit a structured report
-        report.update(verdict="error", error=f"{type(e).__name__}: {e}")
+    except Exception as e:  # usage or internal error: still emit a structured report
+        error = str(e) if isinstance(e, UsageError) else f"{type(e).__name__}: {e}"
+        report.update(verdict="error", error=error)
         report["elapsed_ms"] = int((time.perf_counter() - t0) * 1000)
         return EXIT_ERROR, report
     report["mode"] = inputs.get("mode")
@@ -535,7 +501,11 @@ def main(argv=None) -> int:
         print(f"jvu: error: {e}", file=sys.stderr)
         return EXIT_ERROR
     code, report = _execute(args)
-    _write_report(report, args.out)
+    try:
+        _write_report(report, args.out)
+    except OSError as e:
+        print(f"jvu: error: cannot write the report to {args.out}: {e.strerror or e}", file=sys.stderr)
+        return EXIT_ERROR
     return code
 
 

@@ -198,51 +198,35 @@ def format_scalar(c, field: Field) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-def format_poly(p: FreePoly) -> str:
-    """Canonical text form: deglex term order; parse_expr inverts it exactly."""
-    if p.is_zero():
-        return "0"
-    field = p.field
+def _signed_sum(terms, field: Field) -> str:
+    """Join (coeff, text) terms as ``text - 2*text + ...``; text None stands for
+    the unit, which leaves the bare scalar.  Only Q scalars carry a sign, so a
+    GF(p) term prints its residue in 0..p-1.  No terms join to "0"."""
     parts = []
-    for w, c in p.sorted_terms():
-        word = p.word_str(w)
+    for c, text in terms:
         if field.characteristic == 0 and c < 0:
-            sign = "-"
-            c = -c
+            sign, c = "-", -c
         else:
             sign = "+"
-        if w and c == field.one:
-            body = word
-        elif not w:
+        if text is None:
             body = format_scalar(c, field)
+        elif c == field.one:
+            body = text
         else:
-            body = f"{format_scalar(c, field)}*{word}"
-        parts.append((sign, body))
-    sign, body = parts[0]
-    out = body if sign == "+" else f"-{body}"
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+            body = f"{format_scalar(c, field)}*{text}"
+        parts.append(f"{sign} {body}")
+    if not parts:
+        return "0"
+    out = " ".join(parts)
+    return out[2:] if out[0] == "+" else f"-{out[2:]}"
+
+
+def format_poly(p: FreePoly) -> str:
+    """Canonical text form: deglex term order; parse_expr inverts it exactly."""
+    return _signed_sum(((c, p.word_str(w) if w else None) for w, c in p.sorted_terms()), p.field)
 
 
 def format_linear_combination(terms, field: Field) -> str:
     """Render [(coeff, expr_str), ...] as a parseable sum like
     ``expr1 - 2*(expr2) + 1/2*(expr3)``; an empty combination is "0"."""
-    parts = []
-    for c, expr in terms:
-        if field.is_zero(c):
-            continue
-        if field.characteristic == 0 and c < 0:
-            sign = "-"
-            c = -c
-        else:
-            sign = "+"
-        body = f"({expr})" if c == field.one else f"{format_scalar(c, field)}*({expr})"
-        parts.append((sign, body))
-    if not parts:
-        return "0"
-    sign, body = parts[0]
-    out = body if sign == "+" else f"-{body}"
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+    return _signed_sum(((c, f"({expr})") for c, expr in terms if not field.is_zero(c)), field)

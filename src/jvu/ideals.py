@@ -20,6 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 
+from .expr import format_linear_combination, format_poly
 from .fields import Field
 from .freealg import FreePoly, MultiDegree
 from .jordan import (
@@ -33,6 +34,7 @@ from .jordan import (
     je_u,
     je_ulin,
     jordan_closure_table,
+    recipe_str,
 )
 from .linalg import ComponentBasis, Subspace, from_vector, to_vector, words_of_multidegree
 
@@ -48,7 +50,8 @@ def _sub_multidegrees(limit: MultiDegree) -> list[MultiDegree]:
 
 
 class _SpanComponent:
-    """Dimension and membership of an ideal component's ``span``."""
+    """Dimension, membership and certificate text of an ideal component's
+    ``span``; a subclass renders its i-th inserted element as ``_term_expr(i)``."""
 
     @property
     def dim(self) -> int:
@@ -60,6 +63,11 @@ class _SpanComponent:
         if verdict == "inside":
             return verdict, data
         return verdict, from_vector(data, self.component_basis, self.field)
+
+    def certificate_expr(self, cert: dict) -> str:
+        """Render an "inside" certificate {insert index -> coeff} in the
+        expression grammar; ``parse_expr`` evaluates it back to the member."""
+        return format_linear_combination([(c, self._term_expr(i)) for i, c in sorted(cert.items())], self.field)
 
 
 @dataclass
@@ -92,6 +100,9 @@ class OuterIdealComponent(_SpanComponent):
     def inserted(self) -> list[JordanElement]:
         """Every element inserted at d, aligned with the span's insert indices."""
         return self.table.inserted(self.multidegree)
+
+    def _term_expr(self, i: int) -> str:
+        return recipe_str(self.inserted[i].recipe)
 
 
 def _ideal_products(v: JordanElement, multipliers, fits, d: MultiDegree, mode: str):
@@ -177,6 +188,12 @@ class AssocIdealComponent(_SpanComponent):
     component_basis: ComponentBasis
     span: Subspace
     products: list[tuple]  # (w1, w2) pairs aligned with span insert indices
+
+    def _term_expr(self, i: int) -> str:
+        """w1*(f)*w2, omitting an empty word."""
+        f, (w1, w2) = self.generator, self.products[i]
+        factors = (w1 and f.word_str(w1), f"({format_poly(f)})", w2 and f.word_str(w2))
+        return "*".join(t for t in factors if t)
 
 
 def assoc_ideal_component(f: FreePoly, d: MultiDegree) -> AssocIdealComponent:

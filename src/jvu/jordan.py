@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
+from .expr import parse_expr
 from .fields import Field
 from .freealg import FreePoly, GeneratorSet, MultiDegree
 from .linalg import ComponentBasis, Subspace, to_vector
@@ -31,6 +32,14 @@ QUADRATIC = "quadratic"
 #: 2-core x86-64 VM) against 2 s at (3,3,2); each further degree costs many
 #: times more.
 MAX_DEGREE_BOUND = 9
+
+#: Lemma 1, z[U_x,U_y] = {(x o y) z x y} - z U_{x o y}, in the expression
+#: grammar: the witness z[U_x,U_y], the symmetrized product and the U image.
+#: The gap claim puts the witness inside the associative ideal of x o y at
+#: (2,2,1) and outside its Jordan ideal.
+COMMUTATOR_WITNESS = "U(y; U(x; z)) - U(x; U(y; z))"
+SYMMETRIZED_PRODUCT = "sym(circ(x, y)*z*x*y)"
+U_IMAGE = "U(circ(x, y); z)"
 
 
 def circ(p: FreePoly, q: FreePoly) -> FreePoly:
@@ -58,18 +67,14 @@ def commutator_image(a: FreePoly, b: FreePoly, c: FreePoly) -> FreePoly:
 
 
 def commutator_identity_residual(field: Field) -> FreePoly:
-    """Residual of z[U_x,U_y] - {(x o y) z x y} + z U_{x o y} over the given field.
+    """Residual of Lemma 1 over the given field:
+    ``COMMUTATOR_WITNESS - (SYMMETRIZED_PRODUCT - U_IMAGE)``, each term parsed.
 
     The contract is that this is the zero polynomial over every field.
     """
     gens = GeneratorSet(("x", "y", "z"))
-    x = FreePoly.generator(gens, field, "x")
-    y = FreePoly.generator(gens, field, "y")
-    z = FreePoly.generator(gens, field, "z")
-    xy = circ(x, y)
-    lhs = commutator_image(x, y, z)
-    rhs = (xy * z * x * y).symmetrize() - u_apply(xy, z)
-    return lhs - rhs
+    w, s, u = (parse_expr(text, gens, field) for text in (COMMUTATOR_WITNESS, SYMMETRIZED_PRODUCT, U_IMAGE))
+    return w - (s - u)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@ import sys
 import pytest
 
 import jvu
-from jvu.cli import EXIT_CONFIRMED, EXIT_ERROR, EXIT_REFUTED, run_command
+from jvu.cli import EXIT_CONFIRMED, EXIT_ERROR, EXIT_REFUTED, coefficient_targets, main, run_command
+from jvu.fields import field_from_name
+from jvu.freealg import FreePoly
+from jvu.jordan import circ, u_apply
 
 #: environment in which a `python -m jvu.cli` subprocess imports this same jvu
 SUBPROCESS_ENV = {
@@ -126,6 +129,26 @@ def test_coefficients_verbs():
     assert report["data"]["family"]["alpha7"] == "0"
 
 
+@pytest.mark.parametrize("name", ["q", "gf2", "gf5"])
+def test_coefficient_texts_evaluate_to_hand_built(name):
+    """The ansatz and goal texts, with t := x o y, parse to the products
+    built from the operations."""
+    field = field_from_name(name)
+    gens, targets, rhs = coefficient_targets(field)
+    x, y, z = (FreePoly.generator(gens, field, n) for n in "xyz")
+    t = circ(x, y)
+    assert targets == [
+        (x * z * y * t).symmetrize(),
+        (x * z * t * y).symmetrize(),
+        (t * z * x * y).symmetrize(),
+        (t * z * y * x).symmetrize(),
+        (y * z * t * x).symmetrize(),
+        (y * z * x * t).symmetrize(),
+        u_apply(t, z),
+    ]
+    assert rhs == (t * z * x * y).symmetrize()
+
+
 def test_albert_verb_small_run():
     code, report = run_command(["albert", "--samples", "3", "--seed", "42"])
     assert code == EXIT_CONFIRMED
@@ -172,11 +195,16 @@ def test_usage_error_exit_code():
         ["counterexample", "--degree-bound", "3"],
         ["dims", "--degree-bound", "10"],
         ["albert", "--degree-bound", "9"],
+        ["counterexample", "--witness", "x*y"],
+        ["counterexample", "--witness", "0"],
+        ["counterexample", "--witness", "x*x*y*y*z"],
     ],
     ids=lambda argv: " ".join(argv),
 )
 def test_bad_input_is_usage_error(argv):
-    """Rejected while parsing arguments, before any verdict is computed."""
+    """Rejected before any verdict is computed: while parsing arguments, or,
+    for a witness that is not a nonzero symmetric element of multidegree
+    (2,2,1), before the gap check."""
     code, report = run_command(argv)
     assert code == EXIT_ERROR
     assert report["verdict"] == "error"
@@ -215,6 +243,20 @@ def test_out_file_written(tmp_path):
     assert report["verdict"] == "confirmed"
 
 
+def test_out_failures_exit_cleanly(tmp_path, capsys):
+    """An --out that cannot be written gives one error line and exit 1, and
+    leaves no temporary file behind."""
+    missing = tmp_path / "missing" / "report.json"
+    assert main(["lemma1", "--out", str(missing)]) == EXIT_ERROR
+    directory = tmp_path / "report"
+    directory.mkdir()
+    assert main(["lemma1", "--out", str(directory)]) == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("jvu: error: ") for line in err)
+    assert [p.name for p in tmp_path.iterdir()] == ["report"]
+    assert not any(directory.iterdir())
+
+
 def test_console_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "jvu.cli", "dims", "--field", "gf2"],
@@ -246,6 +288,8 @@ REPORT_SHA256 = {
     "dims --field q": "08cb9442319cae329f97952125d583f9e48a44bca521f946fa0acbdc781a2e70",
     "counterexample --field gf2": "e3178125cb18b6935d1d2c8af86f76c4365dd0f44af3145de1cb423900f34374",
     "counterexample --field q": "bb62e42cf3e65c73250edd992544fbfefb9aed8ae905d2c4f084e0fd725e5356",
+    "counterexample --field gf2 --witness sym(circ(x,y)*z*x*y)": "e38b80bce1994748a82924e0724e3f2602c99d65609aa34aa1c3fd9692a89e3f",
+    "counterexample --field q --witness sym(circ(x,y)*z*x*y)": "55b3b6155f5eb1bd2bd89293701df57d5d8b673cf4132c53a058e3f26d90879f",
     "albert --samples 2 --seed 7": "4893335ee7c7992fe005ef99e9e633a0915d2c5befbd27914ed543576cbf6894",
 }
 

@@ -9,6 +9,7 @@ from jvu.expr import parse_expr
 from jvu.fields import make_field
 from jvu.freealg import FreePoly, GeneratorSet
 from jvu.jordan import (
+    SYMMETRIZED_PRODUCT,
     GradedSpanTable,
     JordanElement,
     circ,
@@ -25,7 +26,7 @@ from jvu.ideals import (
     outer_ideal_component,
     outer_ideal_is_closed,
 )
-from jvu.linalg import to_vector
+from jvu.linalg import from_vector, to_vector
 
 QQ = make_field("rationals")
 GF2 = make_field("prime-field", 2)
@@ -138,6 +139,25 @@ def test_outer_certificates_replay():
                     field.add(t, field.mul(c, v)) for t, v in zip(recombined, vecs[idx])
                 ]
             assert recombined == row
+
+
+@pytest.mark.parametrize("field, mode", [(GF2, "quadratic"), (QQ, "linear")], ids=["gf2-quadratic", "q-linear"])
+def test_certificate_expr_replays(field, mode):
+    """Rendered certificates parse back to their members: the outer certificate
+    of every echelon row, and the associative certificate of the symmetrized
+    product."""
+    *_, f = setup_elems(field)
+    comp = outer_ideal_component(f, D, mode, field)
+    for row in comp.span.rows:
+        p = from_vector(row, comp.component_basis, field)
+        verdict, cert = comp.membership(p)
+        assert verdict == "inside"
+        assert parse_expr(comp.certificate_expr(cert), G3, field) == p
+    assoc = assoc_ideal_component(f.value, D)
+    w = parse_expr(SYMMETRIZED_PRODUCT, G3, field)
+    verdict, cert = assoc.membership(w)
+    assert verdict == "inside"
+    assert parse_expr(assoc.certificate_expr(cert), G3, field) == w
 
 
 def test_outer_inside_assoc_everywhere():

@@ -12,6 +12,9 @@ from jvu.expr import parse_expr
 from jvu.fields import make_field
 from jvu.freealg import FreePoly, GeneratorSet
 from jvu.jordan import (
+    COMMUTATOR_WITNESS,
+    SYMMETRIZED_PRODUCT,
+    U_IMAGE,
     JordanElement,
     _spanning_candidates,
     circ,
@@ -97,6 +100,15 @@ def test_commutator_image_examples():
 @pytest.mark.parametrize("field", [QQ, GF2, GF5])
 def test_commutator_identity_residual_zero(field):
     assert commutator_identity_residual(field).is_zero()
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF5])
+def test_lemma1_texts_evaluate_to_hand_built(field):
+    """Each claim text parses to the polynomial built from the operations."""
+    x, y, z = (gen(G3, field, n) for n in "xyz")
+    assert parse_expr(COMMUTATOR_WITNESS, G3, field) == commutator_image(x, y, z)
+    assert parse_expr(SYMMETRIZED_PRODUCT, G3, field) == (circ(x, y) * z * x * y).symmetrize()
+    assert parse_expr(U_IMAGE, G3, field) == u_apply(circ(x, y), z)
 
 
 def test_commutator_identity_gf5_frozen_expansion():
