@@ -7,20 +7,18 @@ the image of z under [U_x, U_y] collapses to two words:
 
 The same element can be rewritten as {(x o y) z x y} - z U_{x o y}, which is
 exactly what places it in the associative ideal generated by x o y.  This
-script expands both sides over several fields and confirms the residual is
-the zero polynomial each time.
+script parses the three terms from their library texts, expands them over
+several fields and confirms the residual is the zero polynomial each time.
 """
 
 from jvu import (
-    FreePoly,
     GeneratorSet,
-    circ,
-    commutator_image,
     format_poly,
     make_field,
-    u_apply,
+    parse_expr,
     commutator_identity_residual,
 )
+from jvu.jordan import COMMUTATOR_WITNESS, SYMMETRIZED_PRODUCT, U_IMAGE
 
 for name, field in (
     ("rationals", make_field("rationals")),
@@ -28,13 +26,7 @@ for name, field in (
     ("GF(5)", make_field("prime-field", 5)),
 ):
     gens = GeneratorSet(("x", "y", "z"))
-    x = FreePoly.generator(gens, field, "x")
-    y = FreePoly.generator(gens, field, "y")
-    z = FreePoly.generator(gens, field, "z")
-
-    lhs = commutator_image(x, y, z)
-    sym_part = (circ(x, y) * z * x * y).symmetrize()
-    u_part = u_apply(circ(x, y), z)
+    lhs, sym_part, u_part = (parse_expr(text, gens, field) for text in (COMMUTATOR_WITNESS, SYMMETRIZED_PRODUCT, U_IMAGE))
     residual = commutator_identity_residual(field)
 
     print(f"over {name}:")

@@ -17,19 +17,14 @@ coefficient system behind the multilinear part of the argument.
 """
 
 from jvu import (
-    ComponentBasis,
-    FreePoly,
     GeneratorSet,
-    circ,
     cohn_gap_witness,
-    commutator_image,
     format_poly,
     make_field,
-    solve_combination,
-    u_apply,
+    parse_expr,
 )
-from jvu.cli import coefficient_targets
-from jvu.jordan import JordanElement, je_circ, recipe_str
+from jvu.cli import run_command
+from jvu.jordan import COMMUTATOR_WITNESS, SYMMETRIZED_PRODUCT, U_IMAGE, JordanElement, je_circ
 
 D = (2, 2, 1)
 
@@ -38,11 +33,8 @@ for name, field, mode in (
     ("rationals", make_field("rationals"), "linear"),
 ):
     gens = GeneratorSet(("x", "y", "z"))
-    x = FreePoly.generator(gens, field, "x")
-    y = FreePoly.generator(gens, field, "y")
-    z = FreePoly.generator(gens, field, "z")
     f = je_circ(JordanElement.generator(gens, field, "x"), JordanElement.generator(gens, field, "y"))
-    k = commutator_image(x, y, z)
+    k, w, s = (parse_expr(text, gens, field) for text in (COMMUTATOR_WITNESS, SYMMETRIZED_PRODUCT, U_IMAGE))
 
     report = cohn_gap_witness(f, k, D, mode, field)
     print(f"over {name} ({mode} mode):")
@@ -52,33 +44,17 @@ for name, field, mode in (
     print(f"  gap established:        {report.gap}")
 
     outer = report.outer
-    w = (circ(x, y) * z * x * y).symmetrize()
-    s = u_apply(circ(x, y), z)
     wv, _ = outer.membership(w)
     sv, s_cert = outer.membership(s)
     print(f"  {{(x o y) z x y}} in Jordan ideal: {wv}")
     print(f"  z U_(x o y) in Jordan ideal:    {sv}, e.g. via:")
-    for idx, c in sorted(s_cert.items()):
-        print(f"      {c} * {recipe_str(outer.inserted[idx].recipe)}")
+    print(f"      {outer.certificate_expr(s_cert)}")
     print(f"  Jordan component dim {outer.dim}, associative dim {report.assoc.dim},"
           f" closure rounds {outer.rounds_to_fixpoint}")
     print()
 
 print("The multilinear obstruction: writing {(x o y) z x y} as f(x,y,z, x o y)")
 print("for a 7-term ansatz forces the one-parameter family below (over Q):")
-field = make_field("rationals")
-gens, targets, rhs = coefficient_targets(field)
-sol = solve_combination(targets, rhs, ComponentBasis(gens, D))
-h = sol.homogeneous[0]
-scale = 1 / h[3]
-h = [scale * c for c in h]
-p = [a - sol.particular[3] * b for a, b in zip(sol.particular, h)]
-labels = [f"alpha{i}" for i in range(1, 8)]
-for lab, pi, hi in zip(labels, p, h):
-    if hi == 0:
-        desc = str(pi)
-    else:
-        lam = "L" if hi == 1 else f"{hi}*L"
-        desc = lam if pi == 0 else f"{pi} + {lam}"
-    print(f"  {lab} = {desc}")
+for label, desc in run_command(["coefficients"])[1]["data"]["family"].items():
+    print(f"  {label} = {desc}")
 print("so alpha3 - alpha4 = 1 always: the single tetrad term never cancels away.")

@@ -9,9 +9,9 @@ product a.b = (AB + BA)/2, form the exceptional Jordan algebra; elements are
 27x27 rational matrices (stored as an integer matrix over a common
 denominator, so operator products stay in fast integer arithmetic).
 
-Each level has one product definition: ``_zorn_mul`` for octonions, the
-closed-form entries of (AB + BA)/2 in ``jordan_mul`` for Hermitian elements,
-and the structure constants built from ``jordan_mul`` for ``r_op``.
+Each level has one product definition: ``_zorn_mul`` for octonions, and for
+Hermitian elements ``_product2``, the closed-form entries of 2(a.b) = AB + BA
+on integers, which ``jordan_mul`` and the structure constants of ``r_op`` read.
 
 The cubic form data t, s, n is the Freudenthal determinant package; the sign
 conventions are pinned by requiring the cubic characteristic identity
@@ -134,9 +134,6 @@ class Octonion:
             a == b for a, b in zip(self.coords, other.coords)
         )
 
-    def __hash__(self):
-        return hash(tuple(Fraction(c) for c in self.coords))
-
     def __repr__(self):
         return f"Octonion{self.coords}"
 
@@ -217,38 +214,44 @@ class AlbertElement:
             and self.o == other.o
         )
 
-    def __hash__(self):
-        return hash((tuple(Fraction(c) for c in self.d), self.o))
-
     def __repr__(self):
         return f"AlbertElement(d={self.d}, o={self.o})"
 
 
-def jordan_mul(a: AlbertElement, b: AlbertElement) -> AlbertElement:
-    """The Jordan product (AB + BA)/2 of Hermitian matrices, entry by entry
-    in the layout of AlbertElement: for each cyclic (i, j, k) of (0, 1, 2),
+def _product2(a: AlbertElement, b: AlbertElement) -> AlbertElement:
+    """2(a.b) = AB + BA of Hermitian matrices, entry by entry in the layout of
+    AlbertElement, with no 1/2: integer coordinates give integer coordinates.
+    For each cyclic (i, j, k) of (0, 1, 2),
 
-        d_i = a.d_i b.d_i + (t(a.o_j conj b.o_j) + t(a.o_k conj b.o_k)) / 2,
-        o_i = ((a.d_j + a.d_k) b.o_i + (b.d_j + b.d_k) a.o_i
-               + conj(b.o_j a.o_k) + conj(a.o_j b.o_k)) / 2.
+        d_i = 2 a.d_i b.d_i + t(a.o_j conj b.o_j) + t(a.o_k conj b.o_k),
+        o_i = (a.d_j + a.d_k) b.o_i + (b.d_j + b.d_k) a.o_i
+              + conj(b.o_j a.o_k) + conj(a.o_j b.o_k).
     """
-    half = Fraction(1, 2)
     ao, bo = a.o, b.o
     d, o = [], []
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         d.append(
-            a.d[i] * b.d[i]
-            + half * ((ao[j] * bo[j].conj()).trace() + (ao[k] * bo[k].conj()).trace())
+            2 * a.d[i] * b.d[i]
+            + (ao[j] * bo[j].conj()).trace() + (ao[k] * bo[k].conj()).trace()
         )
         o.append(
-            (
-                bo[i].scale(a.d[j] + a.d[k])
-                + ao[i].scale(b.d[j] + b.d[k])
-                + (bo[j] * ao[k]).conj()
-                + (ao[j] * bo[k]).conj()
-            ).scale(half)
+            bo[i].scale(a.d[j] + a.d[k])
+            + ao[i].scale(b.d[j] + b.d[k])
+            + (bo[j] * ao[k]).conj()
+            + (ao[j] * bo[k]).conj()
         )
     return AlbertElement(d, o)
+
+
+def jordan_mul(a: AlbertElement, b: AlbertElement) -> AlbertElement:
+    """The Jordan product (AB + BA)/2: ``_product2`` on the integer numerators
+    of a and b, divided once by 2 and both denominators (``Fraction``
+    coordinates)."""
+    na, da = _clear_denominators(a.coords())
+    nb, db = _clear_denominators(b.coords())
+    den = 2 * da * db
+    p = _product2(AlbertElement.from_coords(na), AlbertElement.from_coords(nb))
+    return AlbertElement.from_coords([Fraction(c, den) for c in p.coords()])
 
 
 def associator(x: AlbertElement, y: AlbertElement, z: AlbertElement) -> AlbertElement:
@@ -283,9 +286,6 @@ class AlbertOperator:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=1):
-        if den < 0:
-            num = [[-x for x in row] for row in num]
-            den = -den
         self.num = num
         self.den = den
 
@@ -362,7 +362,7 @@ def _structure_constants() -> tuple:
     basis = [AlbertElement.basis(k) for k in range(DIM)]
     return tuple(
         tuple(
-            tuple((k, int(2 * c)) for k, c in enumerate(jordan_mul(basis[i], basis[j]).coords()) if c)
+            tuple((k, c) for k, c in enumerate(_product2(basis[i], basis[j]).coords()) if c)
             for j in range(DIM)
         )
         for i in range(DIM)
@@ -393,12 +393,9 @@ def u_op(a: AlbertElement) -> AlbertOperator:
 
 
 def _u_image(x: AlbertElement, y: AlbertElement) -> AlbertElement:
-    """y U_x = 2 (y.x).x - y.x^2, equal to u_op(x).apply(y) without the
-    27x27 operator product: each product by x or x^2 is one integer
-    operator-vector product (``jordan_mul`` on fractional coordinates is
-    slower)."""
-    rx = r_op(x)
-    return rx.apply(rx.apply(y)).scale(2) - r_op(rx.apply(x)).apply(y)
+    """y U_x = 2 (y.x).x - y.x^2, equal to u_op(x).apply(y) from four
+    ``jordan_mul`` calls, with no operator built."""
+    return jordan_mul(jordan_mul(y, x), x).scale(2) - jordan_mul(y, jordan_mul(x, x))
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +426,8 @@ def norm_form(a: AlbertElement):
 
 
 def s_bilinear(a: AlbertElement, b: AlbertElement):
-    """s(a, b) = s(a+b) - s(a) - s(b)."""
-    return s_form(a + b) - s_form(a) - s_form(b)
+    """s(a, b) = s(a+b) - s(a) - s(b) = t(a) t(b) - t(a.b)."""
+    return trace_form(a) * trace_form(b) - trace_form(jordan_mul(a, b))
 
 
 def norm_trilinear(a: AlbertElement, b: AlbertElement, c: AlbertElement):
@@ -574,12 +571,13 @@ def _integral(x: AlbertElement) -> AlbertElement:
 def sample_zero_pair(seed_or_rng) -> tuple[AlbertElement, AlbertElement]:
     """A reproducible pair (a, b) with a.b = 0, via Peirce decomposition.
 
-    Builds a rank-one element c = U_w(e11) from a random integer w, rescales
-    to an idempotent e = c / t(c), and takes a = U_{1-e}(r1) in the Peirce
-    0-space J_0(e) = U_{1-e}(J) and b = U_e(r2) in the 1-space J_1(e) = U_e(J)
-    for random integer r1, r2; J_0(e) J_1(e) = 0.  Denominators are cleared,
-    and the result is re-verified exactly before returning.  Retries on
-    degenerate draws and aborts after 100 attempts.
+    Builds a rank-one element c = U_w(e11) from a random integer w; if
+    c^2 = t(c) c, then e = c / t(c) is idempotent and a = U_{t(c) 1 - c}(r1),
+    b = U_c(r2) for random integer r1, r2 are t(c)^2 times points of the
+    Peirce spaces J_0(e) = U_{1-e}(J) and J_1(e) = U_e(J), whose product is
+    zero.  Content is divided out, and the result is re-verified exactly
+    before returning.  Retries on degenerate draws and aborts after 100
+    attempts.
     """
     rng = seed_or_rng if isinstance(seed_or_rng, random.Random) else random.Random(seed_or_rng)
     e11 = AlbertElement.diag_idempotent(0)
@@ -588,12 +586,10 @@ def sample_zero_pair(seed_or_rng) -> tuple[AlbertElement, AlbertElement]:
         w = random_element(rng)
         c = _integral(_u_image(w, e11))
         tc = trace_form(c)
-        # e = c / t(c) is idempotent iff c^2 = t(c) c, tested on integers
         if tc == 0 or jordan_mul(c, c) != c.scale(tc):
             continue
-        e = c.scale(Fraction(1, tc))
-        a = _integral(_u_image(unit - e, random_element(rng)))
-        b = _integral(_u_image(e, random_element(rng)))
+        a = _integral(_u_image(unit.scale(tc) - c, random_element(rng)))
+        b = _integral(_u_image(c, random_element(rng)))
         if a.is_zero() or b.is_zero():
             continue
         if not jordan_mul(a, b).is_zero():

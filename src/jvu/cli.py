@@ -38,6 +38,7 @@ from .jordan import (
     JordanElement,
     je_circ,
     jordan_closure_table,
+    recipe_str,
     symmetric_component_dim,
     commutator_identity_residual,
 )
@@ -60,7 +61,7 @@ ANSATZ_EXPRS = (
 )
 #: the tetrad {t z x y}; with t := x o y it is the symmetrized product of Lemma 1
 GOAL_EXPR = "sym(t*z*x*y)"
-#: x o y, the generator of both ideals and the value substituted for t
+#: x o y, the value substituted for t in the ansatz and the goal
 CIRC_XY = "circ(x, y)"
 
 EXIT_CONFIRMED = 0
@@ -227,7 +228,7 @@ def _run_counterexample(args):
         "field": args.field,
         "mode": mode,
         "multidegree": list(d),
-        "generator": CIRC_XY,
+        "generator": recipe_str(f.recipe),
         "witness": witness_expr,
         "degree_bound": args.degree_bound,
     }

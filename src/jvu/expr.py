@@ -183,7 +183,11 @@ def parse_expr(text: str, gens: GeneratorSet, field: Field) -> FreePoly:
     bad = [n for n in gens.names if n in _KEYWORDS]
     if bad:
         raise ValueError(f"generator names collide with keywords: {bad}")
-    return _Parser(text, gens, field).parse()
+    parser = _Parser(text, gens, field)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.peek()[2]) from None
 
 
 # ---------------------------------------------------------------------------

@@ -37,51 +37,46 @@ def _is_prime(n: int) -> bool:
 
 
 class Field:
-    """Handle for an exact field: the rationals or GF(p).
+    """Handle for an exact field: the rationals (characteristic 0) or GF(p).
 
     Scalars are canonical by construction: Fractions are reduced with a
     positive denominator, residues lie in ``[0, p)``.  Membership tests
     elsewhere rely on that exact-zero canonicalization.
     """
 
-    __slots__ = ("kind", "characteristic", "zero", "one")
+    __slots__ = ("characteristic", "zero", "one")
 
-    def __init__(self, kind: str, characteristic: int):
-        self.kind = kind
+    def __init__(self, characteristic: int):
         self.characteristic = characteristic
-        self.zero = Fraction(0) if kind == RATIONALS else 0
-        self.one = Fraction(1) if kind == RATIONALS else 1
+        self.zero = 0 if characteristic else Fraction(0)
+        self.one = 1 if characteristic else Fraction(1)
 
     def __repr__(self):
-        if self.kind == RATIONALS:
+        if not self.characteristic:
             return "Field(Q)"
         return f"Field(GF({self.characteristic}))"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Field)
-            and self.kind == other.kind
-            and self.characteristic == other.characteristic
-        )
+        return isinstance(other, Field) and self.characteristic == other.characteristic
 
     def __hash__(self):
-        return hash((self.kind, self.characteristic))
+        return hash(self.characteristic)
 
     def from_int(self, n: int):
         """Image of the integer n in this field."""
-        if self.kind == RATIONALS:
+        if not self.characteristic:
             return Fraction(n)
         return n % self.characteristic
 
     def from_rational(self, num: int, den: int = 1):
         """Image of num/den; over GF(p) the denominator is inverted mod p."""
-        if self.kind == RATIONALS:
+        if not self.characteristic:
             return Fraction(num, den)
         return self.mul(self.from_int(num), self.inv(self.from_int(den)))
 
     def check(self, a):
         """Validate that a is a canonical scalar of this field."""
-        if self.kind == RATIONALS:
+        if not self.characteristic:
             if not isinstance(a, Fraction):
                 raise FieldError(f"expected Fraction over Q, got {type(a).__name__}")
         else:
@@ -90,29 +85,29 @@ class Field:
         return a
 
     def add(self, a, b):
-        if self.kind == RATIONALS:
+        if not self.characteristic:
             return a + b
         return (a + b) % self.characteristic
 
     def sub(self, a, b):
-        if self.kind == RATIONALS:
+        if not self.characteristic:
             return a - b
         return (a - b) % self.characteristic
 
     def mul(self, a, b):
-        if self.kind == RATIONALS:
+        if not self.characteristic:
             return a * b
         return (a * b) % self.characteristic
 
     def neg(self, a):
-        if self.kind == RATIONALS:
+        if not self.characteristic:
             return -a
         return (-a) % self.characteristic
 
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        if self.kind == RATIONALS:
+        if not self.characteristic:
             return 1 / a
         return pow(a, self.characteristic - 2, self.characteristic)
 
@@ -128,13 +123,13 @@ def make_field(kind: str, p: int | None = None) -> Field:
     if kind == RATIONALS:
         if p is not None:
             raise FieldError("the rationals take no modulus")
-        return Field(RATIONALS, 0)
+        return Field(0)
     if kind == PRIME_FIELD:
+        if p is not None and p >= _MAX_PRIME:
+            raise FieldError(f"modulus too large: {p}")
         if p is None or not _is_prime(p):
             raise FieldError(f"prime-field modulus must be prime, got {p!r}")
-        if p >= _MAX_PRIME:
-            raise FieldError(f"modulus too large: {p}")
-        return Field(PRIME_FIELD, p)
+        return Field(p)
     raise FieldError(f"unknown field kind {kind!r}")
 
 

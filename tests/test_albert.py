@@ -1,6 +1,8 @@
 """The 27-dimensional exceptional Jordan algebra: octonion layer, cubic form
 data, operator identities, and zero-product commutation."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -9,6 +11,7 @@ import pytest
 
 from jvu import albert
 from jvu.albert import (
+    _product2,
     _u_image,
     AlbertElement,
     AlbertOperator,
@@ -161,8 +164,14 @@ def test_jordan_mul_matches_hermitian_matrix_product():
         ]
         assert hermitian_matrix(jordan_mul(a, b)) == expected
 
+    def doubled_on_integers(a, b):
+        p = _product2(a, b).coords()
+        return all(type(c) is int for c in p) and p == [2 * c for c in jordan_mul(a, b).coords()]
+
     for _ in range(30):
-        check(random_element(rng), random_element(rng))
+        a, b = random_element(rng), random_element(rng)
+        check(a, b)
+        assert doubled_on_integers(a, b)
     for _ in range(30):
         a, b = (
             AlbertElement.from_coords([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(27)])
@@ -171,7 +180,16 @@ def test_jordan_mul_matches_hermitian_matrix_product():
         check(a, b)
     for i in range(27):
         for j in range(i, 27):
-            check(AlbertElement.basis(i), AlbertElement.basis(j))
+            a, b = AlbertElement.basis(i), AlbertElement.basis(j)
+            check(a, b)
+            assert doubled_on_integers(a, b)
+
+
+def test_structure_constants_pinned():
+    """The r_op table is exact integer data: any change to how it is built
+    must leave it entry-for-entry the same."""
+    digest = hashlib.sha256(repr(albert._structure_constants()).encode()).hexdigest()
+    assert digest == "2cf9784edc962763580996071c48cb5965178dbd2e6bae5ef493f7e9822d5105"
 
 
 # -- operators ---------------------------------------------------------------
@@ -238,6 +256,21 @@ def test_forms_of_unit():
 def test_forms_of_rank_one_idempotent():
     t, s, n = forms(E11)
     assert (t, s, n) == (1, 0, 0)
+
+
+def test_s_bilinear_is_polarization_of_s():
+    """t(a) t(b) - t(a.b) against its definition s(a+b) - s(a) - s(b)."""
+    rng = random.Random(44)
+
+    def frac():
+        return AlbertElement.from_coords([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(27)])
+
+    pairs = [(random_element(rng), random_element(rng)) for _ in range(30)]
+    pairs += [(frac(), frac()) for _ in range(30)]
+    for a, b in pairs:
+        got = s_bilinear(a, b)
+        assert isinstance(got, Fraction)
+        assert got == s_form(a + b) - s_form(a) - s_form(b)
 
 
 def test_s_polarization_diagonal():
@@ -379,6 +412,33 @@ def test_sample_zero_pair_deterministic():
     a2, b2 = sample_zero_pair(42)
     assert a1 == a2 and b1 == b2
     assert a1.coords() == a2.coords()
+
+
+def test_sample_zero_pair_pinned():
+    """The first 20 pairs from Random(42): a reseeded sampler gives the same
+    primitive integer pairs, whatever route computes the U-images."""
+    rng = random.Random(42)
+    pairs = [sample_zero_pair(rng) for _ in range(20)]
+    digest = hashlib.sha256(json.dumps([[a.coords(), b.coords()] for a, b in pairs]).encode()).hexdigest()
+    assert digest == "86e69764e0b3b49fc24d0ba05f62270ab73561c8a0c099353e7b199a2fe88c68"
+
+
+def test_element_products_apply_no_operator(monkeypatch):
+    """Every element product is a jordan_mul: the sampler and all checks run
+    with AlbertOperator.apply disabled."""
+
+    def refuse(op, elem):
+        raise AssertionError("AlbertOperator.apply called")
+
+    monkeypatch.setattr(AlbertOperator, "apply", refuse)
+    a, b = sample_zero_pair(random.Random(3))
+    assert check_zero_pair(a, b).all_hold
+    rng = random.Random(4)
+    x, y = random_element(rng), random_element(rng)
+    assert check_cubic(x).is_zero()
+    assert check_eq1(x, y).is_zero()
+    assert check_operator_identity(x, y)
+    find_noncommuting_pair(random.Random(1))
 
 
 def test_peirce_dimensions_of_primitive_idempotent():

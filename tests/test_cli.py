@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -21,6 +22,9 @@ SUBPROCESS_ENV = {
         filter(None, [os.path.dirname(os.path.dirname(jvu.__file__)), os.environ.get("PYTHONPATH")])
     ),
 }
+
+#: x nested in 1200 parentheses, deeper than the parser's recursion allows
+DEEP_EXPR = "(" * 1200 + "x" + ")" * 1200
 
 REPORT_KEYS = {
     "schema_version",
@@ -198,14 +202,20 @@ def test_usage_error_exit_code():
         ["counterexample", "--witness", "x*y"],
         ["counterexample", "--witness", "0"],
         ["counterexample", "--witness", "x*x*y*y*z"],
+        # (2^61 - 1)^2 has no small factor: refused by size, not by trial division
+        ["lemma1", "--field", "gf5316911983139663487003542222693990401"],
+        pytest.param(["parse", "--expr", DEEP_EXPR], id="parse --expr <1200 nested parentheses>"),
+        pytest.param(["counterexample", "--witness", DEEP_EXPR], id="counterexample --witness <1200 nested parentheses>"),
     ],
     ids=lambda argv: " ".join(argv),
 )
 def test_bad_input_is_usage_error(argv):
-    """Rejected before any verdict is computed: while parsing arguments, or,
-    for a witness that is not a nonzero symmetric element of multidegree
-    (2,2,1), before the gap check."""
+    """Rejected before any verdict is computed, and quickly: while parsing
+    arguments, or, for a witness that is not a nonzero symmetric element of
+    multidegree (2,2,1), before the gap check."""
+    t0 = time.perf_counter()
     code, report = run_command(argv)
+    assert time.perf_counter() - t0 < 1
     assert code == EXIT_ERROR
     assert report["verdict"] == "error"
     assert "Error:" not in report["error"]  # a usage message, not an internal exception
