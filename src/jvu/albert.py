@@ -4,14 +4,19 @@ The coordinate algebra is the split octonions realized as Zorn vector
 matrices [[alpha, a], [b, beta]] with alpha, beta rational and a, b rational
 3-vectors; their multiplication table is integral and the norm form
 alpha*beta - a.b is isotropic.  Hermitian 3x3 matrices over them, with the
-product a.b = (AB + BA)/2, form the exceptional Jordan algebra; elements are
-27 exact rational coordinates and right-multiplication operators are exact
-27x27 rational matrices (stored as an integer matrix over a common
-denominator, so operator products stay in fast integer arithmetic).
+product a.b = (AB + BA)/2, form the exceptional Jordan algebra.
 
-Each level has one product definition: ``_zorn_mul`` for octonions, and for
-Hermitian elements ``_product2``, the closed-form entries of 2(a.b) = AB + BA
-on integers, which ``jordan_mul`` and the structure constants of ``r_op`` read.
+Elements (27 numerators) and right-multiplication operators (a 27x27
+numerator matrix) have one exact store: integers ``num`` over one positive
+``den``, put in lowest terms by the constructor, so equal values have equal
+stores and all arithmetic is on integers.  A scalar read off the store (a
+coordinate, t(a), n(a)) is an int when its reduced denominator is 1 and a
+Fraction otherwise.
+
+Each level has one product definition: ``_zorn_mul`` (with ``_zorn_conj``
+and ``_zorn_norm``) on raw 8-tuples for octonions, and for Hermitian
+elements ``_product2``, the closed-form entries of 2(a.b) = AB + BA on the
+numerators, which ``jordan_mul`` and the structure constants of ``r_op`` read.
 
 The cubic form data t, s, n is the Freudenthal determinant package; the sign
 conventions are pinned by requiring the cubic characteristic identity
@@ -29,7 +34,8 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import chain
+from math import gcd, lcm
 
 from .fields import RATIONALS, make_field
 from .linalg import affine_solve
@@ -75,6 +81,16 @@ def _zorn_mul(x, y):
     )
 
 
+def _zorn_conj(x):
+    """The conjugate of a raw 8-tuple: alpha and beta swap, both vectors negate."""
+    return (x[1], x[0], -x[2], -x[3], -x[4], -x[5], -x[6], -x[7])
+
+
+def _zorn_norm(x):
+    """The norm alpha*beta - a.b of a raw 8-tuple."""
+    return x[0] * x[1] - (x[2] * x[5] + x[3] * x[6] + x[4] * x[7])
+
+
 class Octonion:
     """A split octonion: 8 exact rational coordinates over the Zorn basis."""
 
@@ -114,8 +130,7 @@ class Octonion:
         return Octonion(tuple(c * a for a in self.coords))
 
     def conj(self):
-        a, b, v1, v2, v3, w1, w2, w3 = self.coords
-        return Octonion((b, a, -v1, -v2, -v3, -w1, -w2, -w3))
+        return Octonion(_zorn_conj(self.coords))
 
     def trace(self):
         """u + conj(u) as a scalar (the coefficient of the unit)."""
@@ -123,16 +138,13 @@ class Octonion:
 
     def norm(self):
         """The multiplicative norm alpha*beta - a.b (isotropic: n(E1) = 0)."""
-        a, b, v1, v2, v3, w1, w2, w3 = self.coords
-        return a * b - (v1 * w1 + v2 * w2 + v3 * w3)
+        return _zorn_norm(self.coords)
 
     def is_zero(self):
         return not any(self.coords)
 
     def __eq__(self, other):
-        return isinstance(other, Octonion) and all(
-            a == b for a, b in zip(self.coords, other.coords)
-        )
+        return isinstance(other, Octonion) and self.coords == other.coords
 
     def __repr__(self):
         return f"Octonion{self.coords}"
@@ -142,116 +154,123 @@ class Octonion:
 # Hermitian 3x3 elements
 
 
+def _scalar(n: int, den: int):
+    """n / den (den > 0) as an int when it is integral, else as a Fraction."""
+    return n // den if n % den == 0 else Fraction(n, den)
+
+
+def _content(den: int, entries) -> int:
+    """The divisor, signed like den, that puts a store in lowest terms."""
+    if not den:
+        raise ValueError("the denominator must be nonzero")
+    g = gcd(den, *entries)
+    return g if den > 0 else -g
+
+
 class AlbertElement:
     """A Hermitian 3x3 octonion matrix: diagonal (d1, d2, d3) and
     off-diagonal octonions (o1, o2, o3), laid out as
-    [[d1, o3, conj(o2)], [conj(o3), d2, o1], [o2, conj(o1), d3]]."""
+    [[d1, o3, conj(o2)], [conj(o3), d2, o1], [o2, conj(o1), d3]].
 
-    __slots__ = ("d", "o")
+    Stored as the 27 integer numerators ``num`` = (d1, d2, d3, o1, o2, o3)
+    over one positive denominator ``den``, in lowest terms."""
 
-    def __init__(self, d, o):
-        self.d = tuple(d)
-        self.o = tuple(o)
-        if len(self.d) != 3 or len(self.o) != 3:
-            raise ValueError("need 3 diagonal scalars and 3 octonions")
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den: int = 1):
+        num = tuple(num)
+        if len(num) != DIM:
+            raise ValueError("Albert elements have 27 coordinates")
+        g = _content(den, num)
+        self.num = num if g == 1 else tuple(x // g for x in num)
+        self.den = den // g
 
     @classmethod
     def unit(cls):
-        z = Octonion.zero()
-        return cls((1, 1, 1), (z, z, z))
+        return cls((1, 1, 1) + (0,) * 24)
 
     @classmethod
     def diag_idempotent(cls, i: int):
-        z = Octonion.zero()
-        return cls(tuple(1 if k == i else 0 for k in range(3)), (z, z, z))
+        return cls([int(k == i) for k in range(3)] + [0] * 24)
 
     @classmethod
     def from_coords(cls, coords):
-        coords = list(coords)
-        if len(coords) != DIM:
-            raise ValueError("Albert elements have 27 coordinates")
-        d = tuple(coords[0:3])
-        o = tuple(Octonion(coords[3 + 8 * i : 11 + 8 * i]) for i in range(3))
-        return cls(d, o)
+        """The element with these 27 int or Fraction coordinates."""
+        coords = tuple(coords)
+        if not all(isinstance(c, (int, Fraction)) for c in coords):
+            raise TypeError("Albert coordinates must be ints or Fractions")
+        den = lcm(*(c.denominator for c in coords))
+        return cls([c.numerator * (den // c.denominator) for c in coords], den)
 
     @classmethod
     def basis(cls, k: int):
-        coords = [0] * DIM
-        coords[k] = 1
-        return cls.from_coords(coords)
+        num = [0] * DIM
+        num[k] = 1
+        return cls(num)
 
     def coords(self):
-        out = list(self.d)
-        for q in self.o:
-            out.extend(q.coords)
-        return out
+        return [_scalar(x, self.den) for x in self.num]
+
+    @property
+    def d(self):  # read-only views of the store
+        return tuple(self.coords()[:3])
+
+    @property
+    def o(self):
+        c = self.coords()
+        return tuple(Octonion(c[3 + 8 * i : 11 + 8 * i]) for i in range(3))
 
     def __add__(self, other):
-        return AlbertElement(
-            tuple(a + b for a, b in zip(self.d, other.d)),
-            tuple(a + b for a, b in zip(self.o, other.o)),
-        )
+        da, db = self.den, other.den
+        return AlbertElement([db * x + da * y for x, y in zip(self.num, other.num)], da * db)
 
     def __sub__(self, other):
-        return AlbertElement(
-            tuple(a - b for a, b in zip(self.d, other.d)),
-            tuple(a - b for a, b in zip(self.o, other.o)),
-        )
+        return self + (-other)
 
     def __neg__(self):
-        return AlbertElement(tuple(-a for a in self.d), tuple(-a for a in self.o))
+        return AlbertElement([-x for x in self.num], self.den)
 
     def scale(self, c):
-        return AlbertElement(tuple(c * a for a in self.d), tuple(q.scale(c) for q in self.o))
+        """c times self, for an int or Fraction c."""
+        return AlbertElement([c.numerator * x for x in self.num], c.denominator * self.den)
 
     def is_zero(self):
-        return not any(self.d) and all(q.is_zero() for q in self.o)
+        return not any(self.num)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, AlbertElement)
-            and all(a == b for a, b in zip(self.d, other.d))
-            and self.o == other.o
-        )
+        return isinstance(other, AlbertElement) and self.num == other.num and self.den == other.den
 
     def __repr__(self):
         return f"AlbertElement(d={self.d}, o={self.o})"
 
 
 def _product2(a: AlbertElement, b: AlbertElement) -> AlbertElement:
-    """2(a.b) = AB + BA of Hermitian matrices, entry by entry in the layout of
-    AlbertElement, with no 1/2: integer coordinates give integer coordinates.
-    For each cyclic (i, j, k) of (0, 1, 2),
+    """2(a.b) = AB + BA of Hermitian matrices on the numerators of a and b,
+    over the product of their denominators, entry by entry in the layout of
+    AlbertElement: integer coordinates give integer coordinates.  For each
+    cyclic (i, j, k) of (0, 1, 2),
 
         d_i = 2 a.d_i b.d_i + t(a.o_j conj b.o_j) + t(a.o_k conj b.o_k),
         o_i = (a.d_j + a.d_k) b.o_i + (b.d_j + b.d_k) a.o_i
-              + conj(b.o_j a.o_k) + conj(a.o_j b.o_k).
+              + conj(b.o_j a.o_k + a.o_j b.o_k).
     """
-    ao, bo = a.o, b.o
+    an, bn = a.num, b.num
+    ao, bo = (an[3:11], an[11:19], an[19:27]), (bn[3:11], bn[11:19], bn[19:27])
     d, o = [], []
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        d.append(
-            2 * a.d[i] * b.d[i]
-            + (ao[j] * bo[j].conj()).trace() + (ao[k] * bo[k].conj()).trace()
-        )
-        o.append(
-            bo[i].scale(a.d[j] + a.d[k])
-            + ao[i].scale(b.d[j] + b.d[k])
-            + (bo[j] * ao[k]).conj()
-            + (ao[j] * bo[k]).conj()
-        )
-    return AlbertElement(d, o)
+        pj = _zorn_mul(ao[j], _zorn_conj(bo[j]))
+        pk = _zorn_mul(ao[k], _zorn_conj(bo[k]))
+        d.append(2 * an[i] * bn[i] + pj[0] + pj[1] + pk[0] + pk[1])
+        sa, sb = an[j] + an[k], bn[j] + bn[k]
+        cross = _zorn_conj([x + y for x, y in zip(_zorn_mul(bo[j], ao[k]), _zorn_mul(ao[j], bo[k]))])
+        o.extend(sa * y + sb * x + c for x, y, c in zip(ao[i], bo[i], cross))
+    return AlbertElement(d + o, a.den * b.den)
 
 
 def jordan_mul(a: AlbertElement, b: AlbertElement) -> AlbertElement:
-    """The Jordan product (AB + BA)/2: ``_product2`` on the integer numerators
-    of a and b, divided once by 2 and both denominators (``Fraction``
-    coordinates)."""
-    na, da = _clear_denominators(a.coords())
-    nb, db = _clear_denominators(b.coords())
-    den = 2 * da * db
-    p = _product2(AlbertElement.from_coords(na), AlbertElement.from_coords(nb))
-    return AlbertElement.from_coords([Fraction(c, den) for c in p.coords()])
+    """The Jordan product (AB + BA)/2: ``_product2`` over twice its denominator."""
+    p = _product2(a, b)
+    return AlbertElement(p.num, 2 * p.den)
 
 
 def associator(x: AlbertElement, y: AlbertElement, z: AlbertElement) -> AlbertElement:
@@ -263,62 +282,31 @@ def associator(x: AlbertElement, y: AlbertElement, z: AlbertElement) -> AlbertEl
 # Exact operators
 
 
-def _clear_denominators(values):
-    """Return (integers, d) with values[i] = integers[i] / d exactly."""
-    den = 1
-    for v in values:
-        if isinstance(v, Fraction):
-            d = v.denominator
-            den = den * d // gcd(den, d)
-    nums = []
-    for v in values:
-        if isinstance(v, Fraction):
-            nums.append(v.numerator * (den // v.denominator))
-        else:
-            nums.append(v * den)
-    return nums, den
-
-
 class AlbertOperator:
     """An exact linear operator on Albert elements, acting on coordinate row
-    vectors from the right: (x op)[j] = sum_i x[i] num[i][j] / den."""
+    vectors from the right: (x op)[j] = sum_i x[i] num[i][j] / den, with the
+    integer rows ``num`` over one positive ``den`` in lowest terms."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=1):
-        self.num = num
-        self.den = den
+    def __init__(self, num, den: int = 1):
+        g = _content(den, chain.from_iterable(num))
+        self.num = [list(row) for row in num] if g == 1 else [[x // g for x in row] for row in num]
+        self.den = den // g
 
     @classmethod
     def identity(cls):
         return cls([[1 if i == j else 0 for j in range(DIM)] for i in range(DIM)])
 
-    def normalized(self):
-        g = self.den
-        for row in self.num:
-            for x in row:
-                if x:
-                    g = gcd(g, x)
-                    if g == 1:
-                        return self
-        if g <= 1:
-            return self
-        return AlbertOperator([[x // g for x in row] for row in self.num], self.den // g)
-
     def __matmul__(self, other: "AlbertOperator") -> "AlbertOperator":
         bt = list(zip(*other.num))
         num = [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in self.num]
-        return AlbertOperator(num, self.den * other.den).normalized()
+        return AlbertOperator(num, self.den * other.den)
 
     def __add__(self, other: "AlbertOperator") -> "AlbertOperator":
         da, db = self.den, other.den
-        l = da * db // gcd(da, db)
-        ka, kb = l // da, l // db
-        num = [
-            [ka * x + kb * y for x, y in zip(ra, rb)]
-            for ra, rb in zip(self.num, other.num)
-        ]
-        return AlbertOperator(num, l).normalized()
+        num = [[db * x + da * y for x, y in zip(ra, rb)] for ra, rb in zip(self.num, other.num)]
+        return AlbertOperator(num, da * db)
 
     def __sub__(self, other: "AlbertOperator") -> "AlbertOperator":
         return self + (-other)
@@ -327,7 +315,7 @@ class AlbertOperator:
         return AlbertOperator([[-x for x in row] for row in self.num], self.den)
 
     def scale_int(self, k: int) -> "AlbertOperator":
-        return AlbertOperator([[k * x for x in row] for row in self.num], self.den).normalized()
+        return AlbertOperator([[k * x for x in row] for row in self.num], self.den)
 
     def is_zero(self) -> bool:
         return all(not x for row in self.num for x in row)
@@ -335,20 +323,16 @@ class AlbertOperator:
     def __eq__(self, other):
         if not isinstance(other, AlbertOperator):
             return NotImplemented
-        return (self - other).is_zero()
+        return self.num == other.num and self.den == other.den
 
     def apply(self, elem: AlbertElement) -> AlbertElement:
-        nums, d = _clear_denominators(elem.coords())
         out = [0] * DIM
-        for i, v in enumerate(nums):
-            if not v:
-                continue
-            row = self.num[i]
-            for j in range(DIM):
-                if row[j]:
-                    out[j] += v * row[j]
-        dd = d * self.den
-        return AlbertElement.from_coords([Fraction(x, dd) for x in out])
+        for v, row in zip(elem.num, self.num):
+            if v:
+                for j, c in enumerate(row):
+                    if c:
+                        out[j] += v * c
+        return AlbertElement(out, elem.den * self.den)
 
 
 def commutator(p: AlbertOperator, q: AlbertOperator) -> AlbertOperator:
@@ -362,7 +346,7 @@ def _structure_constants() -> tuple:
     basis = [AlbertElement.basis(k) for k in range(DIM)]
     return tuple(
         tuple(
-            tuple((k, c) for k, c in enumerate(_product2(basis[i], basis[j]).coords()) if c)
+            tuple((k, c) for k, c in enumerate(_product2(basis[i], basis[j]).num) if c)
             for j in range(DIM)
         )
         for i in range(DIM)
@@ -372,18 +356,16 @@ def _structure_constants() -> tuple:
 def r_op(a: AlbertElement) -> AlbertOperator:
     """The right multiplication operator x -> x.a as an exact matrix."""
     sc = _structure_constants()
-    nums, d = _clear_denominators(a.coords())
     num = []
     for i in range(DIM):
         row = [0] * DIM
         sci = sc[i]
-        for k, v in enumerate(nums):
-            if not v:
-                continue
-            for j, c in sci[k]:
-                row[j] += v * c
+        for k, v in enumerate(a.num):
+            if v:
+                for j, c in sci[k]:
+                    row[j] += v * c
         num.append(row)
-    return AlbertOperator(num, 2 * d).normalized()
+    return AlbertOperator(num, 2 * a.den)
 
 
 def u_op(a: AlbertElement) -> AlbertOperator:
@@ -403,7 +385,7 @@ def _u_image(x: AlbertElement, y: AlbertElement) -> AlbertElement:
 
 
 def trace_form(a: AlbertElement):
-    return a.d[0] + a.d[1] + a.d[2]
+    return _scalar(a.num[0] + a.num[1] + a.num[2], a.den)
 
 
 def s_form(a: AlbertElement):
@@ -413,21 +395,17 @@ def s_form(a: AlbertElement):
 
 
 def norm_form(a: AlbertElement):
-    """The Freudenthal cubic norm (the determinant of the Hermitian matrix)."""
-    d1, d2, d3 = a.d
-    o1, o2, o3 = a.o
-    return (
-        d1 * d2 * d3
-        - d1 * o1.norm()
-        - d2 * o2.norm()
-        - d3 * o3.norm()
-        + ((o1 * o2) * o3).trace()
-    )
+    """The Freudenthal cubic norm (the determinant of the Hermitian matrix),
+    a cubic form in the numerators over den^3."""
+    d1, d2, d3, o1, o2, o3 = *a.num[:3], a.num[3:11], a.num[11:19], a.num[19:27]
+    triple = _zorn_mul(_zorn_mul(o1, o2), o3)
+    n = d1 * d2 * d3 - d1 * _zorn_norm(o1) - d2 * _zorn_norm(o2) - d3 * _zorn_norm(o3)
+    return _scalar(n + triple[0] + triple[1], a.den**3)
 
 
 def s_bilinear(a: AlbertElement, b: AlbertElement):
-    """s(a, b) = s(a+b) - s(a) - s(b) = t(a) t(b) - t(a.b)."""
-    return trace_form(a) * trace_form(b) - trace_form(jordan_mul(a, b))
+    """s(a, b) = s(a+b) - s(a) - s(b) = t(a) t(b) - t(a.b), as a Fraction like s(a)."""
+    return Fraction(trace_form(a) * trace_form(b) - trace_form(jordan_mul(a, b)))
 
 
 def norm_trilinear(a: AlbertElement, b: AlbertElement, c: AlbertElement):
@@ -550,7 +528,7 @@ def check_zero_pair(a: AlbertElement, b: AlbertElement) -> ZeroPairChecks:
 
 def random_element(rng: random.Random, lo: int = -9, hi: int = 9) -> AlbertElement:
     """Uniform integer coordinates in [lo, hi]."""
-    return AlbertElement.from_coords([rng.randint(lo, hi) for _ in range(DIM)])
+    return AlbertElement([rng.randint(lo, hi) for _ in range(DIM)])
 
 
 def left_kernel(op: AlbertOperator) -> list[list[Fraction]]:
@@ -561,11 +539,10 @@ def left_kernel(op: AlbertOperator) -> list[list[Fraction]]:
 
 
 def _integral(x: AlbertElement) -> AlbertElement:
-    """x with its denominators cleared and its content divided out (the
-    checks are scale-invariant)."""
-    nums, _ = _clear_denominators(x.coords())
-    content = gcd(*nums) or 1
-    return AlbertElement.from_coords([n // content for n in nums])
+    """The numerators of x with their content divided out (the checks are
+    scale-invariant)."""
+    content = gcd(*x.num) or 1
+    return AlbertElement([n // content for n in x.num])
 
 
 def sample_zero_pair(seed_or_rng) -> tuple[AlbertElement, AlbertElement]:

@@ -513,3 +513,84 @@ def test_scaling_invariance_of_zero_product_checks():
     sa, sb = a.scale(Fraction(3)), b.scale(Fraction(-2))
     assert jordan_mul(sa, sb).is_zero()
     assert check_zero_pair(sa, sb).all_hold
+
+
+# -- the exact store ----------------------------------------------------------
+
+
+def frac_element(rng):
+    """Random coordinates n/d with d in [-6, 6] \\ {0}, negative denominators included."""
+    coords = [Fraction(rng.randint(-9, 9), rng.randint(-6, 6) or 1) for _ in range(27)]
+    return AlbertElement.from_coords(coords)
+
+
+def test_store_rejects_inexact_input():
+    """Coordinates are ints or Fractions, never floats or strings, and a
+    store's denominator is nonzero."""
+    for bad in (0.5, 0.1, "1/2", None):
+        with pytest.raises(TypeError):
+            AlbertElement.from_coords([bad] + [0] * 26)
+    with pytest.raises(TypeError):
+        norm_form(AlbertElement.from_coords([0.5] * 27))
+    with pytest.raises(ValueError):
+        AlbertElement([1] * 27, 0)
+    with pytest.raises(ValueError):
+        AlbertOperator(AlbertOperator.identity().num, 0)
+    with pytest.raises(ValueError):
+        AlbertElement.from_coords([1] * 26)
+
+
+def test_store_is_canonical():
+    """Equal values have identical (num, den) with den > 0, whatever route
+    built them, and zero is stored over 1."""
+    rng = random.Random(45)
+    a, b = frac_element(rng), frac_element(rng)
+    routes = [
+        AlbertElement.from_coords(a.coords()),  # ints and Fractions of several denominators
+        AlbertElement.from_coords([Fraction(-3 * n, -3 * a.den) for n in a.num]),
+        AlbertElement([-n for n in a.num], -a.den),
+        AlbertElement([6 * n for n in a.num], 6 * a.den),
+        a.scale(Fraction(-7, 4)).scale(Fraction(4, -7)),
+        a + b - b,
+        jordan_mul(a, UNIT),
+    ]
+    for r in routes:
+        assert r == a
+        assert (r.num, r.den) == (a.num, a.den)
+        assert r.den > 0
+    assert a.coords() == [Fraction(n, a.den) for n in a.num]
+    assert all(type(c) is int or c.denominator > 1 for c in a.coords())
+    zeros = [a - a, a.scale(0), jordan_mul(E11, E22), AlbertElement([0] * 27, -5)]
+    for z in zeros:
+        assert z.is_zero() and z.num == (0,) * 27 and z.den == 1
+    ra = r_op(a)
+    twice, doubled = ra + ra, ra.scale_int(2)
+    assert twice == doubled and (twice.num, twice.den) == (doubled.num, doubled.den)
+    assert ra.den > 0 and ra - ra == AlbertOperator([[0] * 27 for _ in range(27)], 9)
+    assert (ra - ra).den == 1
+    assert AlbertOperator([[2 * x for x in row] for row in ra.num], -2 * ra.den) == -ra
+
+
+def test_product2_is_doubled_jordan_mul_on_fractions():
+    """2(a.b) from _product2 equals jordan_mul scaled by 2, store for store,
+    on fractional pairs with negative and mixed denominators."""
+    rng = random.Random(46)
+    for _ in range(30):
+        a, b = frac_element(rng), frac_element(rng)
+        p, q = _product2(a, b), jordan_mul(a, b).scale(2)
+        assert p == q and (p.num, p.den) == (q.num, q.den)
+
+
+def test_products_build_no_fraction(monkeypatch):
+    """jordan_mul, _product2, r_op and apply run on the integer store alone."""
+    rng = random.Random(47)
+    a, b = frac_element(rng), frac_element(rng)
+    albert._structure_constants()
+
+    def refuse(*args):
+        raise AssertionError("Fraction built")
+
+    monkeypatch.setattr(albert, "Fraction", refuse)
+    p = jordan_mul(a, b)
+    assert _product2(a, b) == p.scale(2)
+    assert r_op(b).apply(a) == p
