@@ -13,6 +13,13 @@ stores and all arithmetic is on integers.  A scalar read off the store (a
 coordinate, t(a), n(a)) is an int when its reduced denominator is 1 and a
 Fraction otherwise.
 
+Operators multiply by Kronecker substitution (cf. Harvey 2009): each row of
+the right factor is packed into one int of 27 slots w bits wide, and each
+row of the product is one sum of at most 27 big-int multiples of those
+packed rows.  The slot width comes from the entry bound: every product
+entry c has |c| <= 27 max|a| max|b| < 2^(w-1), and a bias of 2^(w-1) in
+each slot keeps every slot in [1, 2^w - 1], so no carry crosses a slot.
+
 Each level has one product definition: ``_zorn_mul`` (with ``_zorn_conj``
 and ``_zorn_norm``) on raw 8-tuples for octonions, and for Hermitian
 elements ``_product2``, the closed-form entries of 2(a.b) = AB + BA on the
@@ -290,8 +297,11 @@ class AlbertOperator:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den: int = 1):
-        g = _content(den, chain.from_iterable(num))
-        self.num = [list(row) for row in num] if g == 1 else [[x // g for x in row] for row in num]
+        rows = [list(row) for row in num]
+        if len(rows) != DIM or any(len(row) != DIM for row in rows):
+            raise ValueError("Albert operators are 27x27")
+        g = _content(den, chain.from_iterable(rows))
+        self.num = rows if g == 1 else [[x // g for x in row] for row in rows]
         self.den = den // g
 
     @classmethod
@@ -299,8 +309,34 @@ class AlbertOperator:
         return cls([[1 if i == j else 0 for j in range(DIM)] for i in range(DIM)])
 
     def __matmul__(self, other: "AlbertOperator") -> "AlbertOperator":
-        bt = list(zip(*other.num))
-        num = [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in self.num]
+        """The exact product, by Kronecker substitution: each row of
+        ``other.num`` is packed into one int of DIM slots, w bits each, and
+        row i of the product is bias + sum_k self.num[i][k] * packed[k].
+
+        Every entry c of the product has |c| <= B = 27 max|a| max|b|, and
+        w = bit_length(B) + 1 gives |c| < 2^(w-1).  The bias puts 2^(w-1) in
+        every slot, so each slot holds c + 2^(w-1) in [1, 2^w - 1]: no slot
+        goes negative and no carry crosses a slot, and the slots are read
+        back by shift and mask."""
+        a, b = self.num, other.num
+        bound = DIM * max(map(abs, chain.from_iterable(a))) * max(map(abs, chain.from_iterable(b)))
+        w = bound.bit_length() + 1
+        half, mask = 1 << (w - 1), (1 << w) - 1
+        packed = []
+        for row in b:
+            p = 0
+            for x in reversed(row):
+                p = (p << w) + x
+            packed.append(p)
+        bias = ((1 << (w * DIM)) - 1) // mask * half  # 2^(w-1) in each of the DIM slots
+        shifts = range(0, w * DIM, w)
+        num = []
+        for row in a:
+            acc = bias
+            for x, p in zip(row, packed):
+                if x:
+                    acc += x * p
+            num.append([((acc >> s) & mask) - half for s in shifts])
         return AlbertOperator(num, self.den * other.den)
 
     def __add__(self, other: "AlbertOperator") -> "AlbertOperator":
@@ -344,13 +380,12 @@ def _structure_constants() -> tuple:
     """Sparse rows of 2 * (basis_i . basis_j): entry [i][j] is a tuple of
     (k, coefficient) pairs.  Built on first use, not at import."""
     basis = [AlbertElement.basis(k) for k in range(DIM)]
-    return tuple(
-        tuple(
-            tuple((k, c) for k, c in enumerate(_product2(basis[i], basis[j]).num) if c)
-            for j in range(DIM)
-        )
-        for i in range(DIM)
-    )
+    table = [[()] * DIM for _ in range(DIM)]
+    for i in range(DIM):
+        for j in range(i, DIM):  # the product is commutative: mirror i > j
+            row = tuple((k, c) for k, c in enumerate(_product2(basis[i], basis[j]).num) if c)
+            table[i][j] = table[j][i] = row
+    return tuple(map(tuple, table))
 
 
 def r_op(a: AlbertElement) -> AlbertOperator:

@@ -594,3 +594,56 @@ def test_products_build_no_fraction(monkeypatch):
     p = jordan_mul(a, b)
     assert _product2(a, b) == p.scale(2)
     assert r_op(b).apply(a) == p
+
+
+# -- the packed operator product ----------------------------------------------
+
+
+def plain_matmul(p, q):
+    """The reference product: the 27x27 integer triple loop on the stores."""
+    num = [[sum(p.num[i][k] * q.num[k][j] for k in range(27)) for j in range(27)] for i in range(27)]
+    return AlbertOperator(num, p.den * q.den)
+
+
+def test_operator_store_rejects_wrong_shape():
+    """An operator store is 27 rows of 27 entries, like the 27 coordinates of
+    an element; a short row or a missing row is refused, not truncated."""
+    for bad in ([[1] * 26] * 27, [[1] * 27] * 5, [[1] * 28] * 27, [[1] * 27] * 28, []):
+        with pytest.raises(ValueError):
+            AlbertOperator(bad)
+    rows = [[1] * 27 for _ in range(27)]
+    rows[13] = [1] * 26
+    with pytest.raises(ValueError):
+        AlbertOperator(rows, 3)
+
+
+def test_packed_product_matches_triple_loop():
+    """The packed product equals the plain triple loop, store for store, on
+    sampled operators, signed and fractional entries, zero and the identity,
+    entries above 2^64, lopsided factors and the slot-width bound."""
+    rng = random.Random(48)
+    a, b = sample_zero_pair(rng)
+    ra, rb = r_op(a), r_op(b)
+    sampled = [ra, rb @ rb, u_op(a)]
+    fractional = [r_op(frac_element(rng)) for _ in range(2)]
+    fractional.append(AlbertOperator([[rng.randint(-9, 9) for _ in range(27)] for _ in range(27)], 35))
+    zero, one = AlbertOperator([[0] * 27 for _ in range(27)]), AlbertOperator.identity()
+    big = AlbertOperator([[rng.randint(-(2**80), 2**80) for _ in range(27)] for _ in range(27)], 7)
+    tiny = AlbertOperator([[rng.randint(-1, 1) for _ in range(27)] for _ in range(27)])
+    ops = sampled + fractional + [zero, one, big, tiny]
+    assert max(abs(x) for row in big.num for x in row) > 2**64
+    assert {op.den for op in fractional} != {1} and any(x < 0 for op in fractional for row in op.num for x in row)
+    pairs = [(p, q) for p in ops for q in ops]
+    # the bound edge: every entry +M against every entry +M or -M, and a sign
+    # pattern per row, so output entries reach +27 M^2 and -27 M^2 exactly
+    m = 2**40 + 3
+    plus = AlbertOperator([[m] * 27 for _ in range(27)])
+    minus = AlbertOperator([[-m] * 27 for _ in range(27)])
+    mixed = AlbertOperator([[m if (i + j) % 2 else -m for j in range(27)] for i in range(27)])
+    pairs += [(plus, plus), (plus, minus), (minus, plus), (plus, mixed), (mixed, plus)]
+    for p, q in pairs:
+        got, want = p @ q, plain_matmul(p, q)
+        assert (got.num, got.den) == (want.num, want.den)
+    extremes = [max(x for row in (p @ q).num for x in row) for p, q in [(plus, plus), (minus, minus)]]
+    assert extremes == [27 * m * m] * 2
+    assert min(x for row in (plus @ minus).num for x in row) == -27 * m * m
