@@ -7,11 +7,12 @@ alpha*beta - a.b is isotropic.  Hermitian 3x3 matrices over them, with the
 product a.b = (AB + BA)/2, form the exceptional Jordan algebra.
 
 Elements (27 numerators) and right-multiplication operators (a 27x27
-numerator matrix) have one exact store: integers ``num`` over one positive
-``den``, put in lowest terms by the constructor, so equal values have equal
-stores and all arithmetic is on integers.  A scalar read off the store (a
-coordinate, t(a), n(a)) is an int when its reduced denominator is 1 and a
-Fraction otherwise.
+numerator matrix) have one exact store: integer tuples ``num`` over one
+positive ``den``, put in lowest terms by the constructor, so equal values have
+equal, immutable stores and each operator verdict is one ``==`` or ``!=`` of
+them (terms move across the equation; none is subtracted).  All arithmetic is
+on integers, and a scalar read off the store (a coordinate, t(a), n(a)) is an
+int when its reduced denominator is 1 and a Fraction otherwise.
 
 Operators multiply by Kronecker substitution (cf. Harvey 2009): each row of
 the right factor is packed into one int of 27 slots w bits wide, and each
@@ -291,17 +292,17 @@ def associator(x: AlbertElement, y: AlbertElement, z: AlbertElement) -> AlbertEl
 
 class AlbertOperator:
     """An exact linear operator on Albert elements, acting on coordinate row
-    vectors from the right: (x op)[j] = sum_i x[i] num[i][j] / den, with the
-    integer rows ``num`` over one positive ``den`` in lowest terms."""
+    vectors from the right: (x op)[j] = sum_i x[i] num[i][j] / den, with 27
+    integer row tuples ``num`` over one positive ``den`` in lowest terms."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den: int = 1):
-        rows = [list(row) for row in num]
+        rows = tuple(map(tuple, num))
         if len(rows) != DIM or any(len(row) != DIM for row in rows):
             raise ValueError("Albert operators are 27x27")
         g = _content(den, chain.from_iterable(rows))
-        self.num = rows if g == 1 else [[x // g for x in row] for row in rows]
+        self.num = rows if g == 1 else tuple(tuple(x // g for x in row) for row in rows)
         self.den = den // g
 
     @classmethod
@@ -345,10 +346,12 @@ class AlbertOperator:
         return AlbertOperator(num, da * db)
 
     def __sub__(self, other: "AlbertOperator") -> "AlbertOperator":
-        return self + (-other)
+        da, db = self.den, other.den
+        num = [[db * x - da * y for x, y in zip(ra, rb)] for ra, rb in zip(self.num, other.num)]
+        return AlbertOperator(num, da * db)
 
     def __neg__(self):
-        return AlbertOperator([[-x for x in row] for row in self.num], self.den)
+        return self.scale_int(-1)
 
     def scale_int(self, k: int) -> "AlbertOperator":
         return AlbertOperator([[k * x for x in row] for row in self.num], self.den)
@@ -493,17 +496,14 @@ def check_operator_identity(a: AlbertElement, b: AlbertElement) -> bool:
     """R_b^2 R_a + R_a R_b^2 = -R_{(ba)b} + 2 R_{ab} R_b + R_{b^2} R_a, exactly."""
     ra, rb = r_op(a), r_op(b)
     rb2 = rb @ rb
-    ab = jordan_mul(a, b)
-    bab = jordan_mul(jordan_mul(b, a), b)
-    lhs = (rb2 @ ra) + (ra @ rb2)
-    rhs = -r_op(bab) + (r_op(ab) @ rb).scale_int(2) + (r_op(jordan_mul(b, b)) @ ra)
-    return (lhs - rhs).is_zero()
+    ab, bab = jordan_mul(a, b), jordan_mul(jordan_mul(b, a), b)
+    return rb2 @ ra + ra @ rb2 + r_op(bab) == (r_op(ab) @ rb).scale_int(2) + r_op(jordan_mul(b, b)) @ ra
 
 
 def zero_pair_operator_collapse(ra: AlbertOperator, rb_sq: AlbertOperator, rb2_ra: AlbertOperator) -> bool:
     """When ab = 0 the operator identity degenerates to
     R_b^2 R_a + R_a R_b^2 = R_{b^2} R_a; takes R_a, R_b^2 and R_{b^2} R_a."""
-    return ((rb_sq @ ra) + (ra @ rb_sq) - rb2_ra).is_zero()
+    return rb_sq @ ra + ra @ rb_sq == rb2_ra
 
 
 @dataclass
@@ -542,15 +542,14 @@ def check_zero_pair(a: AlbertElement, b: AlbertElement) -> ZeroPairChecks:
     ra, rb = r_op(a), r_op(b)
     a2, b2 = jordan_mul(a, a), jordan_mul(b, b)
     ra2, rb2 = r_op(a2), r_op(b2)
-    ra_sq, rb_sq = ra @ ra, rb @ rb
-    rb2_ra = rb2 @ ra
-    u_comm = commutator(ra_sq.scale_int(2) - ra2, rb_sq.scale_int(2) - rb2)
-    r_comm = commutator(ra2, rb2)
+    ra_sq, rb_sq, rb2_ra = ra @ ra, rb @ rb, rb2 @ ra
+    ua, ub = ra_sq.scale_int(2) - ra2, rb_sq.scale_int(2) - rb2
+    ua_ub, ub_ua = ua @ ub, ub @ ua
     return ZeroPairChecks(
-        r_a2_b_commute=commutator(ra2, rb).is_zero(),
-        r_a_b2_commute=((ra @ rb2) - rb2_ra).is_zero(),
-        commutators_match=(u_comm - r_comm).is_zero(),
-        u_commutator_zero=u_comm.is_zero(),
+        r_a2_b_commute=ra2 @ rb == rb @ ra2,
+        r_a_b2_commute=ra @ rb2 == rb2_ra,
+        commutators_match=ua_ub + rb2 @ ra2 == ub_ua + ra2 @ rb2,
+        u_commutator_zero=ua_ub == ub_ua,
         operator_collapse=zero_pair_operator_collapse(ra, rb_sq, rb2_ra),
         s_ab_zero=s_bilinear(a, b) == 0,
         a2b_zero=jordan_mul(a2, b).is_zero(),
@@ -620,6 +619,7 @@ def find_noncommuting_pair(rng: random.Random):
         a, b = random_element(rng), random_element(rng)
         if jordan_mul(a, b).is_zero():
             continue
-        if not commutator(u_op(a), u_op(b)).is_zero():
+        ua, ub = u_op(a), u_op(b)
+        if ua @ ub != ub @ ua:
             return a, b
     raise RuntimeError("no noncommuting pair found")

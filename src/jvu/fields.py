@@ -108,7 +108,7 @@ class Field:
         if not a:
             raise ZeroDivisionError("inverse of zero")
         if not self.characteristic:
-            return 1 / a
+            return self.one / a  # a Fraction for int a too, never a float
         return pow(a, self.characteristic - 2, self.characteristic)
 
     def div(self, a, b):

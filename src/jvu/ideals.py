@@ -138,6 +138,11 @@ def _outer_products(hull: GradedSpanTable, d: MultiDegree, mode: str):
     return lambda new: (c for v in new for c in _ideal_products(v, multipliers, fits, d, mode))
 
 
+def _require_field(role: str, got: Field, field: Field):
+    if got != field:
+        raise ValueError(f"{role} is over {got!r}, but the field is {field!r}")
+
+
 def outer_ideal_component(f: JordanElement, d: MultiDegree, mode: str, field: Field) -> OuterIdealComponent:
     """Compute the multidegree-d component of the outer ideal generated by f.
 
@@ -148,6 +153,7 @@ def outer_ideal_component(f: JordanElement, d: MultiDegree, mode: str, field: Fi
     ``GradedSpanTable.close`` runs breadth-first rounds until a round adds
     nothing.
     """
+    _require_field("generator", f.value.field, field)
     d = tuple(d)
     if f.multidegree is None:
         raise ValueError("ideal generator must be homogeneous")
@@ -251,6 +257,8 @@ def cohn_gap_witness(
     A gap (g inside the associative component, outside the Jordan one) shows
     the quotient by the Jordan ideal is not special.
     """
+    _require_field("generator", f.value.field, field)
+    _require_field("witness", g.field, field)
     d = tuple(d)
     if not g.is_homogeneous(d) or g.is_zero():
         raise ValueError(f"witness must be nonzero homogeneous of multidegree {d}")

@@ -491,6 +491,57 @@ def test_check_zero_pair_builds_each_operator_once(monkeypatch):
     assert calls == {"r_op": 4, "matmul": 12}
 
 
+def off_by_one(op):
+    """op with the value of entry (3, 5) raised by one."""
+    return op + AlbertOperator([[int((i, j) == (3, 5)) for j in range(27)] for i in range(27)])
+
+
+def perturb_r_op(monkeypatch, target):
+    """Make albert.r_op return R_target with one entry off by one."""
+    r_op_orig = albert.r_op
+    monkeypatch.setattr(albert, "r_op", lambda x: off_by_one(r_op_orig(x)) if x == target else r_op_orig(x))
+
+
+@pytest.mark.parametrize(
+    "operator,flipped",
+    [
+        ("R_a", {"r_a_b2_commute", "commutators_match", "u_commutator_zero", "operator_collapse"}),
+        ("R_b", {"r_a2_b_commute", "commutators_match", "u_commutator_zero", "operator_collapse"}),
+        ("R_a2", {"r_a2_b_commute", "commutators_match", "u_commutator_zero"}),
+        ("R_b2", {"r_a_b2_commute", "commutators_match", "u_commutator_zero", "operator_collapse"}),
+    ],
+)
+def test_every_operator_verdict_can_fail(monkeypatch, operator, flipped):
+    """A wrong R_a, R_b, R_{a^2} or R_{b^2} turns every operator check that
+    reads it False on a pinned pair, so no check compares a value with itself."""
+    a, b = sample_zero_pair(41)
+    assert check_zero_pair(a, b).all_hold
+    target = {"R_a": a, "R_b": b, "R_a2": jordan_mul(a, a), "R_b2": jordan_mul(b, b)}[operator]
+    perturb_r_op(monkeypatch, target)
+    checks = check_zero_pair(a, b)
+    assert {k for k in albert.OPERATOR_CHECKS if not getattr(checks, k)} == flipped
+
+
+def test_operator_identity_fails_with_wrong_r_bab(monkeypatch):
+    """check_operator_identity turns False when R_{(ba)b} is off by one entry."""
+    rng = random.Random(36)
+    a, b = random_element(rng), random_element(rng)
+    assert check_operator_identity(a, b)
+    perturb_r_op(monkeypatch, jordan_mul(jordan_mul(b, a), b))
+    assert not check_operator_identity(a, b)
+
+
+def test_operator_store_is_immutable():
+    """The canonical store that == compares is a tuple of 27 tuples."""
+    ra = r_op(sample_zero_pair(41)[0])
+    assert type(ra.num) is tuple and len(ra.num) == 27
+    assert all(type(row) is tuple and len(row) == 27 for row in ra.num)
+    with pytest.raises(TypeError):
+        ra.num[0] = ra.num[1]
+    with pytest.raises(TypeError):
+        ra.num[0][0] += 1
+
+
 def test_operator_collapse_fails_off_zero_pairs():
     """The collapsed identity needs a.b = 0: on a noncommuting pair it is false,
     so a vacuous collapse check cannot pass."""

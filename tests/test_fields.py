@@ -96,3 +96,12 @@ def test_from_rational_over_prime_field():
     assert GF5.from_rational(1, 2) == 3  # 2 * 3 = 6 = 1 mod 5
     with pytest.raises(ZeroDivisionError):
         GF2.from_rational(1, 2)
+
+
+def test_rational_inverse_of_int_is_exact():
+    """Over Q an int operand inverts to a Fraction, never a float; zero still fails."""
+    assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(2)) is Fraction
+    assert type(QQ.div(1, 4)) is Fraction
+    assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)

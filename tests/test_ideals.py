@@ -9,6 +9,7 @@ from jvu.expr import parse_expr
 from jvu.fields import make_field
 from jvu.freealg import FreePoly, GeneratorSet
 from jvu.jordan import (
+    COMMUTATOR_WITNESS,
     SYMMETRIZED_PRODUCT,
     GradedSpanTable,
     JordanElement,
@@ -324,3 +325,19 @@ def test_cross_route_ladder(d):
     assert dims["quadratic"][0] <= dims["linear"][0]
     assert dims["quadratic"][1] == dims["linear"][1]
     assert dims["quadratic"] == LADDER_DIMS[d]
+
+
+def test_gap_witness_rejects_mixed_fields():
+    """A witness over Q against a generator over GF(2) is an error naming
+    both fields, not a verdict on mixed scalars."""
+    f = setup_elems(GF2)[3]
+    g = parse_expr(COMMUTATOR_WITNESS, G3, QQ)
+    with pytest.raises(ValueError, match=r"Field\(Q\).*Field\(GF\(2\)\)"):
+        cohn_gap_witness(f, g, D, "quadratic", GF2)
+
+
+def test_outer_component_rejects_other_field():
+    """A generator over Q with field GF(2) is refused before any closure runs."""
+    f = setup_elems(QQ)[3]
+    with pytest.raises(ValueError, match=r"Field\(Q\).*Field\(GF\(2\)\)"):
+        outer_ideal_component(f, D, "linear", GF2)

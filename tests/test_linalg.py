@@ -320,3 +320,23 @@ def test_affine_solve_normal_form(field):
 def test_affine_solve_shapes_validated():
     with pytest.raises(ValueError):
         affine_solve([[Fraction(1)]], [Fraction(1), Fraction(0)], QQ)
+
+
+def test_int_scalars_over_q_stay_exact():
+    """Int entries over Q give Fraction results at every entry point: the
+    stored rows, the particular solution and a membership certificate."""
+
+    def exact(values):
+        return all(type(c) in (int, Fraction) for c in values)
+
+    span = Subspace(QQ, 2)
+    span.insert([2, 1])
+    assert span.rows == [[1, Fraction(1, 2)]] and exact(span.rows[0])
+    particular = affine_solve([[2, 0], [0, 4]], [1, 1], QQ).particular
+    assert particular == [Fraction(1, 2), Fraction(1, 4)] and exact(particular)
+    p = FreePoly(G2, QQ, {(0, 1): 3, (1, 0): 1})
+    cb = ComponentBasis(G2, (1, 1))
+    span = Subspace(QQ, len(cb))
+    span.insert(to_vector(p, cb))
+    verdict, cert = span.membership(to_vector(p + p, cb))
+    assert (verdict, cert) == ("inside", {0: 2}) and exact(cert.values())
