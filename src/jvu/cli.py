@@ -24,7 +24,7 @@ import time
 
 from . import __version__
 from . import albert
-from .expr import _KEYWORDS, ParseError, format_poly, format_scalar, parse_expr
+from .expr import KEYWORDS, ParseError, format_poly, format_scalar, parse_expr
 from .fields import Field, FieldError, field_from_name
 from .freealg import GeneratorSet
 from .ideals import cohn_gap_witness
@@ -119,7 +119,7 @@ def _generator_names(text: str) -> tuple[str, ...]:
         raise argparse.ArgumentTypeError(f"generator names must be identifiers, got {text!r}")
     if len(set(names)) != len(names):
         raise argparse.ArgumentTypeError(f"generator names must be distinct, got {text!r}")
-    reserved = [n for n in names if n in _KEYWORDS]
+    reserved = [n for n in names if n in KEYWORDS]
     if reserved:
         raise argparse.ArgumentTypeError(f"generator names collide with keywords: {reserved}")
     return names

@@ -1,5 +1,6 @@
-"""Expression grammar for free-algebra and Jordan elements, with a canonical
-formatter that round-trips through the parser.
+"""Expression grammar for free-algebra and Jordan elements.  The canonical
+formatter (``format_poly`` and kin, defined in :mod:`jvu.freealg` and bound
+here) round-trips through the parser.
 
 Grammar (ASCII rendering of the algebra's notation):
 
@@ -11,16 +12,50 @@ Grammar (ASCII rendering of the algebra's notation):
 
 ``U(b; a)`` denotes a U_b = b a b and ``Ulin(b, c; a)`` denotes b a c + c a b;
 ``one`` is the unit of the free algebra (the adjoined unit of the hull).
+The calls are stated once, in ``CALLS``, which the parser and ``format_call`` read.
 """
 
 from __future__ import annotations
 
 import re
+from types import MappingProxyType
 
 from .fields import Field, FieldError
-from .freealg import FreePoly, GeneratorSet
+from .freealg import FreePoly, GeneratorSet, format_linear_combination, format_poly, format_scalar
 
-_KEYWORDS = ("rev", "sym", "sq", "circ", "U", "Ulin", "one")
+
+def circ(p: FreePoly, q: FreePoly) -> FreePoly:
+    """The circle product pq + qp."""
+    return p * q + q * p
+
+
+def u_apply(b: FreePoly, a: FreePoly) -> FreePoly:
+    """a U_b = b a b."""
+    return b * a * b
+
+
+def u_lin(b: FreePoly, c: FreePoly, a: FreePoly) -> FreePoly:
+    """Linearized U: b a c + c a b = a U_{b+c} - a U_b - a U_c."""
+    return b * a * c + c * a * b
+
+
+def square(p: FreePoly) -> FreePoly:
+    return p * p
+
+
+#: The grammar's calls, read-only: name -> (the separator after each argument
+#: but the last, the operation on the arguments' values).
+CALLS = MappingProxyType({
+    "rev": ((), FreePoly.reverse),
+    "sym": ((), FreePoly.symmetrize),
+    "sq": ((), square),
+    "circ": ((",",), circ),
+    "U": ((";",), u_apply),
+    "Ulin": ((",", ";"), u_lin),
+})
+
+#: Names that cannot be generators.
+KEYWORDS = (*CALLS, "one")
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[-+*/(),;]))"
@@ -134,8 +169,8 @@ class _Parser:
         if kind == "name":
             if val == "one":
                 return FreePoly.one(self.gens, self.field)
-            if val in _KEYWORDS:
-                return self.call(val, pos)
+            if val in CALLS:
+                return self.call(val)
             try:
                 return FreePoly.generator(self.gens, self.field, val)
             except KeyError:
@@ -146,41 +181,20 @@ class _Parser:
             return p
         raise ParseError(f"unexpected {val or 'end of input'!r}", pos)
 
-    def call(self, name: str, pos: int) -> FreePoly:
-        from . import jordan
-
+    def call(self, name: str) -> FreePoly:
+        separators, operation = CALLS[name]
         self.expect("(")
-        first = self.expr()
-        if name in ("rev", "sym", "sq"):
-            self.expect(")")
-            if name == "rev":
-                return first.reverse()
-            if name == "sym":
-                return first.symmetrize()
-            return jordan.square(first)
-        if name == "circ":
-            self.expect(",")
-            second = self.expr()
-            self.expect(")")
-            return jordan.circ(first, second)
-        if name == "U":
-            self.expect(";")
-            operand = self.expr()
-            self.expect(")")
-            return jordan.u_apply(first, operand)
-        if name == "Ulin":
-            self.expect(",")
-            second = self.expr()
-            self.expect(";")
-            operand = self.expr()
-            self.expect(")")
-            return jordan.u_lin(first, second, operand)
-        raise ParseError(f"unknown function {name!r}", pos)
+        args = [self.expr()]
+        for sep in separators:
+            self.expect(sep)
+            args.append(self.expr())
+        self.expect(")")
+        return operation(*args)
 
 
 def parse_expr(text: str, gens: GeneratorSet, field: Field) -> FreePoly:
     """Parse an expression to an exact polynomial over the given generators."""
-    bad = [n for n in gens.names if n in _KEYWORDS]
+    bad = [n for n in gens.names if n in KEYWORDS]
     if bad:
         raise ValueError(f"generator names collide with keywords: {bad}")
     parser = _Parser(text, gens, field)
@@ -190,47 +204,9 @@ def parse_expr(text: str, gens: GeneratorSet, field: Field) -> FreePoly:
         raise ParseError("expression nested too deeply", parser.peek()[2]) from None
 
 
-# ---------------------------------------------------------------------------
-# Formatting
-
-
-def format_scalar(c, field: Field) -> str:
-    if field.characteristic:
-        return str(c)
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
-
-
-def _signed_sum(terms, field: Field) -> str:
-    """Join (coeff, text) terms as ``text - 2*text + ...``; text None stands for
-    the unit, which leaves the bare scalar.  Only Q scalars carry a sign, so a
-    GF(p) term prints its residue in 0..p-1.  No terms join to "0"."""
-    parts = []
-    for c, text in terms:
-        if field.characteristic == 0 and c < 0:
-            sign, c = "-", -c
-        else:
-            sign = "+"
-        if text is None:
-            body = format_scalar(c, field)
-        elif c == field.one:
-            body = text
-        else:
-            body = f"{format_scalar(c, field)}*{text}"
-        parts.append(f"{sign} {body}")
-    if not parts:
-        return "0"
-    out = " ".join(parts)
-    return out[2:] if out[0] == "+" else f"-{out[2:]}"
-
-
-def format_poly(p: FreePoly) -> str:
-    """Canonical text form: deglex term order; parse_expr inverts it exactly."""
-    return _signed_sum(((c, p.word_str(w) if w else None) for w, c in p.sorted_terms()), p.field)
-
-
-def format_linear_combination(terms, field: Field) -> str:
-    """Render [(coeff, expr_str), ...] as a parseable sum like
-    ``expr1 - 2*(expr2) + 1/2*(expr3)``; an empty combination is "0"."""
-    return _signed_sum(((c, f"({expr})") for c, expr in terms if not field.is_zero(c)), field)
+def format_call(name: str, args) -> str:
+    """Render the call ``name`` of ``CALLS`` on argument texts, e.g.
+    ``format_call("U", ["x", "z"]) == "U(x; z)"``; parse_expr reads it back."""
+    separators, _ = CALLS[name]
+    rest = "".join(f"{sep} {arg}" for sep, arg in zip(separators, args[1:], strict=True))
+    return f"{name}({args[0]}{rest})"

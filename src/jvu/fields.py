@@ -84,6 +84,14 @@ class Field:
                 raise FieldError(f"expected residue in [0, {self.characteristic}), got {a!r}")
         return a
 
+    def require_exact(self, values):
+        """Raise FieldError unless every value is an exact scalar of this
+        field's type: an int or a Fraction over Q, an int over GF(p)."""
+        kinds = int if self.characteristic else (int, Fraction)
+        for a in values:
+            if not isinstance(a, kinds):
+                raise FieldError(f"expected an exact scalar over {self!r}, got {type(a).__name__} {a!r}")
+
     def add(self, a, b):
         if not self.characteristic:
             return a + b

@@ -8,9 +8,12 @@ Jordan algebra is built.
 
 Words of equal multidegree all have the same length, so the degree-then-
 lexicographic order used throughout is just tuple order within a component.
+``format_poly`` writes a polynomial in the grammar that :mod:`jvu.expr` parses.
 """
 
 from __future__ import annotations
+
+from types import MappingProxyType
 
 from .fields import Field
 
@@ -65,7 +68,9 @@ class FreePoly:
     """A sparse noncommutative polynomial: word -> nonzero scalar.
 
     Canonical on construction (no zero coefficients stored), so equality is
-    plain dict comparison and p - p is the empty polynomial.
+    plain dict comparison and p - p is the empty polynomial.  ``terms`` is a
+    read-only view, so the canonical store that equality and hashing read
+    cannot change after construction; given terms must be exact scalars.
     """
 
     __slots__ = ("gens", "field", "terms")
@@ -73,10 +78,16 @@ class FreePoly:
     def __init__(self, gens: GeneratorSet, field: Field, terms=None):
         self.gens = gens
         self.field = field
-        if terms is None:
-            self.terms = {}
-        else:
-            self.terms = {w: c for w, c in terms.items() if not field.is_zero(c)}
+        if terms is not None:
+            field.require_exact(terms.values())
+        self.terms = MappingProxyType({w: c for w, c in (terms or {}).items() if not field.is_zero(c)})
+
+    def _with(self, terms: dict) -> "FreePoly":
+        """A polynomial over the same generators and field whose store is the
+        already canonical dict ``terms``."""
+        out = FreePoly.__new__(FreePoly)
+        out.gens, out.field, out.terms = self.gens, self.field, MappingProxyType(terms)
+        return out
 
     # -- constructors -------------------------------------------------------
 
@@ -112,22 +123,18 @@ class FreePoly:
     def __add__(self, other: "FreePoly") -> "FreePoly":
         self._compat(other)
         f = self.field
-        terms = dict(self.terms)
+        terms = self.terms.copy()
         for w, c in other.terms.items():
             s = f.add(terms.get(w, f.zero), c)
             if f.is_zero(s):
                 terms.pop(w, None)
             else:
                 terms[w] = s
-        out = FreePoly(self.gens, f)
-        out.terms = terms
-        return out
+        return self._with(terms)
 
     def __neg__(self) -> "FreePoly":
         f = self.field
-        out = FreePoly(self.gens, f)
-        out.terms = {w: f.neg(c) for w, c in self.terms.items()}
-        return out
+        return self._with({w: f.neg(c) for w, c in self.terms.items()})
 
     def __sub__(self, other: "FreePoly") -> "FreePoly":
         return self + (-other)
@@ -144,16 +151,11 @@ class FreePoly:
                     terms.pop(w, None)
                 else:
                     terms[w] = s
-        out = FreePoly(self.gens, f)
-        out.terms = terms
-        return out
+        return self._with(terms)
 
     def scale(self, c) -> "FreePoly":
         f = self.field
-        out = FreePoly(self.gens, f)
-        if not f.is_zero(c):
-            out.terms = {w: f.mul(c, v) for w, v in self.terms.items()}
-        return out
+        return self._with({} if f.is_zero(c) else {w: f.mul(c, v) for w, v in self.terms.items()})
 
     def __eq__(self, other):
         return (
@@ -173,9 +175,7 @@ class FreePoly:
 
     def reverse(self) -> "FreePoly":
         """The involution *: reverse every word, keep coefficients."""
-        out = FreePoly(self.gens, self.field)
-        out.terms = {w[::-1]: c for w, c in self.terms.items()}
-        return out
+        return self._with({w[::-1]: c for w, c in self.terms.items()})
 
     def symmetrize(self) -> "FreePoly":
         """{p} = p + p*; always a fixed point of reverse."""
@@ -184,11 +184,7 @@ class FreePoly:
     def component(self, d: MultiDegree) -> "FreePoly":
         """The sub-sum of terms of multidegree exactly d."""
         d = tuple(d)
-        out = FreePoly(self.gens, self.field)
-        out.terms = {
-            w: c for w, c in self.terms.items() if self.gens.word_multidegree(w) == d
-        }
-        return out
+        return self._with({w: c for w, c in self.terms.items() if self.gens.word_multidegree(w) == d})
 
     def is_homogeneous(self, d: MultiDegree) -> bool:
         d = tuple(d)
@@ -211,9 +207,53 @@ class FreePoly:
         return "*".join(self.gens.names[i] for i in word)
 
     def __str__(self):
-        from .expr import format_poly
-
         return format_poly(self)
 
     def __repr__(self):
         return f"FreePoly({self})"
+
+
+# ---------------------------------------------------------------------------
+# Formatting in the expression grammar (``jvu.expr`` parses it back)
+
+
+def format_scalar(c, field: Field) -> str:
+    if field.characteristic:
+        return str(c)
+    if c.denominator == 1:
+        return str(c.numerator)
+    return f"{c.numerator}/{c.denominator}"
+
+
+def _signed_sum(terms, field: Field) -> str:
+    """Join (coeff, text) terms as ``text - 2*text + ...``; text None stands for
+    the unit, which leaves the bare scalar.  Only Q scalars carry a sign, so a
+    GF(p) term prints its residue in 0..p-1.  No terms join to "0"."""
+    parts = []
+    for c, text in terms:
+        if field.characteristic == 0 and c < 0:
+            sign, c = "-", -c
+        else:
+            sign = "+"
+        if text is None:
+            body = format_scalar(c, field)
+        elif c == field.one:
+            body = text
+        else:
+            body = f"{format_scalar(c, field)}*{text}"
+        parts.append(f"{sign} {body}")
+    if not parts:
+        return "0"
+    out = " ".join(parts)
+    return out[2:] if out[0] == "+" else f"-{out[2:]}"
+
+
+def format_poly(p: FreePoly) -> str:
+    """Canonical text form: deglex term order; parse_expr inverts it exactly."""
+    return _signed_sum(((c, p.word_str(w) if w else None) for w, c in p.sorted_terms()), p.field)
+
+
+def format_linear_combination(terms, field: Field) -> str:
+    """Render [(coeff, expr_str), ...] as a parseable sum like
+    ``expr1 - 2*(expr2) + 1/2*(expr3)``; an empty combination is "0"."""
+    return _signed_sum(((c, f"({expr})") for c, expr in terms if not field.is_zero(c)), field)

@@ -82,7 +82,7 @@ class OuterIdealComponent(_SpanComponent):
     mode: str
     rounds_to_fixpoint: int  # rounds that added at least one new span vector
     table: GradedSpanTable = dc_field(repr=False)  # the ideal's spans at every multidegree <= d
-    hull: GradedSpanTable = dc_field(repr=False)  # the Jordan closure the ideal multiplies by
+    hull: GradedSpanTable = dc_field(repr=False)  # the Jordan closure the ideal multiplies by, to d - deg f
 
     @property
     def field(self) -> Field:
@@ -151,7 +151,9 @@ def outer_ideal_component(f: JordanElement, d: MultiDegree, mode: str, field: Fi
     by spanning Jordan elements of every admissible complementary multidegree;
     linear mode seeds with f and closes under circle multiplication only.
     ``GradedSpanTable.close`` runs breadth-first rounds until a round adds
-    nothing.
+    nothing.  Every ideal element has multidegree >= deg f, so every
+    multiplier and every U_f seed has multidegree <= d - deg f, and the hull
+    is closed only that far.
     """
     _require_field("generator", f.value.field, field)
     d = tuple(d)
@@ -160,17 +162,15 @@ def outer_ideal_component(f: JordanElement, d: MultiDegree, mode: str, field: Fi
     if not dominated(f.multidegree, d):
         raise ValueError(f"generator multidegree {f.multidegree} not below target {d}")
     gens = f.value.gens
-    hull = jordan_closure_table(gens, d, mode, mode == QUADRATIC, field)
+    table = GradedSpanTable(gens, field, d)  # refuses a d above the ceiling before the hull is built
+    hull = jordan_closure_table(gens, degree_residual(d, f.multidegree), mode, mode == QUADRATIC, field)
 
     seeds = [f]
     if mode == QUADRATIC:
-        zero = (0,) * len(gens)
-        # every e with 2 deg(f) + e <= d; none when 2 deg(f) exceeds d
+        # every e with 2 deg(f) + e <= d (none when 2 deg(f) exceeds d); e = 0 is the hull's unit
         for e in _sub_multidegrees(degree_residual(d, tuple(2 * c for c in f.multidegree))):
-            hull_reps = [JordanElement.unit(gens, field)] if e == zero else hull.reps(e)
-            seeds.extend(je_u(f, u) for u in hull_reps)
+            seeds.extend(je_u(f, u) for u in hull.reps(e))
 
-    table = GradedSpanTable(gens, field, d)
     rounds = table.close(seeds, _outer_products(hull, d, mode))
     return OuterIdealComponent(
         generator=f, multidegree=d, mode=mode, rounds_to_fixpoint=rounds, table=table, hull=hull

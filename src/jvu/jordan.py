@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
-from .expr import parse_expr
+from .expr import CALLS, circ, format_call, parse_expr, square, u_apply, u_lin
 from .fields import Field
 from .freealg import FreePoly, GeneratorSet, MultiDegree
 from .linalg import ComponentBasis, Subspace, to_vector
@@ -27,7 +27,7 @@ from .linalg import ComponentBasis, Subspace, to_vector
 LINEAR = "linear"
 QUADRATIC = "quadratic"
 
-#: Largest total degree a closure accepts.  `jvu dims` at (3,3,3)
+#: Largest total degree a span table accepts.  `jvu dims` at (3,3,3)
 #: over GF(2) in quadratic mode takes about 40 s (Python 3.11, one core of a
 #: 2-core x86-64 VM) against 2 s at (3,3,2); each further degree costs many
 #: times more.
@@ -40,25 +40,6 @@ MAX_DEGREE_BOUND = 9
 COMMUTATOR_WITNESS = "U(y; U(x; z)) - U(x; U(y; z))"
 SYMMETRIZED_PRODUCT = "sym(circ(x, y)*z*x*y)"
 U_IMAGE = "U(circ(x, y); z)"
-
-
-def circ(p: FreePoly, q: FreePoly) -> FreePoly:
-    """The circle product pq + qp."""
-    return p * q + q * p
-
-
-def u_apply(b: FreePoly, a: FreePoly) -> FreePoly:
-    """a U_b = b a b."""
-    return b * a * b
-
-
-def u_lin(b: FreePoly, c: FreePoly, a: FreePoly) -> FreePoly:
-    """Linearized U: b a c + c a b = a U_{b+c} - a U_b - a U_c."""
-    return b * a * c + c * a * b
-
-
-def square(p: FreePoly) -> FreePoly:
-    return p * p
 
 
 def commutator_image(a: FreePoly, b: FreePoly, c: FreePoly) -> FreePoly:
@@ -85,8 +66,10 @@ class JordanElement:
     """A symmetric polynomial together with the Jordan expression producing it.
 
     Recipe nodes: ("gen", name), ("unit",), ("square", r), ("circ", r, r),
-    ("U", b, a) for a U_b, ("Ulin", b, c, a).  ``expr.parse_expr`` evaluates
-    the rendered recipe, ``recipe_str``, which is how certificates replay.
+    ("U", b, a) for a U_b, ("Ulin", b, c, a); an operation node is a call of
+    ``expr.CALLS`` (node "square" is call "sq").  ``expr.parse_expr``
+    evaluates the rendered recipe, ``recipe_str``, which is how certificates
+    replay.
     """
 
     __slots__ = ("value", "recipe", "multidegree")
@@ -126,20 +109,15 @@ def je_ulin(b: JordanElement, c: JordanElement, a: JordanElement) -> JordanEleme
 
 def recipe_str(recipe) -> str:
     """Render a recipe in the expression grammar of the command line."""
-    kind = recipe[0]
+    kind, *args = recipe
     if kind == "gen":
-        return recipe[1]
+        return args[0]
     if kind == "unit":
         return "one"
-    if kind == "square":
-        return f"sq({recipe_str(recipe[1])})"
-    if kind == "circ":
-        return f"circ({recipe_str(recipe[1])}, {recipe_str(recipe[2])})"
-    if kind == "U":
-        return f"U({recipe_str(recipe[1])}; {recipe_str(recipe[2])})"
-    if kind == "Ulin":
-        return f"Ulin({recipe_str(recipe[1])}, {recipe_str(recipe[2])}; {recipe_str(recipe[3])})"
-    raise ValueError(f"unknown recipe node {kind!r}")
+    call = "sq" if kind == "square" else kind
+    if call not in CALLS:
+        raise ValueError(f"unknown recipe node {kind!r}")
+    return format_call(call, [recipe_str(r) for r in args])
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +137,13 @@ class GradedSpanTable:
 
     ``close`` runs a closure to its fixed point and ``is_closed`` re-verifies
     one; a caller supplies only ``products``, which maps a list of
-    representatives to the candidates they generate.
+    representatives to the candidates they generate.  A limit of total
+    degree above ``MAX_DEGREE_BOUND`` is refused before any work.
     """
 
     def __init__(self, gens: GeneratorSet, field: Field, limit: MultiDegree):
+        if sum(limit) > MAX_DEGREE_BOUND:
+            raise ValueError(f"total degree {sum(limit)} exceeds bound {MAX_DEGREE_BOUND}")
         self.gens = gens
         self.field = field
         self.limit = tuple(limit)
@@ -331,8 +312,6 @@ def jordan_closure_table(
     """
     if mode not in (LINEAR, QUADRATIC):
         raise ValueError(f"unknown mode {mode!r}")
-    if sum(limit) > MAX_DEGREE_BOUND:
-        raise ValueError(f"total degree {sum(limit)} exceeds bound {MAX_DEGREE_BOUND}")
     table = GradedSpanTable(gens, field, limit)
     seeds = [JordanElement.generator(gens, field, n) for n in gens.names]
     if unital:

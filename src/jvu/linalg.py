@@ -83,6 +83,9 @@ def from_vector(vec, cb: ComponentBasis, field: Field) -> FreePoly:
 class Subspace:
     """An echelonized subspace with pivot bookkeeping and certificates on demand.
 
+    Every vector given to ``insert``, ``contains`` or ``membership`` must hold
+    exact scalars of the field (``Field.require_exact``); a float is refused.
+
     Rows are in reduced row-echelon form: pivots strictly increasing, pivot
     entries 1, pivot columns otherwise zero.  The RREF basis of a span is
     unique, so the final rows do not depend on insertion order.  Beside the
@@ -126,6 +129,7 @@ class Subspace:
         if len(v) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         f = self.field
+        f.require_exact(v)
         idx = self.n_inserted
         self.n_inserted += 1
         r = self._reduce(v)
@@ -149,6 +153,7 @@ class Subspace:
         return True
 
     def contains(self, v: list) -> bool:
+        self.field.require_exact(v)
         return all(self.field.is_zero(c) for c in self._reduce(v))
 
     def membership(self, v: list):
@@ -165,6 +170,7 @@ class Subspace:
         the B_k are independent.
         """
         f = self.field
+        f.require_exact(v)
         r = self._reduce(v)
         if any(not f.is_zero(c) for c in r):
             return "outside", r

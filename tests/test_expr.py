@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_poly
-from jvu.expr import ParseError, format_linear_combination, format_poly, parse_expr
+from jvu.expr import CALLS, KEYWORDS, ParseError, format_call, format_linear_combination, format_poly, parse_expr
 from jvu.fields import make_field
 from jvu.freealg import FreePoly, GeneratorSet
 from jvu.jordan import circ, u_apply, u_lin
@@ -112,3 +112,25 @@ def test_format_linear_combination_parses_back():
     assert parse_expr(text, G3, QQ) == expected
     assert format_linear_combination([], QQ) == "0"
     assert format_linear_combination([(QQ.zero, "x")], QQ) == "0"
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_format_call_round_trips_through_the_table(name):
+    """Each call renders from ``CALLS`` and parses back to the table's
+    operation on its parsed arguments, over Q, GF(2) and GF(5)."""
+    rng = random.Random(51)
+    separators, operation = CALLS[name]
+    for field in (QQ, GF2, GF5):
+        for _ in range(10):
+            texts = [format_poly(rand_poly(rng, G4, field, max_len=2)) for _ in range(len(separators) + 1)]
+            args = [parse_expr(t, G4, field) for t in texts]
+            assert parse_expr(format_call(name, texts), G4, field) == operation(*args)
+
+
+def test_format_call_shapes_and_keywords():
+    assert format_call("U", ["x", "z"]) == "U(x; z)"
+    assert format_call("Ulin", ["x", "y", "z"]) == "Ulin(x, y; z)"
+    assert format_call("sq", ["x + y"]) == "sq(x + y)"
+    with pytest.raises(ValueError):
+        format_call("circ", ["x"])
+    assert KEYWORDS == (*CALLS, "one")

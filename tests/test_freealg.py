@@ -2,11 +2,12 @@
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from conftest import rand_poly
-from jvu.fields import make_field
+from jvu.fields import FieldError, make_field
 from jvu.freealg import FreePoly, GeneratorSet
 from jvu.jordan import circ
 
@@ -151,3 +152,22 @@ def test_sorted_terms_deglex():
     p = y * x + x * y + x
     words = [w for w, _ in p.sorted_terms()]
     assert words == [(0,), (0, 1), (1, 0)]
+
+
+def test_terms_are_read_only():
+    """The canonical store that equality and hashing read cannot be written."""
+    x = p = gen(G3, QQ, "x")
+    with pytest.raises(TypeError):
+        p.terms[(G3.index("y"),)] = 0
+    assert p == x and p in {p}
+    assert dict(p.terms) == {(0,): QQ.one} and p.terms == {(0,): QQ.one}
+    assert hash(p) == hash(x)
+
+
+def test_float_coefficients_rejected():
+    """Only exact scalars enter a polynomial: ints and Fractions over Q, ints over GF(p)."""
+    with pytest.raises(FieldError):
+        FreePoly(G3, QQ, {(0, 1): 0.5})
+    with pytest.raises(FieldError):
+        FreePoly(G3, GF2, {(0, 1): Fraction(1, 2)})
+    assert FreePoly(G3, QQ, {(0, 1): 2}) == gen(G3, QQ, "x") * gen(G3, QQ, "y").scale(Fraction(2))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import time
 
 import pytest
 
@@ -15,6 +16,7 @@ from jvu.jordan import (
     JordanElement,
     circ,
     commutator_image,
+    degree_residual,
     je_circ,
     jordan_closure_table,
     recipe_str,
@@ -341,3 +343,26 @@ def test_outer_component_rejects_other_field():
     f = setup_elems(QQ)[3]
     with pytest.raises(ValueError, match=r"Field\(Q\).*Field\(GF\(2\)\)"):
         outer_ideal_component(f, D, "linear", GF2)
+
+
+@pytest.mark.parametrize("field", [GF2, QQ], ids=["gf2-quadratic", "q-linear"])
+def test_outer_hull_stops_at_residual_degree(field):
+    """Ideal elements have multidegree >= deg f, so the hull is closed only up
+    to d - deg f, and that smaller closure is still a fixed point."""
+    *_, f = setup_elems(field)
+    mode = mode_for(field)
+    comp = outer_ideal_component(f, D, mode, field)
+    assert comp.hull.limit == degree_residual(D, f.multidegree) == (1, 1, 1)
+    assert spanning_is_fixed_point(comp.hull, mode)
+
+
+def test_degree_ceiling_refused_before_any_closure():
+    """Every span table refuses a total degree above the ceiling, so the
+    outer ideal fails before it builds its (3,3,2) hull."""
+    with pytest.raises(ValueError, match="exceeds bound"):
+        GradedSpanTable(GeneratorSet(("x", "y", "z", "t")), QQ, (3, 3, 2, 2))
+    *_, f = setup_elems(QQ)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds bound"):
+        outer_ideal_component(f, (4, 4, 2), "linear", QQ)
+    assert time.perf_counter() - start < 1.0

@@ -1,0 +1,37 @@
+"""The library's modules form one acyclic stack: each relative import, at
+module level or inside a function, names a module strictly below the
+importing one.  The package ``__init__`` re-exports every layer and is exempt."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "jvu"
+
+ORDER = ("fields", "freealg", "expr", "linalg", "jordan", "ideals", "albert", "cli")
+
+
+def relative_import_targets(tree):
+    """The sibling module named by each relative import in tree; ``from .
+    import name`` names the module ``name`` when there is one, and the package
+    ``__init__`` otherwise."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom) and node.level):
+            continue
+        if node.module:
+            yield node.module.split(".")[0]
+        else:
+            yield from (a.name if (SRC / f"{a.name}.py").exists() else "__init__" for a in node.names)
+
+
+def test_every_module_has_a_layer():
+    assert {p.stem for p in SRC.glob("*.py")} == {*ORDER, "__init__"}
+
+
+def test_imports_point_down_the_stack():
+    upward = [
+        (name, target)
+        for name in ORDER
+        for target in relative_import_targets(ast.parse((SRC / f"{name}.py").read_text()))
+        if target != "__init__" and ORDER.index(target) >= ORDER.index(name)
+    ]
+    assert not upward

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_scalar
-from jvu.fields import make_field
+from jvu.fields import FieldError, make_field
 from jvu.freealg import FreePoly, GeneratorSet
 from jvu.jordan import circ, commutator_image, u_apply
 from jvu.linalg import (
@@ -340,3 +340,21 @@ def test_int_scalars_over_q_stay_exact():
     span.insert(to_vector(p, cb))
     verdict, cert = span.membership(to_vector(p + p, cb))
     assert (verdict, cert) == ("inside", {0: 2}) and exact(cert.values())
+
+
+def test_float_entries_rejected():
+    """A float never reaches the exact elimination: insert, contains,
+    membership and affine_solve all refuse it."""
+    span = Subspace(QQ, 2)
+    with pytest.raises(FieldError):
+        span.insert([0.5, 1])
+    assert span.dim == 0 and span.n_inserted == 0
+    span.insert([1, 0])
+    with pytest.raises(FieldError):
+        span.contains([0.5, 0])
+    with pytest.raises(FieldError):
+        span.membership([0.5, 0])
+    with pytest.raises(FieldError):
+        affine_solve([[1, 0], [0, 1]], [0.5, 1], QQ)
+    with pytest.raises(FieldError):
+        Subspace(GF5, 2).insert([Fraction(1, 2), 1])
