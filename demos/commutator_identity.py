@@ -11,14 +11,10 @@ script parses the three terms from their library texts, expands them over
 several fields and confirms the residual is the zero polynomial each time.
 """
 
-from jvu import (
-    GeneratorSet,
-    format_poly,
-    make_field,
-    parse_expr,
-    commutator_identity_residual,
-)
-from jvu.jordan import COMMUTATOR_WITNESS, SYMMETRIZED_PRODUCT, U_IMAGE
+from jvu.expr import format_poly, parse_expr
+from jvu.fields import make_field
+from jvu.freealg import GeneratorSet
+from jvu.jordan import COMMUTATOR_WITNESS, SYMMETRIZED_PRODUCT, U_IMAGE, commutator_identity_residual
 
 for name, field in (
     ("rationals", make_field("rationals")),

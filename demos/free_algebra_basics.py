@@ -6,7 +6,9 @@ involution * fixes the generators.  Symmetric elements {u} = u + u* are the
 raw material of the special Jordan algebra.
 """
 
-from jvu import FreePoly, GeneratorSet, format_poly, make_field, parse_expr
+from jvu.expr import format_poly, parse_expr
+from jvu.fields import make_field
+from jvu.freealg import FreePoly, GeneratorSet
 
 field = make_field("rationals")
 gens = GeneratorSet(("x", "y", "z"))

@@ -16,14 +16,11 @@ over GF(2) (quadratic mode, the delicate case) and over the rationals
 coefficient system behind the multilinear part of the argument.
 """
 
-from jvu import (
-    GeneratorSet,
-    cohn_gap_witness,
-    format_poly,
-    make_field,
-    parse_expr,
-)
 from jvu.cli import run_command
+from jvu.expr import format_poly, parse_expr
+from jvu.fields import make_field
+from jvu.freealg import GeneratorSet
+from jvu.ideals import cohn_gap_witness
 from jvu.jordan import COMMUTATOR_WITNESS, SYMMETRIZED_PRODUCT, U_IMAGE, JordanElement, je_circ
 
 D = (2, 2, 1)

@@ -9,16 +9,11 @@ is what makes the characteristic-2 ideal argument work, where Grassmann
 tricks are unavailable.
 """
 
-from jvu import (
-    FreePoly,
-    GeneratorSet,
-    format_poly,
-    jordan_closure_table,
-    make_field,
-    symmetric_component_dim,
-    to_vector,
-)
-from jvu.jordan import recipe_str
+from jvu.expr import format_poly
+from jvu.fields import make_field
+from jvu.freealg import FreePoly, GeneratorSet
+from jvu.jordan import jordan_closure_table, recipe_str, symmetric_component_dim
+from jvu.linalg import to_vector
 
 gens = GeneratorSet(("x", "y", "z", "t"))
 d = (1, 1, 1, 1)

@@ -162,8 +162,9 @@ class Octonion:
 # Hermitian 3x3 elements
 
 
-def _scalar(n: int, den: int):
-    """n / den (den > 0) as an int when it is integral, else as a Fraction."""
+def _scalar(n, den: int):
+    """n / den (den > 0, n an int or a Fraction) as an int when it is
+    integral, else as a Fraction."""
     return n // den if n % den == 0 else Fraction(n, den)
 
 
@@ -429,7 +430,7 @@ def trace_form(a: AlbertElement):
 def s_form(a: AlbertElement):
     """s(a) = (t(a)^2 - t(a^2)) / 2."""
     t = trace_form(a)
-    return Fraction(t * t - trace_form(jordan_mul(a, a)), 2)
+    return _scalar(t * t - trace_form(jordan_mul(a, a)), 2)
 
 
 def norm_form(a: AlbertElement):
@@ -442,8 +443,8 @@ def norm_form(a: AlbertElement):
 
 
 def s_bilinear(a: AlbertElement, b: AlbertElement):
-    """s(a, b) = s(a+b) - s(a) - s(b) = t(a) t(b) - t(a.b), as a Fraction like s(a)."""
-    return Fraction(trace_form(a) * trace_form(b) - trace_form(jordan_mul(a, b)))
+    """s(a, b) = s(a+b) - s(a) - s(b) = t(a) t(b) - t(a.b)."""
+    return _scalar(trace_form(a) * trace_form(b) - trace_form(jordan_mul(a, b)), 1)
 
 
 def norm_trilinear(a: AlbertElement, b: AlbertElement, c: AlbertElement):

@@ -74,22 +74,12 @@ class Field:
             return Fraction(num, den)
         return self.mul(self.from_int(num), self.inv(self.from_int(den)))
 
-    def check(self, a):
-        """Validate that a is a canonical scalar of this field."""
-        if not self.characteristic:
-            if not isinstance(a, Fraction):
-                raise FieldError(f"expected Fraction over Q, got {type(a).__name__}")
-        else:
-            if not isinstance(a, int) or not 0 <= a < self.characteristic:
-                raise FieldError(f"expected residue in [0, {self.characteristic}), got {a!r}")
-        return a
-
     def require_exact(self, values):
-        """Raise FieldError unless every value is an exact scalar of this
-        field's type: an int or a Fraction over Q, an int over GF(p)."""
-        kinds = int if self.characteristic else (int, Fraction)
+        """Raise FieldError unless every value is a canonical exact scalar of
+        this field: an int or a Fraction over Q, an int in [0, p) over GF(p)."""
+        p = self.characteristic
         for a in values:
-            if not isinstance(a, kinds):
+            if not (isinstance(a, int) and 0 <= a < p if p else isinstance(a, (int, Fraction))):
                 raise FieldError(f"expected an exact scalar over {self!r}, got {type(a).__name__} {a!r}")
 
     def add(self, a, b):

@@ -161,24 +161,17 @@ class Subspace:
 
         The certificate maps insert indices to nonzero coefficients such that
         the corresponding combination of inserted vectors equals v exactly.
-        It is solved per query on the same kernel, and nothing is cached, so
-        there is nothing for a later insert to invalidate.  An element of the
-        span is fixed by its entries on the pivot columns, so with
-        B_0..B_{r-1} the inserts that grew the span, the system with one row
-        (B_0[p], ..., B_{r-1}[p], v[p]) per pivot p is square and invertible:
-        its RREF is [I | x], and x is the certificate.  It is unique because
-        the B_k are independent.
+        It is solved per query, and nothing is cached for a later insert to
+        invalidate.  An element of the span is fixed by its entries on the
+        pivot columns, so the certificate is the unique solution over the
+        independent inserts B_k of sum(x_k * B_k[p]) = v[p], one row per pivot p.
         """
         f = self.field
         f.require_exact(v)
         r = self._reduce(v)
         if any(not f.is_zero(c) for c in r):
             return "outside", r
-        n = len(self._grew)
-        system = Subspace(f, n + 1)
-        for p in self.pivots:
-            system.insert([b[p] for _, b in self._grew] + [v[p]])
-        x = [row[n] for row in system.rows]
+        x, _ = _solve([[b[p] for p in self.pivots] for _, b in self._grew], [v[p] for p in self.pivots], f)
         return "inside", {idx: c for (idx, _), c in zip(self._grew, x) if not f.is_zero(c)}
 
 
@@ -195,38 +188,41 @@ class AffineSolution:
         return self.particular is not None
 
 
-def affine_solve(columns: list[list], rhs: list, field: Field) -> AffineSolution:
-    """Solve sum(x_j * columns[j]) = rhs exactly on one RREF Subspace.
+def _solve(columns: list[list], rhs: list, f: Field):
+    """Solve sum(x_j * columns[j]) = rhs on the RREF of the augmented rows [A | b].
 
-    Every column is inserted in order, so insert index j is column j.  Each
-    column that did not grow the span has a membership certificate c over the
-    earlier independent columns, and e_j - sum(c[k] * e_k) is its homogeneous
-    solution.  The certificate of rhs is the particular solution.
-    Certificates over an independent set are unique, so this is the reduced
-    normal form: zero on every free column, and one homogeneous vector per
-    free column.
+    Returns (None, []) when a pivot lands on the b column, and otherwise
+    (particular, homogeneous): the particular solution reads the b column on
+    the pivot columns, and each free column j gives e_j - sum_i row_i[j] * e_{p_i}.
+    The pivot columns are exactly the columns that are not combinations of
+    earlier ones, so this is the reduced normal form: zero on every free
+    column, and one homogeneous vector per free column.
     """
-    m = len(rhs)
-    if any(len(c) != m for c in columns):
-        raise ValueError("column length mismatch")
-    f = field
-    n_cols = len(columns)
-    span = Subspace(f, m)
-    free = [j for j, col in enumerate(columns) if not span.insert(col)]
+    n = len(columns)
+    system = Subspace(f, n + 1)
+    for i, b in enumerate(rhs):
+        system.insert([col[i] for col in columns] + [b])
+    if n in system.pivots:
+        return None, []
+    pivot_rows = list(zip(system.pivots, system.rows))
+    particular = [f.zero] * n
+    for p, row in pivot_rows:
+        particular[p] = row[n]
     homogeneous = []
-    for j in free:
-        vec = [f.zero] * n_cols
+    for j in [k for k in range(n) if k not in system.pivots]:
+        vec = [f.zero] * n
         vec[j] = f.one
-        for k, c in span.membership(columns[j])[1].items():
-            vec[k] = f.neg(c)
+        for p, row in pivot_rows:
+            vec[p] = f.neg(row[j])
         homogeneous.append(vec)
-    verdict, cert = span.membership(rhs)
-    if verdict == "outside":
-        return AffineSolution(None, [])
-    particular = [f.zero] * n_cols
-    for k, c in cert.items():
-        particular[k] = c
-    return AffineSolution(particular, homogeneous)
+    return particular, homogeneous
+
+
+def affine_solve(columns: list[list], rhs: list, field: Field) -> AffineSolution:
+    """Solve sum(x_j * columns[j]) = rhs exactly, in reduced normal form."""
+    if any(len(c) != len(rhs) for c in columns):
+        raise ValueError("column length mismatch")
+    return AffineSolution(*_solve(columns, rhs, field))
 
 
 def solve_combination(

@@ -17,7 +17,7 @@ DEMOS = sorted((pathlib.Path(__file__).resolve().parent.parent / "demos").glob("
 #: (``3`` against ``Fraction(3, 1)``).
 STDOUT_SHA256 = {
     "commutator_identity.py": "1679dc265a9b1e94461b5c2c82b28d4bd9d51ec71aea9de0936a583d19fbe991",
-    "exceptional_algebra.py": "b4c47b39561ad9ae925d0cfdc3beabf118d5f230dc95389d30a4ffbfb0240ba6",
+    "exceptional_algebra.py": "51a8c940b52a5c0ffa99e4bc43ed9f7d8ed8880fc9c2bf4d15e6d1641f65c954",
     "free_algebra_basics.py": "9b260dee2fe28dfea8e52ccbb4ccb737accb5a164914764d1265316ab2246e92",
     "ideal_gap_counterexample.py": "7282333a9ac6716465525b53633a3bbff24fc916b90b5c2df6bf7e674a509c02",
     "multilinear_dimensions.py": "0f4b360fd16dcf6a0b0002f269955078f40466ce8c17514c3ca0e48780aadaec",

@@ -13,6 +13,7 @@ from jvu.jordan import circ
 
 QQ = make_field("rationals")
 GF2 = make_field("prime-field", 2)
+GF5 = make_field("prime-field", 5)
 
 G3 = GeneratorSet(("x", "y", "z"))
 G4 = GeneratorSet(("x", "y", "z", "t"))
@@ -171,3 +172,11 @@ def test_float_coefficients_rejected():
     with pytest.raises(FieldError):
         FreePoly(G3, GF2, {(0, 1): Fraction(1, 2)})
     assert FreePoly(G3, QQ, {(0, 1): 2}) == gen(G3, QQ, "x") * gen(G3, QQ, "y").scale(Fraction(2))
+
+
+@pytest.mark.parametrize("coefficient", [5, -1])
+def test_noncanonical_residue_rejected(coefficient):
+    """Over GF(5) a coefficient must be a residue in [0, 5): 5 is not a
+    nonzero way to write 0, and -1 is not a way to write 4."""
+    with pytest.raises(FieldError):
+        FreePoly(G3, GF5, {(0,): coefficient})

@@ -1,9 +1,16 @@
 """The library's modules form one acyclic stack: each relative import, at
 module level or inside a function, names a module strictly below the
-importing one.  The package ``__init__`` re-exports every layer and is exempt."""
+importing one.  The package ``__init__`` imports nothing, so importing a
+layer loads only that layer and the layers below it."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
+
+from test_cli import SUBPROCESS_ENV
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "jvu"
 
@@ -35,3 +42,14 @@ def test_imports_point_down_the_stack():
         if target != "__init__" and ORDER.index(target) >= ORDER.index(name)
     ]
     assert not upward
+
+
+@pytest.mark.parametrize("name", ORDER)
+def test_each_layer_loads_alone(name):
+    script = f"import sys, jvu.{name}; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'jvu'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=SUBPROCESS_ENV, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    allowed = {"jvu", *(f"jvu.{m}" for m in ORDER[: ORDER.index(name) + 1])}
+    assert set(proc.stdout.split()) - allowed == set()

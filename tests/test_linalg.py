@@ -358,3 +358,11 @@ def test_float_entries_rejected():
         affine_solve([[1, 0], [0, 1]], [0.5, 1], QQ)
     with pytest.raises(FieldError):
         Subspace(GF5, 2).insert([Fraction(1, 2), 1])
+
+
+def test_noncanonical_residue_rejected():
+    """Over GF(5) the entry 5 is refused, not stored as a zero row that grows the span."""
+    span = Subspace(GF5, 2)
+    with pytest.raises(FieldError):
+        span.insert([5, 0])
+    assert span.dim == 0 and span.n_inserted == 0
