@@ -4,13 +4,16 @@ Homogeneous polynomials are vectorized against the complete deglex-ordered
 word list of one multidegree; subspaces are kept in reduced row-echelon form,
 and a membership test that finds a vector inside solves an explicit
 coefficient certificate over the vectors that were inserted, not just a
-verdict.  Ambient dimensions in this workbench stay small (a few hundred at
-most), so vectors are dense lists.
+verdict.  Ambient dimensions in this workbench stay small (a couple of
+thousand at most), so vectors are dense.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 
 from .fields import Field
 from .freealg import FreePoly, GeneratorSet, MultiDegree, Word
@@ -80,84 +83,134 @@ def from_vector(vec, cb: ComponentBasis, field: Field) -> FreePoly:
     return FreePoly(cb.gens, field, dict(zip(cb.words, vec)))
 
 
+_ASCII_BITS = bytes.maketrans(b"\0\1", b"01")  # GF(2) entries as the digits of a base-2 literal
+
+
 class Subspace:
     """An echelonized subspace with pivot bookkeeping and certificates on demand.
 
-    Every vector given to ``insert``, ``contains`` or ``membership`` must hold
-    exact scalars of the field (``Field.require_exact``); a float is refused.
+    Every vector given to ``insert``, ``contains`` or ``membership`` must have
+    ``ambient_dim`` exact scalars of the field (``Field.require_exact``); it
+    is converted once to the row store that the characteristic fixes.  Over Q
+    a row is a primitive int list with a positive pivot entry, and a row
+    operation is ``a*x - c*y`` with ``gcd(a, c)`` cancelled (fraction-free
+    elimination, Bareiss 1968); over GF(2) a row is an int bitset, bit j for
+    column j; over GF(p), p odd, a row is a residue list with pivot entry 1.
 
-    Rows are in reduced row-echelon form: pivots strictly increasing, pivot
-    entries 1, pivot columns otherwise zero.  The RREF basis of a span is
-    unique, so the final rows do not depend on insertion order.  Beside the
-    rows the span keeps only the inserts that grew it, with their insert
-    indices; :meth:`membership` solves a certificate over them when a vector
-    is inside, and inserts do no certificate work.
+    Rows are in reduced row-echelon form.  ``rows`` and ``pivots`` are views
+    built when read: ``rows`` is the unique RREF basis in field scalars, so it
+    does not depend on insertion order.  Beside the rows the span keeps only
+    the inserts that grew it, with their insert indices; :meth:`membership`
+    solves a certificate over them when a vector is inside.
     """
 
     def __init__(self, field: Field, ambient_dim: int):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.rows: list[list] = []
-        self.pivots: list[int] = []
         self.n_inserted = 0
+        self._p = field.characteristic
+        self._rows: list = []  # store rows, in pivot order
+        self._pivots: list[int] = []
+        self._mask = 0  # GF(2): the pivot columns as a bitset
         self._grew: list[tuple[int, list]] = []  # (insert index, vector) per independent insert
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._pivots)
 
     @property
-    def row_reps(self) -> list[dict[int, object]]:
-        """Each row's expansion over the inserted vectors, solved when read."""
-        return [self.membership(row)[1] for row in self.rows]
+    def pivots(self) -> list[int]:
+        return list(self._pivots)
 
-    def _reduce(self, v: list) -> list:
-        """One RREF reduction pass: the residual of v against the rows."""
-        f = self.field
-        v = list(v)
-        for p, row in zip(self.pivots, self.rows):
-            c = v[p]
-            if f.is_zero(c):
-                continue
-            for j in range(p, self.ambient_dim):
-                if not f.is_zero(row[j]):
-                    v[j] = f.sub(v[j], f.mul(c, row[j]))
-        return v
+    @property
+    def rows(self) -> list[list]:
+        return [[self._scalar(i, j) for j in range(self.ambient_dim)] for i in range(self.dim)]
+
+    def _scalar(self, i: int, j: int):
+        """Entry j of the i-th RREF row, as a field scalar."""
+        row = self._rows[i]
+        if self._p == 2:
+            return row >> j & 1
+        return row[j] if self._p else Fraction(row[j], row[self._pivots[i]])
+
+    def _encode(self, v: list):
+        """Check v and convert it to the store: (x, s) with v = x / s."""
+        if len(v) != self.ambient_dim:
+            raise ValueError("ambient dimension mismatch")
+        self.field.require_exact(v)
+        if self._p == 2:
+            return int(bytes(v[::-1]).translate(_ASCII_BITS) or b"0", 2), 1
+        if self._p:
+            return list(v), 1
+        ratios = [c.as_integer_ratio() for c in v]
+        s = lcm(*[d for _, d in ratios])
+        return [n * (s // d) for n, d in ratios], s
+
+    def _eliminate(self, x: list, row: list, q: int):
+        """Clear the nonzero entry q of the list row x with ``row``, whose pivot
+        is q.  Returns the new x and the positive factor the old x was scaled by."""
+        p, c = self._p, x[q]
+        if p:
+            return [(a - c * b) % p for a, b in zip(x, row)], 1
+        a = row[q]
+        g = gcd(a, c)
+        a, c = a // g, c // g
+        if a == 1:
+            return [t - c * b for t, b in zip(x, row)], 1
+        return [a * t - c * b for t, b in zip(x, row)], a
+
+    def _reduce(self, x, s: int):
+        """The RREF residual of x / s against the rows, as (x', s')."""
+        if self._p == 2:
+            m = x & self._mask  # a row changes no other row's pivot bit
+            while m:
+                x ^= self._rows[bisect_left(self._pivots, (m & -m).bit_length() - 1)]
+                m &= m - 1
+            return x, s
+        for q, row in zip(self._pivots, self._rows):
+            if x[q]:
+                x, a = self._eliminate(x, row, q)
+                s *= a
+        return x, s
+
+    def _is_zero(self, x) -> bool:
+        return not x if self._p == 2 else not any(x)
 
     def insert(self, v: list) -> bool:
         """Insert a vector; returns True iff it enlarged the span."""
-        if len(v) != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        f = self.field
-        f.require_exact(v)
-        idx = self.n_inserted
+        x, _ = self._encode(v)
         self.n_inserted += 1
-        r = self._reduce(v)
-        pivot = next((j for j, c in enumerate(r) if not f.is_zero(c)), None)
-        if pivot is None:
+        x, _ = self._reduce(x, 1)
+        if self._is_zero(x):
             return False
-        inv = f.inv(r[pivot])
-        r = [f.mul(inv, c) for c in r]
-        # back-eliminate the new pivot column from existing rows
-        for row in self.rows:
-            c = row[pivot]
-            if f.is_zero(c):
-                continue
-            for j in range(pivot, self.ambient_dim):
-                if not f.is_zero(r[j]):
-                    row[j] = f.sub(row[j], f.mul(c, r[j]))
-        pos = next((i for i, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
-        self.rows.insert(pos, r)
-        self.pivots.insert(pos, pivot)
-        self._grew.append((idx, list(v)))
+        p = self._p
+        if p == 2:
+            pivot = (x & -x).bit_length() - 1
+            self._mask |= x & -x
+        else:
+            pivot = next(j for j, c in enumerate(x) if c)
+            if p:
+                inv = pow(x[pivot], -1, p)
+                x = [c * inv % p for c in x]
+            else:
+                x = _primitive(x, x[pivot])
+        for i, row in enumerate(self._rows):  # clear the new pivot column from the other rows
+            if p == 2:
+                self._rows[i] = row ^ x if row >> pivot & 1 else row
+            elif row[pivot]:
+                new, _ = self._eliminate(row, x, pivot)
+                self._rows[i] = new if p else _primitive(new, 1)
+        pos = bisect_left(self._pivots, pivot)
+        self._rows.insert(pos, x)
+        self._pivots.insert(pos, pivot)
+        self._grew.append((self.n_inserted - 1, list(v)))
         return True
 
     def contains(self, v: list) -> bool:
-        self.field.require_exact(v)
-        return all(self.field.is_zero(c) for c in self._reduce(v))
+        return self._is_zero(self._reduce(*self._encode(v))[0])
 
     def membership(self, v: list):
-        """Return ("inside", certificate) or ("outside", residual).
+        """Return ("inside", certificate) or ("outside", exact RREF residual).
 
         The certificate maps insert indices to nonzero coefficients such that
         the corresponding combination of inserted vectors equals v exactly.
@@ -166,13 +219,20 @@ class Subspace:
         pivot columns, so the certificate is the unique solution over the
         independent inserts B_k of sum(x_k * B_k[p]) = v[p], one row per pivot p.
         """
-        f = self.field
-        f.require_exact(v)
-        r = self._reduce(v)
-        if any(not f.is_zero(c) for c in r):
-            return "outside", r
-        x, _ = _solve([[b[p] for p in self.pivots] for _, b in self._grew], [v[p] for p in self.pivots], f)
-        return "inside", {idx: c for (idx, _), c in zip(self._grew, x) if not f.is_zero(c)}
+        x, s = self._reduce(*self._encode(v))
+        if not self._is_zero(x):
+            if self._p == 2:
+                return "outside", [x >> j & 1 for j in range(self.ambient_dim)]
+            return "outside", x if self._p else [Fraction(c, s) for c in x]
+        pivots = self._pivots
+        coeffs, _ = _solve([[b[p] for p in pivots] for _, b in self._grew], [v[p] for p in pivots], self.field)
+        return "inside", {idx: c for (idx, _), c in zip(self._grew, coeffs) if c}
+
+
+def _primitive(x: list[int], sign: int) -> list[int]:
+    """x divided by its content, negated too when ``sign`` is negative."""
+    g = gcd(*x) if sign > 0 else -gcd(*x)
+    return x if g == 1 else [c // g for c in x]
 
 
 @dataclass
@@ -202,18 +262,18 @@ def _solve(columns: list[list], rhs: list, f: Field):
     system = Subspace(f, n + 1)
     for i, b in enumerate(rhs):
         system.insert([col[i] for col in columns] + [b])
-    if n in system.pivots:
+    pivots = system._pivots
+    if n in pivots:
         return None, []
-    pivot_rows = list(zip(system.pivots, system.rows))
     particular = [f.zero] * n
-    for p, row in pivot_rows:
-        particular[p] = row[n]
+    for i, p in enumerate(pivots):
+        particular[p] = system._scalar(i, n)
     homogeneous = []
-    for j in [k for k in range(n) if k not in system.pivots]:
+    for j in [k for k in range(n) if k not in pivots]:
         vec = [f.zero] * n
         vec[j] = f.one
-        for p, row in pivot_rows:
-            vec[p] = f.neg(row[j])
+        for i, p in enumerate(pivots):
+            vec[p] = f.neg(system._scalar(i, j))
         homogeneous.append(vec)
     return particular, homogeneous
 

@@ -230,7 +230,8 @@ def test_criterion_8_property_suites():
             for e in comp.table.inserted(d):
                 replay_ok = replay_ok and parse_expr(recipe_str(e.recipe), G3, field) == e.value
                 replay_count += 1
-            for row, rep in zip(span.rows, span.row_reps):
+            for row in span.rows:
+                rep = span.membership(row)[1]
                 combo = [field.zero] * len(cb)
                 for idx, c in rep.items():
                     combo = [field.add(t, field.mul(c, v)) for t, v in zip(combo, vecs[idx])]

@@ -135,7 +135,8 @@ def test_outer_certificates_replay():
         vecs = [to_vector(e.value, comp.component_basis) for e in comp.inserted]
         for e, vec in zip(comp.inserted, vecs):
             assert parse_expr(recipe_str(e.recipe), G3, field) == e.value
-        for row, rep in zip(comp.span.rows, comp.span.row_reps):
+        for row in comp.span.rows:
+            rep = comp.span.membership(row)[1]
             recombined = [field.zero] * len(comp.component_basis)
             for idx, c in rep.items():
                 recombined = [

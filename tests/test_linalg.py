@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -366,3 +367,149 @@ def test_noncanonical_residue_rejected():
     with pytest.raises(FieldError):
         span.insert([5, 0])
     assert span.dim == 0 and span.n_inserted == 0
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF5], ids=["q", "gf2", "gf5"])
+def test_every_entry_point_checks_the_length(field):
+    """contains and membership refuse a vector of the wrong length, as insert does."""
+    s = Subspace(field, 3)
+    s.insert([1, 1, 0])
+    for bad in ([1, 1], [1, 1, 0, 0]):
+        for entry in (s.insert, s.contains, s.membership):
+            with pytest.raises(ValueError):
+                entry(bad)
+    assert s.dim == 1 and s.n_inserted == 1
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF5], ids=["q", "gf2", "gf5"])
+def test_views_cannot_corrupt_the_span(field):
+    """Writes to rows and pivots land in fresh lists, not in the span."""
+    s = Subspace(field, 3)
+    s.insert([1, 1, 0])
+    s.rows[0][0] = field.zero
+    s.rows[0][1] = field.from_int(7)
+    s.rows.append([0, 0, 1])
+    s.pivots[0] = 2
+    s.pivots.append(1)
+    assert s.contains([1, 1, 0]) and not s.contains([0, 0, 1])
+    assert (s.rows, s.pivots, s.dim) == ([[1, 1, 0]], [0], 1)
+
+
+class _ReferenceSpan:
+    """Plain Gauss-Jordan over Field methods: RREF rows, and each row's
+    expansion over the inserts that grew the span."""
+
+    def __init__(self, field):
+        self.f, self.n_inserted = field, 0
+        self.rows, self.pivots, self.reps = [], [], []
+
+    def reduce(self, v):
+        """(residual, rep) with v = residual + sum(rep[k] * insert k)."""
+        f, r, rep = self.f, list(v), {}
+        for p, row, row_rep in zip(self.pivots, self.rows, self.reps):
+            c = r[p]
+            if not f.is_zero(c):
+                r = [f.sub(a, f.mul(c, b)) for a, b in zip(r, row)]
+                for k, e in row_rep.items():
+                    rep[k] = f.add(rep.get(k, f.zero), f.mul(c, e))
+        return r, rep
+
+    def insert(self, v):
+        f = self.f
+        self.n_inserted += 1
+        r, rep = self.reduce(v)
+        pivot = next((j for j, c in enumerate(r) if not f.is_zero(c)), None)
+        if pivot is None:
+            return False
+        inv = f.inv(r[pivot])
+        r = [f.mul(inv, c) for c in r]
+        new_rep = {k: f.neg(f.mul(inv, e)) for k, e in rep.items()}
+        new_rep[self.n_inserted - 1] = inv
+        for i, (row, row_rep) in enumerate(zip(self.rows, self.reps)):
+            c = row[pivot]
+            if not f.is_zero(c):
+                self.rows[i] = [f.sub(a, f.mul(c, b)) for a, b in zip(row, r)]
+                for k, e in new_rep.items():
+                    row_rep[k] = f.sub(row_rep.get(k, f.zero), f.mul(c, e))
+        pos = sum(p < pivot for p in self.pivots)
+        self.rows.insert(pos, r)
+        self.pivots.insert(pos, pivot)
+        self.reps.insert(pos, new_rep)
+        return True
+
+    def membership(self, v):
+        r, rep = self.reduce(v)
+        if any(not self.f.is_zero(c) for c in r):
+            return "outside", r
+        return "inside", {k: c for k, c in rep.items() if not self.f.is_zero(c)}
+
+
+def _reference_affine_solve(columns, rhs, f):
+    """The reduced normal form of {x : sum(x_j * columns[j]) = rhs} on the reference RREF."""
+    n = len(columns)
+    ref = _ReferenceSpan(f)
+    for i, b in enumerate(rhs):
+        ref.insert([col[i] for col in columns] + [b])
+    if n in ref.pivots:
+        return None, []
+    particular = [f.zero] * n
+    for p, row in zip(ref.pivots, ref.rows):
+        particular[p] = row[n]
+    homogeneous = []
+    for j in [k for k in range(n) if k not in ref.pivots]:
+        vec = [f.zero] * n
+        vec[j] = f.one
+        for p, row in zip(ref.pivots, ref.rows):
+            vec[p] = f.neg(row[j])
+        homogeneous.append(vec)
+    return particular, homogeneous
+
+
+# Q with int entries, Q with large coprime denominators, and the prime fields
+# from GF(2) up to the largest modulus make_field accepts.
+_LARGE_DENOMINATORS = (10**9 + 7, 10**9 + 9, 998244353, 2**31 - 1, 1000003 * 1000033)
+_KERNEL_CASES = {
+    "q-int": (QQ, lambda rng: rng.choice((0, 0, 1, -1, rng.randint(-40, 40)))),
+    "q-fraction": (QQ, lambda rng: rng.choice((0, Fraction(rng.randint(-10**6, 10**6), rng.choice(_LARGE_DENOMINATORS))))),
+    "gf2": (GF2, lambda rng: rng.randrange(2)),
+    "gf3": (make_field("prime-field", 3), lambda rng: rng.randrange(3)),
+    "gf2147483647": (make_field("prime-field", 2**31 - 1), lambda rng: rng.choice((0, rng.randrange(2**31 - 1)))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+def test_span_kernel_matches_plain_gauss_jordan(case):
+    """Seeded random insert sequences give the same rows, pivots, dim,
+    n_inserted, residuals, certificates and affine solutions as a plain
+    Gauss-Jordan over Field methods; over Q every entry stays exact."""
+    field, entry = _KERNEL_CASES[case]
+    rng = random.Random(case)
+
+    def exact(values):
+        return all(type(c) in ((int, Fraction) if field == QQ else (int,)) for c in values)
+
+    for _ in range(40):
+        n = rng.randint(1, 9)
+        s, ref, inserted = Subspace(field, n), _ReferenceSpan(field), []
+        for _ in range(rng.randint(1, n + 3)):
+            if inserted and rng.random() < 0.3:
+                v = _apply(inserted, [entry(rng) for _ in inserted], n, field)
+            else:
+                v = [entry(rng) for _ in range(n)]
+            inserted.append(v)
+            assert s.insert(list(v)) == ref.insert(v)
+        assert (s.rows, s.pivots, s.dim, s.n_inserted) == (ref.rows, ref.pivots, len(ref.rows), ref.n_inserted)
+        assert all(exact(row) for row in s.rows)
+        if field == QQ:  # the integer store keeps each row primitive, pivot entry positive
+            assert all(gcd(*row) == 1 and row[p] > 0 for p, row in zip(s._pivots, s._rows))
+        for _ in range(4):
+            for v in ([entry(rng) for _ in range(n)], _apply(inserted, [entry(rng) for _ in inserted], n, field)):
+                verdict, data = s.membership(v)
+                assert (verdict, data) == ref.membership(v)
+                assert s.contains(v) == (verdict == "inside")
+                assert exact(data.values() if verdict == "inside" else data)
+        m = rng.randint(1, 6)
+        columns = [[entry(rng) for _ in range(m)] for _ in range(rng.randint(1, 6))]
+        rhs = [entry(rng) for _ in range(m)]
+        sol = affine_solve(columns, rhs, field)
+        assert (sol.particular, sol.homogeneous) == _reference_affine_solve(columns, rhs, field)
