@@ -13,6 +13,8 @@ lexicographic order used throughout is just tuple order within a component.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 
 from .fields import Field
@@ -140,21 +142,31 @@ class FreePoly:
         return self + (-other)
 
     def __mul__(self, other: "FreePoly") -> "FreePoly":
+        """Each product word's coefficient is summed as an int: over GF(p) from
+        the residues, with one ``% p`` per word; over Q from numerators over
+        each operand's common denominator, with one Fraction per word."""
         self._compat(other)
-        f = self.field
-        terms: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
+        p = self.field.characteristic
+        d1, left = _int_terms(self.terms, p)
+        d2, right = _int_terms(other.terms, p)
+        sums: dict = {}
+        get = sums.get
+        for w1, c1 in left:
+            for w2, c2 in right:
                 w = w1 + w2
-                s = f.add(terms.get(w, f.zero), f.mul(c1, c2))
-                if f.is_zero(s):
-                    terms.pop(w, None)
-                else:
-                    terms[w] = s
+                sums[w] = get(w, 0) + c1 * c2
+        d = d1 * d2
+        if p:
+            terms = {w: r for w, s in sums.items() if (r := s % p)}
+        elif d == 1:
+            terms = {w: Fraction(s) for w, s in sums.items() if s}
+        else:
+            terms = {w: Fraction(s, d) for w, s in sums.items() if s}
         return self._with(terms)
 
     def scale(self, c) -> "FreePoly":
         f = self.field
+        f.require_exact([c])
         return self._with({} if f.is_zero(c) else {w: f.mul(c, v) for w, v in self.terms.items()})
 
     def __eq__(self, other):
@@ -211,6 +223,15 @@ class FreePoly:
 
     def __repr__(self):
         return f"FreePoly({self})"
+
+
+def _int_terms(terms, p: int):
+    """(D, [(word, int)]) with each coefficient equal to int / D: the residues
+    over D = 1 for GF(p), the numerators over the common denominator for Q."""
+    if p:
+        return 1, terms.items()
+    d = lcm(*[c.denominator for c in terms.values()])
+    return d, [(w, c.numerator * (d // c.denominator)) for w, c in terms.items()]
 
 
 # ---------------------------------------------------------------------------

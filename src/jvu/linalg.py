@@ -5,7 +5,8 @@ word list of one multidegree; subspaces are kept in reduced row-echelon form,
 and a membership test that finds a vector inside solves an explicit
 coefficient certificate over the vectors that were inserted, not just a
 verdict.  Ambient dimensions in this workbench stay small (a couple of
-thousand at most), so vectors are dense.
+thousand at most), so vectors are dense; row operations touch only the
+nonzero columns of the row they eliminate with.
 """
 
 from __future__ import annotations
@@ -71,11 +72,12 @@ def to_vector(p: FreePoly, cb: ComponentBasis) -> list:
     """Exact coordinates of a homogeneous polynomial against cb's word list."""
     if p.gens != cb.gens:
         raise ValueError("mismatched generator sets")
-    if not p.is_homogeneous(cb.multidegree):
-        raise ValueError(f"polynomial is not homogeneous of multidegree {cb.multidegree}")
     vec = [p.field.zero] * len(cb.words)
     for w, c in p.terms.items():
-        vec[cb.index(w)] = c
+        j = cb._index.get(w)  # cb holds exactly the words of its multidegree
+        if j is None:
+            raise ValueError(f"polynomial is not homogeneous of multidegree {cb.multidegree}")
+        vec[j] = c
     return vec
 
 
@@ -96,6 +98,8 @@ class Subspace:
     operation is ``a*x - c*y`` with ``gcd(a, c)`` cancelled (fraction-free
     elimination, Bareiss 1968); over GF(2) a row is an int bitset, bit j for
     column j; over GF(p), p odd, a row is a residue list with pivot entry 1.
+    A list row keeps its nonzero columns beside it, and is updated in place
+    on those columns only.
 
     Rows are in reduced row-echelon form.  ``rows`` and ``pivots`` are views
     built when read: ``rows`` is the unique RREF basis in field scalars, so it
@@ -110,6 +114,7 @@ class Subspace:
         self.n_inserted = 0
         self._p = field.characteristic
         self._rows: list = []  # store rows, in pivot order
+        self._support: list[list[int]] = []  # GF(p) and Q: each row's nonzero columns, ascending
         self._pivots: list[int] = []
         self._mask = 0  # GF(2): the pivot columns as a bitset
         self._grew: list[tuple[int, list]] = []  # (insert index, vector) per independent insert
@@ -142,35 +147,47 @@ class Subspace:
             return int(bytes(v[::-1]).translate(_ASCII_BITS) or b"0", 2), 1
         if self._p:
             return list(v), 1
-        ratios = [c.as_integer_ratio() for c in v]
-        s = lcm(*[d for _, d in ratios])
-        return [n * (s // d) for n, d in ratios], s
+        zero = self.field.zero  # to_vector fills with this object: skip it without a method call
+        ratios = [(j, *c.as_integer_ratio()) for j, c in enumerate(v) if c is not zero]
+        s = lcm(*[d for _, _, d in ratios])
+        x = [0] * len(v)
+        for j, n, d in ratios:
+            x[j] = n * (s // d)
+        return x, s
 
-    def _eliminate(self, x: list, row: list, q: int):
-        """Clear the nonzero entry q of the list row x with ``row``, whose pivot
-        is q.  Returns the new x and the positive factor the old x was scaled by."""
+    def _eliminate(self, x: list, xcols, row: list, cols: list[int], q: int) -> int:
+        """Clear the nonzero entry q of the list x in place with ``row``, whose
+        pivot is q and whose nonzero columns are ``cols``.  Over Q, x is first
+        scaled on ``xcols`` (the columns where it may be nonzero) when the
+        gcd-reduced pivot entry is not 1.  Returns that positive factor."""
         p, c = self._p, x[q]
         if p:
-            return [(a - c * b) % p for a, b in zip(x, row)], 1
+            for j in cols:
+                x[j] = (x[j] - c * row[j]) % p
+            return 1
         a = row[q]
         g = gcd(a, c)
         a, c = a // g, c // g
-        if a == 1:
-            return [t - c * b for t, b in zip(x, row)], 1
-        return [a * t - c * b for t, b in zip(x, row)], a
+        if a != 1:
+            for j in xcols:
+                x[j] *= a
+        for j in cols:
+            x[j] -= c * row[j]
+        return a
 
     def _reduce(self, x, s: int):
-        """The RREF residual of x / s against the rows, as (x', s')."""
+        """The RREF residual of x / s against the rows, as (x', s'); a list x
+        is reduced in place."""
         if self._p == 2:
             m = x & self._mask  # a row changes no other row's pivot bit
             while m:
                 x ^= self._rows[bisect_left(self._pivots, (m & -m).bit_length() - 1)]
                 m &= m - 1
             return x, s
-        for q, row in zip(self._pivots, self._rows):
+        every = range(len(x))
+        for q, row, cols in zip(self._pivots, self._rows, self._support):
             if x[q]:
-                x, a = self._eliminate(x, row, q)
-                s *= a
+                s *= self._eliminate(x, every, row, cols, q)
         return x, s
 
     def _is_zero(self, x) -> bool:
@@ -181,28 +198,35 @@ class Subspace:
         x, _ = self._encode(v)
         self.n_inserted += 1
         x, _ = self._reduce(x, 1)
-        if self._is_zero(x):
-            return False
         p = self._p
         if p == 2:
+            if not x:
+                return False
             pivot = (x & -x).bit_length() - 1
             self._mask |= x & -x
+            self._rows = [row ^ x if row >> pivot & 1 else row for row in self._rows]
         else:
-            pivot = next(j for j, c in enumerate(x) if c)
+            cols = [j for j, c in enumerate(x) if c]
+            if not cols:
+                return False
+            pivot = cols[0]
             if p:
                 inv = pow(x[pivot], -1, p)
                 x = [c * inv % p for c in x]
             else:
                 x = _primitive(x, x[pivot])
-        for i, row in enumerate(self._rows):  # clear the new pivot column from the other rows
-            if p == 2:
-                self._rows[i] = row ^ x if row >> pivot & 1 else row
-            elif row[pivot]:
-                new, _ = self._eliminate(row, x, pivot)
-                self._rows[i] = new if p else _primitive(new, 1)
+            for row, rcols in zip(self._rows, self._support):  # clear the new pivot column in place
+                if row[pivot]:
+                    self._eliminate(row, rcols, x, cols, pivot)
+                    rcols[:] = [j for j in sorted(set(rcols).union(cols)) if row[j]]
+                    if not p and (g := gcd(*[row[j] for j in rcols])) != 1:
+                        for j in rcols:
+                            row[j] //= g
         pos = bisect_left(self._pivots, pivot)
         self._rows.insert(pos, x)
         self._pivots.insert(pos, pivot)
+        if p != 2:
+            self._support.insert(pos, cols)
         self._grew.append((self.n_inserted - 1, list(v)))
         return True
 

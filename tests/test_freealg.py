@@ -180,3 +180,74 @@ def test_noncanonical_residue_rejected(coefficient):
     nonzero way to write 0, and -1 is not a way to write 4."""
     with pytest.raises(FieldError):
         FreePoly(G3, GF5, {(0,): coefficient})
+
+
+@pytest.mark.parametrize(
+    "field, c",
+    [(QQ, 0.5), (QQ, float("nan")), (GF5, Fraction(1, 2)), (GF5, 2.0)],
+    ids=["q-float", "q-nan", "gf5-fraction", "gf5-float"],
+)
+def test_scale_refuses_inexact_or_foreign_scalars(field, c):
+    """scale takes the same exact scalars as the constructor, so no float or
+    Fraction reaches a GF(p) store, and no float a Q store."""
+    x = gen(G3, field, "x")
+    with pytest.raises(FieldError):
+        x.scale(c)
+    assert x.scale(field.from_int(3)).terms == {(0,): field.from_int(3)}
+
+
+def _schoolbook_product(p, q):
+    """p * q as a double loop over Field.add and Field.mul, zero sums dropped at the end."""
+    f = p.field
+    terms = {}
+    for w1, c1 in p.terms.items():
+        for w2, c2 in q.terms.items():
+            terms[w1 + w2] = f.add(terms.get(w1 + w2, f.zero), f.mul(c1, c2))
+    return {w: c for w, c in terms.items() if not f.is_zero(c)}
+
+
+_LARGE_PRIMES = (10**9 + 7, 10**9 + 9, 998244353, 2**31 - 1, 1000003)
+_PRODUCT_CASES = {
+    "q-int": (QQ, lambda rng: rng.choice((1, -1, rng.randint(-40, 40)))),
+    "q-large-denominators": (QQ, lambda rng: Fraction(rng.randint(-10**6, 10**6), rng.choice(_LARGE_PRIMES))),
+    "gf2": (GF2, lambda rng: rng.randrange(2)),
+    "gf3": (make_field("prime-field", 3), lambda rng: rng.randrange(3)),
+    "gf2147483647": (make_field("prime-field", 2**31 - 1), lambda rng: rng.randrange(2**31 - 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PRODUCT_CASES))
+def test_product_kernel_matches_schoolbook(case):
+    """Seeded products over two generators and short words, where product
+    words collide, equal the schoolbook product; so do products built so that
+    the word xyx cancels.  The store holds no zero and exact scalars of the
+    field only."""
+    field, entry = _PRODUCT_CASES[case]
+    rng = random.Random(case)
+    g2 = GeneratorSet(("x", "y"))
+    x, y = gen(g2, field, "x"), gen(g2, field, "y")
+
+    def poly():
+        words = [tuple(rng.randrange(2) for _ in range(rng.randint(0, 2))) for _ in range(rng.randint(0, 6))]
+        return FreePoly(g2, field, {w: entry(rng) for w in words})
+
+    def nonzero():
+        while field.is_zero(c := entry(rng)):
+            pass
+        return c
+
+    for _ in range(200):
+        a, b, c = nonzero(), nonzero(), nonzero()
+        d = field.neg(field.div(field.mul(a, c), b))  # a*c + b*d = 0 on x * yx and xy * x
+        cancelling = (x.scale(a) + (x * y).scale(b), (y * x).scale(c) + x.scale(d))
+        for p, q in ((poly(), poly()), cancelling):
+            product = p * q
+            assert product.terms == _schoolbook_product(p, q)
+            for coefficient in product.terms.values():
+                assert not field.is_zero(coefficient)
+                if field == QQ:
+                    assert type(coefficient) is Fraction
+                else:
+                    assert type(coefficient) is int and 0 <= coefficient < field.characteristic
+        assert (0, 1, 0) not in product.terms and len(product.terms) == 2
+    assert (x * FreePoly.zero(g2, field)).is_zero() and FreePoly.one(g2, field) * x == x

@@ -513,3 +513,50 @@ def test_span_kernel_matches_plain_gauss_jordan(case):
         rhs = [entry(rng) for _ in range(m)]
         sol = affine_solve(columns, rhs, field)
         assert (sol.particular, sol.homogeneous) == _reference_affine_solve(columns, rhs, field)
+
+
+_SUPPORT_CASES = {
+    "q": (QQ, lambda rng: rng.choice((0, 0, 0, 1, -1, Fraction(rng.randint(-9, 9), rng.randint(1, 9))))),
+    "gf3": (make_field("prime-field", 3), lambda rng: rng.choice((0, 0, rng.randrange(3)))),
+    "gf5": (GF5, lambda rng: rng.choice((0, 0, rng.randrange(5)))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SUPPORT_CASES))
+def test_support_index_is_each_rows_nonzero_columns(case):
+    """After every insert of a seeded sequence, each list row's support list
+    holds exactly its nonzero columns, ascending, and the rows stay in
+    reduced row-echelon form."""
+    field, entry = _SUPPORT_CASES[case]
+    rng = random.Random(case)
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        s = Subspace(field, n)
+        for _ in range(rng.randint(1, n + 3)):
+            s.insert([entry(rng) for _ in range(n)])
+            assert s._support == [[j for j, c in enumerate(row) if c] for row in s._rows]
+            for i, p in enumerate(s.pivots):
+                assert [s._rows[k][p] != 0 for k in range(s.dim)] == [k == i for k in range(s.dim)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, make_field("prime-field", 3), GF5], ids=["q", "gf2", "gf3", "gf5"])
+def test_callers_lists_do_not_alias_the_span(field):
+    """Rows are updated in place, so no list a caller holds may be one the
+    span keeps: mutating an inserted vector, or an "outside" residual that
+    membership returned, leaves the span and its certificates unchanged, and
+    no entry point writes into the caller's vector."""
+    one, zero = field.one, field.zero
+    first, second, query = [one, one, zero, zero], [one, zero, one, zero], [one, zero, zero, one]
+    both = [field.add(a, b) for a, b in zip(first, second)]
+    s = Subspace(field, 4)
+    assert s.insert(first) and s.insert(second)  # second is reduced by first's row
+    assert (first, second) == ([one, one, zero, zero], [one, zero, one, zero])
+    rows, certificate = s.rows, s.membership(both)
+    assert certificate == ("inside", {0: one, 1: one})
+    verdict, residual = s.membership(query)
+    expected = list(residual)
+    assert verdict == "outside" and not s.contains(query) and query == [one, zero, zero, one]
+    first[:] = second[:] = residual[:] = [one] * 4
+    assert (s.rows, s.membership(both), s.membership(query)) == (rows, certificate, ("outside", expected))
+    assert s.insert([zero, zero, zero, one]) and s.dim == 3
+    assert s.membership(both) == certificate
