@@ -14,7 +14,7 @@ lexicographic order used throughout is just tuple order within a component.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from types import MappingProxyType
 
 from .fields import Field
@@ -69,27 +69,43 @@ def deglex_key(word: Word):
 class FreePoly:
     """A sparse noncommutative polynomial: word -> nonzero scalar.
 
-    Canonical on construction (no zero coefficients stored), so equality is
-    plain dict comparison and p - p is the empty polynomial.  ``terms`` is a
-    read-only view, so the canonical store that equality and hashing read
-    cannot change after construction; given terms must be exact scalars.
+    Stored as ints ``num``, a read-only map from word to nonzero int, over one
+    positive ``den``: over Q the numerators in lowest terms, gcd(den, *num) = 1;
+    over GF(p) the residues in [0, p), over den = 1.  The store is canonical on
+    construction, so equality compares stores and p - p is the empty
+    polynomial.  ``terms`` is a read-only view of it in field scalars; given
+    terms must be exact scalars.
     """
 
-    __slots__ = ("gens", "field", "terms")
+    __slots__ = ("gens", "field", "den", "num")
 
     def __init__(self, gens: GeneratorSet, field: Field, terms=None):
-        self.gens = gens
-        self.field = field
-        if terms is not None:
-            field.require_exact(terms.values())
-        self.terms = MappingProxyType({w: c for w, c in (terms or {}).items() if not field.is_zero(c)})
+        terms = terms or {}
+        field.require_exact(terms.values())
+        if field.characteristic:
+            den, num = 1, {w: c for w, c in terms.items() if c}
+        else:  # the lcm of reduced denominators leaves the numerators coprime to it
+            den = lcm(*[c.denominator for c in terms.values()])
+            num = {w: c.numerator * (den // c.denominator) for w, c in terms.items() if c}
+        self.gens, self.field, self.den, self.num = gens, field, den, MappingProxyType(num)
 
-    def _with(self, terms: dict) -> "FreePoly":
-        """A polynomial over the same generators and field whose store is the
-        already canonical dict ``terms``."""
+    def _with(self, num: dict, den: int = 1) -> "FreePoly":
+        """A polynomial over the same generators and field whose store is
+        ``num`` (no zero) over ``den``, put in lowest terms."""
+        if den != 1 and (g := gcd(den, *num.values())) != 1:
+            num = {w: n // g for w, n in num.items()}
+            den //= g
         out = FreePoly.__new__(FreePoly)
-        out.gens, out.field, out.terms = self.gens, self.field, MappingProxyType(terms)
+        out.gens, out.field, out.den, out.num = self.gens, self.field, den, MappingProxyType(num)
         return out
+
+    @property
+    def terms(self):
+        """word -> nonzero field scalar, read-only: a Fraction over Q, a residue over GF(p)."""
+        if self.field.characteristic:
+            return self.num
+        den = self.den
+        return MappingProxyType({w: Fraction(n, den) for w, n in self.num.items()})
 
     # -- constructors -------------------------------------------------------
 
@@ -123,71 +139,71 @@ class FreePoly:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "FreePoly") -> "FreePoly":
+        """The sum over lcm(den, other.den); one ``% p`` per word over GF(p)."""
         self._compat(other)
-        f = self.field
-        terms = self.terms.copy()
-        for w, c in other.terms.items():
-            s = f.add(terms.get(w, f.zero), c)
-            if f.is_zero(s):
-                terms.pop(w, None)
-            else:
-                terms[w] = s
-        return self._with(terms)
+        p = self.field.characteristic
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        num = {w: n * a for w, n in self.num.items()} if a != 1 else dict(self.num)
+        get = num.get
+        for w, n in other.num.items():
+            s = get(w, 0) + n * b
+            if p:
+                s %= p
+            if s:
+                num[w] = s
+            else:  # n * b is nonzero, so w was there
+                del num[w]
+        return self._with(num, den)
 
     def __neg__(self) -> "FreePoly":
-        f = self.field
-        return self._with({w: f.neg(c) for w, c in self.terms.items()})
+        p = self.field.characteristic
+        return self._with({w: p - n if p else -n for w, n in self.num.items()}, self.den)
 
     def __sub__(self, other: "FreePoly") -> "FreePoly":
         return self + (-other)
 
     def __mul__(self, other: "FreePoly") -> "FreePoly":
-        """Each product word's coefficient is summed as an int: over GF(p) from
-        the residues, with one ``% p`` per word; over Q from numerators over
-        each operand's common denominator, with one Fraction per word."""
+        """Each product word's coefficient is summed as an int from the two
+        stores, over den * other.den; one ``% p`` per word over GF(p)."""
         self._compat(other)
-        p = self.field.characteristic
-        d1, left = _int_terms(self.terms, p)
-        d2, right = _int_terms(other.terms, p)
         sums: dict = {}
         get = sums.get
-        for w1, c1 in left:
+        right = other.num.items()
+        for w1, c1 in self.num.items():
             for w2, c2 in right:
                 w = w1 + w2
                 sums[w] = get(w, 0) + c1 * c2
-        d = d1 * d2
-        if p:
-            terms = {w: r for w, s in sums.items() if (r := s % p)}
-        elif d == 1:
-            terms = {w: Fraction(s) for w, s in sums.items() if s}
-        else:
-            terms = {w: Fraction(s, d) for w, s in sums.items() if s}
-        return self._with(terms)
+        if p := self.field.characteristic:
+            return self._with({w: r for w, s in sums.items() if (r := s % p)})
+        return self._with({w: s for w, s in sums.items() if s}, self.den * other.den)
 
     def scale(self, c) -> "FreePoly":
-        f = self.field
-        f.require_exact([c])
-        return self._with({} if f.is_zero(c) else {w: f.mul(c, v) for w, v in self.terms.items()})
+        self.field.require_exact([c])
+        p, a = self.field.characteristic, c.numerator
+        num = {w: n * a % p if p else n * a for w, n in self.num.items()} if a else {}
+        return self._with(num, self.den * c.denominator)
 
     def __eq__(self, other):
         return (
             isinstance(other, FreePoly)
             and self.gens == other.gens
             and self.field == other.field
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash((self.gens, self.field, frozenset(self.terms.items())))
+        return hash((self.gens, self.field, self.den, frozenset(self.num.items())))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     # -- involution and grading ---------------------------------------------
 
     def reverse(self) -> "FreePoly":
         """The involution *: reverse every word, keep coefficients."""
-        return self._with({w[::-1]: c for w, c in self.terms.items()})
+        return self._with({w[::-1]: n for w, n in self.num.items()}, self.den)
 
     def symmetrize(self) -> "FreePoly":
         """{p} = p + p*; always a fixed point of reverse."""
@@ -196,15 +212,16 @@ class FreePoly:
     def component(self, d: MultiDegree) -> "FreePoly":
         """The sub-sum of terms of multidegree exactly d."""
         d = tuple(d)
-        return self._with({w: c for w, c in self.terms.items() if self.gens.word_multidegree(w) == d})
+        multidegree = self.gens.word_multidegree
+        return self._with({w: n for w, n in self.num.items() if multidegree(w) == d}, self.den)
 
     def is_homogeneous(self, d: MultiDegree) -> bool:
         d = tuple(d)
-        return all(self.gens.word_multidegree(w) == d for w in self.terms)
+        return all(self.gens.word_multidegree(w) == d for w in self.num)
 
     def multidegree(self) -> MultiDegree | None:
         """The common multidegree of all terms, or None if mixed or zero."""
-        degs = {self.gens.word_multidegree(w) for w in self.terms}
+        degs = {self.gens.word_multidegree(w) for w in self.num}
         if len(degs) == 1:
             return degs.pop()
         return None
@@ -223,15 +240,6 @@ class FreePoly:
 
     def __repr__(self):
         return f"FreePoly({self})"
-
-
-def _int_terms(terms, p: int):
-    """(D, [(word, int)]) with each coefficient equal to int / D: the residues
-    over D = 1 for GF(p), the numerators over the common denominator for Q."""
-    if p:
-        return 1, terms.items()
-    d = lcm(*[c.denominator for c in terms.values()])
-    return d, [(w, c.numerator * (d // c.denominator)) for w, c in terms.items()]
 
 
 # ---------------------------------------------------------------------------

@@ -91,20 +91,34 @@ class JordanElement:
         return cls(FreePoly.one(gens, field), ("unit",))
 
 
+def _product(value: FreePoly, recipe, *factors: JordanElement) -> JordanElement:
+    """The element ``value`` that ``recipe`` builds from ``factors``, one per
+    occurrence (b twice in a U_b).  A nonzero product of homogeneous factors
+    has the sum of their multidegrees, so no term of it is counted."""
+    out = JordanElement.__new__(JordanElement)
+    out.value, out.recipe = value, recipe
+    degrees = [v.multidegree for v in factors]
+    if value.is_zero() or None in degrees:
+        out.multidegree = value.multidegree()
+    else:
+        out.multidegree = tuple(map(sum, zip(*degrees)))
+    return out
+
+
 def je_circ(v: JordanElement, w: JordanElement) -> JordanElement:
-    return JordanElement(circ(v.value, w.value), ("circ", v.recipe, w.recipe))
+    return _product(circ(v.value, w.value), ("circ", v.recipe, w.recipe), v, w)
 
 
 def je_square(v: JordanElement) -> JordanElement:
-    return JordanElement(square(v.value), ("square", v.recipe))
+    return _product(square(v.value), ("square", v.recipe), v, v)
 
 
 def je_u(b: JordanElement, a: JordanElement) -> JordanElement:
-    return JordanElement(u_apply(b.value, a.value), ("U", b.recipe, a.recipe))
+    return _product(u_apply(b.value, a.value), ("U", b.recipe, a.recipe), b, b, a)
 
 
 def je_ulin(b: JordanElement, c: JordanElement, a: JordanElement) -> JordanElement:
-    return JordanElement(u_lin(b.value, c.value, a.value), ("Ulin", b.recipe, c.recipe, a.recipe))
+    return _product(u_lin(b.value, c.value, a.value), ("Ulin", b.recipe, c.recipe, a.recipe), b, c, a)
 
 
 def recipe_str(recipe) -> str:

@@ -69,11 +69,12 @@ class ComponentBasis:
 
 
 def to_vector(p: FreePoly, cb: ComponentBasis) -> list:
-    """Exact coordinates of a homogeneous polynomial against cb's word list."""
+    """Exact coordinates of a homogeneous polynomial against cb's word list:
+    the ints of its store when its denominator is 1."""
     if p.gens != cb.gens:
         raise ValueError("mismatched generator sets")
     vec = [p.field.zero] * len(cb.words)
-    for w, c in p.terms.items():
+    for w, c in (p.num if p.den == 1 else p.terms).items():
         j = cb._index.get(w)  # cb holds exactly the words of its multidegree
         if j is None:
             raise ValueError(f"polynomial is not homogeneous of multidegree {cb.multidegree}")
@@ -82,6 +83,8 @@ def to_vector(p: FreePoly, cb: ComponentBasis) -> list:
 
 
 def from_vector(vec, cb: ComponentBasis, field: Field) -> FreePoly:
+    if len(vec) != len(cb.words):
+        raise ValueError(f"vector has {len(vec)} entries for {cb!r}")
     return FreePoly(cb.gens, field, dict(zip(cb.words, vec)))
 
 
@@ -139,20 +142,29 @@ class Subspace:
         return row[j] if self._p else Fraction(row[j], row[self._pivots[i]])
 
     def _encode(self, v: list):
-        """Check v and convert it to the store: (x, s) with v = x / s."""
+        """Convert v to the store, checking it in the same pass: (x, s) with
+        v = x / s.  Refuses exactly what ``Field.require_exact`` refuses, with
+        its FieldError."""
         if len(v) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        self.field.require_exact(v)
         if self._p == 2:
-            return int(bytes(v[::-1]).translate(_ASCII_BITS) or b"0", 2), 1
+            try:  # bytes() refuses a non-integer and an entry outside 0..255
+                bits = bytes(v)
+            except (TypeError, ValueError):
+                bits = b"\2"
+            if bits.translate(None, b"\0\1"):
+                self.field.require_exact(v)  # raises: an entry is not 0 or 1
+            return int(bits[::-1].translate(_ASCII_BITS) or b"0", 2), 1
         if self._p:
+            self.field.require_exact(v)
             return list(v), 1
         zero = self.field.zero  # to_vector fills with this object: skip it without a method call
-        ratios = [(j, *c.as_integer_ratio()) for j, c in enumerate(v) if c is not zero]
-        s = lcm(*[d for _, _, d in ratios])
+        entries = [(j, c) for j, c in enumerate(v) if c is not zero]
+        self.field.require_exact([c for _, c in entries])
+        s = lcm(*[c.denominator for _, c in entries])
         x = [0] * len(v)
-        for j, n, d in ratios:
-            x[j] = n * (s // d)
+        for j, c in entries:
+            x[j] = c.numerator * (s // c.denominator)
         return x, s
 
     def _eliminate(self, x: list, xcols, row: list, cols: list[int], q: int) -> int:
@@ -313,6 +325,8 @@ def solve_combination(
     targets: list[FreePoly], rhs: FreePoly, cb: ComponentBasis
 ) -> AffineSolution:
     """All coefficient vectors c with sum(c_i * targets[i]) = rhs in cb's component."""
-    field = rhs.field
+    for t in targets:
+        if (t.field, t.gens) != (rhs.field, rhs.gens):
+            raise ValueError(f"a target is over {t.field!r}, {t.gens!r}, but rhs is over {rhs.field!r}, {rhs.gens!r}")
     cols = [to_vector(t, cb) for t in targets]
-    return affine_solve(cols, to_vector(rhs, cb), field)
+    return affine_solve(cols, to_vector(rhs, cb), rhs.field)

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -251,3 +252,96 @@ def test_product_kernel_matches_schoolbook(case):
                     assert type(coefficient) is int and 0 <= coefficient < field.characteristic
         assert (0, 1, 0) not in product.terms and len(product.terms) == 2
     assert (x * FreePoly.zero(g2, field)).is_zero() and FreePoly.one(g2, field) * x == x
+
+
+def _assert_canonical_store(p):
+    """num / den in lowest terms with no zero numerator; ``terms`` in field scalars."""
+    f = p.field
+    assert p.den > 0 and all(p.num.values())
+    if f == QQ:
+        assert gcd(p.den, *p.num.values()) == 1
+        assert all(type(c) is Fraction for c in p.terms.values())
+    else:
+        assert p.den == 1 and all(type(n) is int and 0 < n < f.characteristic for n in p.num.values())
+
+
+def _schoolbook_sum(p, q, combine):
+    f = p.field
+    terms = dict(p.terms)
+    for w, c in q.terms.items():
+        terms[w] = combine(terms.get(w, f.zero), c)
+    return {w: c for w, c in terms.items() if not f.is_zero(c)}
+
+
+def _schoolbook_multidegree(gens, w):
+    return tuple(w.count(i) for i in range(len(gens)))
+
+
+@pytest.mark.parametrize("case", sorted(_PRODUCT_CASES))
+def test_store_matches_schoolbook(case):
+    """Every operation on the integer store equals a test-local loop over
+    Field methods on the terms, and leaves a canonical store: a positive
+    denominator, lowest terms, no zero numerator, Fractions over Q and
+    residues in [0, p) over den 1 over GF(p)."""
+    field, entry = _PRODUCT_CASES[case]
+    f = field
+    rng = random.Random(f"store-{case}")
+    g3 = GeneratorSet(("x", "y", "z"))
+
+    def poly():
+        words = [tuple(rng.randrange(3) for _ in range(rng.randint(0, 3))) for _ in range(rng.randint(0, 8))]
+        given = {w: entry(rng) for w in words}
+        p = FreePoly(g3, field, given)
+        assert dict(p.terms) == {w: c for w, c in given.items() if not f.is_zero(c)}
+        return p
+
+    for _ in range(150):
+        p, q = poly(), poly()
+        c = entry(rng)
+        d = _schoolbook_multidegree(g3, next(iter(p.terms), ()))
+        expected = [
+            (p + q, _schoolbook_sum(p, q, f.add)),
+            (p - q, _schoolbook_sum(p, q, f.sub)),
+            (p + (-p), {}),
+            (-p, {w: f.neg(v) for w, v in p.terms.items()}),
+            (p * q, _schoolbook_product(p, q)),
+            (p.scale(c), {} if f.is_zero(c) else {w: f.mul(c, v) for w, v in p.terms.items()}),
+            (p.reverse(), {w[::-1]: v for w, v in p.terms.items()}),
+            (p.symmetrize(), _schoolbook_sum(p, FreePoly(g3, field, {w[::-1]: v for w, v in p.terms.items()}), f.add)),
+            (p.component(d), {w: v for w, v in p.terms.items() if _schoolbook_multidegree(g3, w) == d}),
+        ]
+        for result, reference in expected:
+            assert dict(result.terms) == reference
+            _assert_canonical_store(result)
+            assert result == FreePoly(g3, field, reference) and hash(result) == hash(FreePoly(g3, field, reference))
+        _assert_canonical_store(p)
+
+
+@pytest.mark.parametrize("field", [QQ, GF5], ids=["q", "gf5"])
+def test_ring_operations_call_no_field_method(field, monkeypatch):
+    """+, *, unary minus and scale on 50-term polynomials read the integer
+    store only: no Field.add, sub, mul, neg or is_zero call per term."""
+    rng = random.Random(50)
+    g3 = GeneratorSet(("x", "y", "z"))
+
+    def poly():
+        terms = {}
+        while len(terms) < 50:
+            terms[tuple(rng.randrange(3) for _ in range(4))] = field.from_rational(rng.randint(1, 4), rng.randint(1, 4))
+        return FreePoly(g3, field, terms)
+
+    p, q = poly(), poly()
+    c = field.from_rational(3, 7)
+    calls = Counter()
+    for name in ("add", "sub", "mul", "neg", "is_zero"):
+        method = getattr(type(field), name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(type(field), name, counted)
+    results = [p + q, p * q, -p, p.scale(c), p - q]
+    assert not calls
+    monkeypatch.undo()
+    assert all(len(r.num) for r in results) and len(p.num) == 50

@@ -11,9 +11,12 @@ from jvu.fields import make_field
 from jvu.freealg import FreePoly, GeneratorSet
 from jvu.jordan import (
     COMMUTATOR_WITNESS,
+    LINEAR,
+    QUADRATIC,
     SYMMETRIZED_PRODUCT,
     GradedSpanTable,
     JordanElement,
+    _spanning_candidates,
     circ,
     commutator_image,
     degree_residual,
@@ -24,6 +27,7 @@ from jvu.jordan import (
     u_apply,
 )
 from jvu.ideals import (
+    _outer_products,
     assoc_ideal_component,
     cohn_gap_witness,
     outer_ideal_component,
@@ -328,6 +332,27 @@ def test_cross_route_ladder(d):
     assert dims["quadratic"][0] <= dims["linear"][0]
     assert dims["quadratic"][1] == dims["linear"][1]
     assert dims["quadratic"] == LADDER_DIMS[d]
+
+
+@pytest.mark.parametrize("d", list(LADDER_DIMS), ids=lambda d: "".join(map(str, d)))
+def test_product_multidegrees_are_summed_correctly(d):
+    """Products take their multidegree from their factors' without counting a
+    term.  On the ladder, over GF(2) quadratic and Q linear, that equals the
+    value's own multidegree for every element inserted into the hull or the
+    ideal table, and for every candidate of one more round, zero ones (None)
+    included."""
+    zeros = 0
+    for field, mode in ((GF2, QUADRATIC), (QQ, LINEAR)):
+        *_, f = setup_elems(field)
+        outer = outer_ideal_component(f, d, mode, field)
+        hull, table = outer.hull, outer.table
+        elements = [v for t in (hull, table) for e in t.multidegrees() for v in t.inserted(e)]
+        elements += _spanning_candidates(hull.all_reps(), set(), mode, hull.limit)
+        elements += _outer_products(hull, d, mode)(table.all_reps())
+        for v in elements:
+            assert v.multidegree == v.value.multidegree()
+        zeros += sum(v.multidegree is None for v in elements)
+    assert zeros
 
 
 def test_gap_witness_rejects_mixed_fields():

@@ -560,3 +560,65 @@ def test_callers_lists_do_not_alias_the_span(field):
     assert (s.rows, s.membership(both), s.membership(query)) == (rows, certificate, ("outside", expected))
     assert s.insert([zero, zero, zero, one]) and s.dim == 3
     assert s.membership(both) == certificate
+
+
+def test_from_vector_refuses_wrong_length():
+    """A vector must have one entry per basis word: none is padded with zero
+    or dropped."""
+    cb = ComponentBasis(G2, (1, 1))
+    for bad in ([1], [1, 0, 1], []):
+        with pytest.raises(ValueError, match="entries"):
+            from_vector(bad, cb, QQ)
+    assert from_vector([1, 0], cb, QQ) == gen(G2, QQ, "x") * gen(G2, QQ, "y")
+
+
+def test_solve_combination_refuses_mixed_fields():
+    """Targets over GF(2) against a right-hand side over Q are an error naming
+    both fields, not a solve over the right-hand side's field."""
+    cb = ComponentBasis(G2, (1, 1))
+    xy_q = gen(G2, QQ, "x") * gen(G2, QQ, "y")
+    xy_2 = gen(G2, GF2, "x") * gen(G2, GF2, "y")
+    with pytest.raises(ValueError, match=r"Field\(GF\(2\)\).*Field\(Q\)"):
+        solve_combination([xy_2, xy_2], xy_q, cb)
+    xy_3gens = gen(G3, QQ, "x") * gen(G3, QQ, "y")
+    with pytest.raises(ValueError, match=r"GeneratorSet\(x, y, z\).*GeneratorSet\(x, y\)"):
+        solve_combination([xy_3gens], xy_q, cb)
+    assert solve_combination([xy_2], xy_2, cb).particular == [1]
+
+
+_GF3 = make_field("prime-field", 3)
+_ENCODE_VALUES = [
+    0.5, 1.0, 0.0, float("nan"), Fraction(1, 2), Fraction(1), True, False,
+    -1, 2, 3, 5, 32, 43, 45, 95, 256, 2**70, "1", None,
+]
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, _GF3, GF5], ids=["q", "gf2", "gf3", "gf5"])
+def test_encode_refuses_exactly_what_require_exact_refuses(field):
+    """insert, contains and membership accept a vector exactly when
+    Field.require_exact does, and refuse it with the same FieldError, before
+    the span changes.  Over GF(2) this covers the entries a base-2 literal
+    would skip or misread: 32 (space), 43 (+), 45 (-) and 95 (_)."""
+    vectors = [v for c in _ENCODE_VALUES for v in ([1, c, 1], [c, 0, 0], [0, 0, c])]
+    for v in vectors:
+        try:
+            field.require_exact(v)
+            expected = None
+        except FieldError as e:
+            expected = str(e)
+        for entry in ("insert", "contains", "membership"):
+            span = Subspace(field, 3)
+            span.insert([0, 1, 0])
+            if expected is None:
+                getattr(span, entry)(v)
+                continue
+            with pytest.raises(FieldError) as caught:
+                getattr(span, entry)(v)
+            assert str(caught.value) == expected
+            assert (span.dim, span.n_inserted, span.rows) == (1, 1, [[0, 1, 0]])
+    span = Subspace(field, 3)
+    assert span.insert([True, 0, 1]) and span.contains([1, 0, 1])
+    if field == GF2:
+        with pytest.raises(FieldError):
+            span.insert([1, 95, 1])
+        assert span.rows == [[1, 0, 1]]
