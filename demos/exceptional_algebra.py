@@ -13,34 +13,38 @@ import random
 
 from jvu.albert import (
     AlbertElement,
-    Octonion,
     check_cubic,
     check_zero_pair,
-    commutator,
     find_noncommuting_pair,
-    forms,
     jordan_mul,
+    norm_form,
     random_element,
     s_bilinear,
+    s_form,
     sample_zero_pair,
+    trace_form,
     u_op,
+    zorn_mul,
+    zorn_norm,
 )
 
 rng = random.Random(42)
 
 print("Split octonions: the norm is multiplicative yet isotropic.")
-print("  n(E1) =", Octonion.basis(0).norm(), " (a nonzero basis vector of norm 0)")
-u = Octonion([rng.randint(-9, 9) for _ in range(8)])
-v = Octonion([rng.randint(-9, 9) for _ in range(8)])
-print("  n(u v) == n(u) n(v):", (u * v).norm() == u.norm() * v.norm())
+# an octonion is an 8-tuple (alpha, beta, a1, a2, a3, b1, b2, b3) of Zorn coordinates
+print("  n(E1) =", zorn_norm((1, 0, 0, 0, 0, 0, 0, 0)), " (a nonzero basis vector of norm 0)")
+u = tuple(rng.randint(-9, 9) for _ in range(8))
+v = tuple(rng.randint(-9, 9) for _ in range(8))
+print("  n(u v) == n(u) n(v):", zorn_norm(zorn_mul(u, v)) == zorn_norm(u) * zorn_norm(v))
 print()
 
 print("The cubic identity a^3 = t(a) a^2 - s(a) a + n(a) 1 holds exactly:")
 a = random_element(rng)
-t, s, n = forms(a)
+t, s, n = trace_form(a), s_form(a), norm_form(a)
 print("  a has integer coordinates in [-9, 9];  t(a), s(a), n(a) =", (t, s, n))
 print("  residual of the identity:", "0" if check_cubic(a).is_zero() else "NONZERO")
-print("  unit element forms:", forms(AlbertElement.unit()))
+unit = AlbertElement.unit()
+print("  unit element forms:", (trace_form(unit), s_form(unit), norm_form(unit)))
 print()
 
 print("Zero-product pairs via the Peirce decomposition of a random idempotent:")
@@ -58,12 +62,12 @@ print()
 print("The hypothesis matters: a random pair with a.b != 0 has noncommuting U-operators.")
 a, b = find_noncommuting_pair(random.Random(1))
 print("  jordan_mul(a, b) is zero:", jordan_mul(a, b).is_zero())
-print("  [U_a, U_b] is zero:      ", commutator(u_op(a), u_op(b)).is_zero())
+print("  [U_a, U_b] is zero:      ", u_op(a) @ u_op(b) == u_op(b) @ u_op(a))
 print()
 
 e11 = AlbertElement.diag_idempotent(0)
 e22 = AlbertElement.diag_idempotent(1)
 print("Peirce spaces of an idempotent e are U-images: J_0(e) = U_{1-e}(J), J_1(e) = U_e(J).")
 print("They multiply to zero, which is where the sampler draws from.")
-print("  U_{1-e11}(e22) = e22:", u_op(AlbertElement.unit() - e11).apply(e22) == e22)
+print("  U_{1-e11}(e22) = e22:", u_op(unit - e11).apply(e22) == e22)
 print("  e11 . e22 = 0:      ", jordan_mul(e11, e22).is_zero())

@@ -21,10 +21,11 @@ packed rows.  The slot width comes from the entry bound: every product
 entry c has |c| <= 27 max|a| max|b| < 2^(w-1), and a bias of 2^(w-1) in
 each slot keeps every slot in [1, 2^w - 1], so no carry crosses a slot.
 
-Each level has one product definition: ``_zorn_mul`` (with ``_zorn_conj``
-and ``_zorn_norm``) on raw 8-tuples for octonions, and for Hermitian
-elements ``_product2``, the closed-form entries of 2(a.b) = AB + BA on the
-numerators, which ``jordan_mul`` and the structure constants of ``r_op`` read.
+Each level has one product definition.  A split octonion is a plain
+8-tuple with no class around it, and ``zorn_mul``, ``zorn_conj`` and
+``zorn_norm`` are its whole arithmetic.  For Hermitian elements it is
+``_product2``, the closed-form entries of 2(a.b) = AB + BA on the numerators,
+which ``jordan_mul`` and the structure constants of ``r_op`` read.
 
 The cubic form data t, s, n is the Freudenthal determinant package; the sign
 conventions are pinned by requiring the cubic characteristic identity
@@ -43,12 +44,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 
 from .fields import RATIONALS, make_field
 from .linalg import affine_solve
 
-OCT_DIM = 8
 DIM = 27
 
 _QQ = make_field(RATIONALS)
@@ -58,7 +58,7 @@ _QQ = make_field(RATIONALS)
 # Split octonions
 
 
-def _zorn_mul(x, y):
+def zorn_mul(x, y):
     """Zorn vector-matrix product on raw 8-coordinate tuples
     (alpha, beta, a1, a2, a3, b1, b2, b3)."""
     a1, b1 = x[0], x[1]
@@ -89,73 +89,14 @@ def _zorn_mul(x, y):
     )
 
 
-def _zorn_conj(x):
+def zorn_conj(x):
     """The conjugate of a raw 8-tuple: alpha and beta swap, both vectors negate."""
     return (x[1], x[0], -x[2], -x[3], -x[4], -x[5], -x[6], -x[7])
 
 
-def _zorn_norm(x):
+def zorn_norm(x):
     """The norm alpha*beta - a.b of a raw 8-tuple."""
     return x[0] * x[1] - (x[2] * x[5] + x[3] * x[6] + x[4] * x[7])
-
-
-class Octonion:
-    """A split octonion: 8 exact rational coordinates over the Zorn basis."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        coords = tuple(coords)
-        if len(coords) != OCT_DIM:
-            raise ValueError("octonions have 8 coordinates")
-        self.coords = coords
-
-    @classmethod
-    def zero(cls):
-        return cls((0,) * OCT_DIM)
-
-    @classmethod
-    def one(cls):
-        return cls((1, 1, 0, 0, 0, 0, 0, 0))
-
-    @classmethod
-    def basis(cls, i: int):
-        return cls(tuple(1 if k == i else 0 for k in range(OCT_DIM)))
-
-    def __add__(self, other):
-        return Octonion(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        return Octonion(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return Octonion(tuple(-a for a in self.coords))
-
-    def __mul__(self, other):
-        return Octonion(_zorn_mul(self.coords, other.coords))
-
-    def scale(self, c):
-        return Octonion(tuple(c * a for a in self.coords))
-
-    def conj(self):
-        return Octonion(_zorn_conj(self.coords))
-
-    def trace(self):
-        """u + conj(u) as a scalar (the coefficient of the unit)."""
-        return self.coords[0] + self.coords[1]
-
-    def norm(self):
-        """The multiplicative norm alpha*beta - a.b (isotropic: n(E1) = 0)."""
-        return _zorn_norm(self.coords)
-
-    def is_zero(self):
-        return not any(self.coords)
-
-    def __eq__(self, other):
-        return isinstance(other, Octonion) and self.coords == other.coords
-
-    def __repr__(self):
-        return f"Octonion{self.coords}"
 
 
 # ---------------------------------------------------------------------------
@@ -203,15 +144,6 @@ class AlbertElement:
         return cls([int(k == i) for k in range(3)] + [0] * 24)
 
     @classmethod
-    def from_coords(cls, coords):
-        """The element with these 27 int or Fraction coordinates."""
-        coords = tuple(coords)
-        if not all(isinstance(c, (int, Fraction)) for c in coords):
-            raise TypeError("Albert coordinates must be ints or Fractions")
-        den = lcm(*(c.denominator for c in coords))
-        return cls([c.numerator * (den // c.denominator) for c in coords], den)
-
-    @classmethod
     def basis(cls, k: int):
         num = [0] * DIM
         num[k] = 1
@@ -219,15 +151,6 @@ class AlbertElement:
 
     def coords(self):
         return [_scalar(x, self.den) for x in self.num]
-
-    @property
-    def d(self):  # read-only views of the store
-        return tuple(self.coords()[:3])
-
-    @property
-    def o(self):
-        c = self.coords()
-        return tuple(Octonion(c[3 + 8 * i : 11 + 8 * i]) for i in range(3))
 
     def __add__(self, other):
         da, db = self.den, other.den
@@ -250,7 +173,7 @@ class AlbertElement:
         return isinstance(other, AlbertElement) and self.num == other.num and self.den == other.den
 
     def __repr__(self):
-        return f"AlbertElement(d={self.d}, o={self.o})"
+        return f"AlbertElement({self.num}, {self.den})"
 
 
 def _product2(a: AlbertElement, b: AlbertElement) -> AlbertElement:
@@ -267,11 +190,11 @@ def _product2(a: AlbertElement, b: AlbertElement) -> AlbertElement:
     ao, bo = (an[3:11], an[11:19], an[19:27]), (bn[3:11], bn[11:19], bn[19:27])
     d, o = [], []
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        pj = _zorn_mul(ao[j], _zorn_conj(bo[j]))
-        pk = _zorn_mul(ao[k], _zorn_conj(bo[k]))
+        pj = zorn_mul(ao[j], zorn_conj(bo[j]))
+        pk = zorn_mul(ao[k], zorn_conj(bo[k]))
         d.append(2 * an[i] * bn[i] + pj[0] + pj[1] + pk[0] + pk[1])
         sa, sb = an[j] + an[k], bn[j] + bn[k]
-        cross = _zorn_conj([x + y for x, y in zip(_zorn_mul(bo[j], ao[k]), _zorn_mul(ao[j], bo[k]))])
+        cross = zorn_conj([x + y for x, y in zip(zorn_mul(bo[j], ao[k]), zorn_mul(ao[j], bo[k]))])
         o.extend(sa * y + sb * x + c for x, y, c in zip(ao[i], bo[i], cross))
     return AlbertElement(d + o, a.den * b.den)
 
@@ -280,11 +203,6 @@ def jordan_mul(a: AlbertElement, b: AlbertElement) -> AlbertElement:
     """The Jordan product (AB + BA)/2: ``_product2`` over twice its denominator."""
     p = _product2(a, b)
     return AlbertElement(p.num, 2 * p.den)
-
-
-def associator(x: AlbertElement, y: AlbertElement, z: AlbertElement) -> AlbertElement:
-    """(x, y, z) = (xy)z - x(yz) in the Jordan product."""
-    return jordan_mul(jordan_mul(x, y), z) - jordan_mul(x, jordan_mul(y, z))
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +293,6 @@ class AlbertOperator:
         return AlbertElement(out, elem.den * self.den)
 
 
-def commutator(p: AlbertOperator, q: AlbertOperator) -> AlbertOperator:
-    return (p @ q) - (q @ p)
-
-
 @functools.cache
 def _structure_constants() -> tuple:
     """Sparse rows of 2 * (basis_i . basis_j): entry [i][j] is a tuple of
@@ -437,8 +351,8 @@ def norm_form(a: AlbertElement):
     """The Freudenthal cubic norm (the determinant of the Hermitian matrix),
     a cubic form in the numerators over den^3."""
     d1, d2, d3, o1, o2, o3 = *a.num[:3], a.num[3:11], a.num[11:19], a.num[19:27]
-    triple = _zorn_mul(_zorn_mul(o1, o2), o3)
-    n = d1 * d2 * d3 - d1 * _zorn_norm(o1) - d2 * _zorn_norm(o2) - d3 * _zorn_norm(o3)
+    triple = zorn_mul(zorn_mul(o1, o2), o3)
+    n = d1 * d2 * d3 - d1 * zorn_norm(o1) - d2 * zorn_norm(o2) - d3 * zorn_norm(o3)
     return _scalar(n + triple[0] + triple[1], a.den**3)
 
 
@@ -458,11 +372,6 @@ def norm_trilinear(a: AlbertElement, b: AlbertElement, c: AlbertElement):
         + norm_form(b)
         + norm_form(c)
     )
-
-
-def forms(a: AlbertElement):
-    """(t(a), s(a), n(a))."""
-    return trace_form(a), s_form(a), norm_form(a)
 
 
 # ---------------------------------------------------------------------------
@@ -519,10 +428,6 @@ class ZeroPairChecks:
     operator_collapse: bool  # R_b^2 R_a + R_a R_b^2 = R_{b^2} R_a
     s_ab_zero: bool
     a2b_zero: bool
-
-    @property
-    def all_hold(self) -> bool:
-        return all(getattr(self, k) for k in OPERATOR_CHECKS) and (self.s_ab_zero or self.a2b_zero)
 
 
 #: The ZeroPairChecks fields that must hold on every pair, in report order.

@@ -134,6 +134,8 @@ def _field(args) -> Field:
 
 def _mode(args, field: Field) -> str:
     if getattr(args, "mode", None):
+        if args.mode == LINEAR and field.characteristic == 2:
+            raise UsageError("--mode linear needs 1/2 in the field; use quadratic over gf2")
         return args.mode
     return QUADRATIC if field.characteristic == 2 else LINEAR
 

@@ -8,6 +8,7 @@ exact, there is no floating-point mode.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 RATIONALS = "rationals"
@@ -132,14 +133,13 @@ def make_field(kind: str, p: int | None = None) -> Field:
 
 
 def field_from_name(name: str) -> Field:
-    """Parse a field name as used on the command line: ``q``, ``gf2``, ``gf5``, ..."""
+    """Parse a field name as used on the command line: ``q``, ``gf2``, ``gf5``, ...
+
+    Only the canonical spelling is accepted (ASCII digits, no leading zero,
+    no sign or space), so each field has one name and reports echo it."""
     if name == "q":
         return make_field(RATIONALS)
-    if name.startswith("gf"):
-        try:
-            p = int(name[2:])
-        except ValueError:
-            raise FieldError(f"bad field name {name!r}") from None
-        return make_field(PRIME_FIELD, p)
+    if re.fullmatch(r"gf[1-9][0-9]*", name):
+        return make_field(PRIME_FIELD, int(name[2:]))
     raise FieldError(f"bad field name {name!r} (expected q or gf<p>)")
 

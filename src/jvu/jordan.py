@@ -28,9 +28,9 @@ LINEAR = "linear"
 QUADRATIC = "quadratic"
 
 #: Largest total degree a span table accepts.  `jvu dims` at (3,3,3)
-#: over GF(2) in quadratic mode takes about 40 s (Python 3.11, one core of a
-#: 2-core x86-64 VM) against 2 s at (3,3,2); each further degree costs many
-#: times more.
+#: over GF(2) in quadratic mode takes 2.9-3.2 s in-process (three runs;
+#: Python 3.11.7, one core of a 2-core x86-64 VM) against 0.56-0.59 s at
+#: (3,3,2); each further degree costs several times more.
 MAX_DEGREE_BOUND = 9
 
 #: Lemma 1, z[U_x,U_y] = {(x o y) z x y} - z U_{x o y}, in the expression
@@ -40,11 +40,6 @@ MAX_DEGREE_BOUND = 9
 COMMUTATOR_WITNESS = "U(y; U(x; z)) - U(x; U(y; z))"
 SYMMETRIZED_PRODUCT = "sym(circ(x, y)*z*x*y)"
 U_IMAGE = "U(circ(x, y); z)"
-
-
-def commutator_image(a: FreePoly, b: FreePoly, c: FreePoly) -> FreePoly:
-    """c U_a U_b - c U_b U_a, the image of c under the U-operator commutator."""
-    return u_apply(b, u_apply(a, c)) - u_apply(a, u_apply(b, c))
 
 
 def commutator_identity_residual(field: Field) -> FreePoly:

@@ -204,6 +204,11 @@ def test_usage_error_exit_code():
         ["counterexample", "--witness", "x*x*y*y*z"],
         # (2^61 - 1)^2 has no small factor: refused by size, not by trial division
         ["lemma1", "--field", "gf5316911983139663487003542222693990401"],
+        # one field, one name: a leading zero is not another spelling of GF(2)
+        ["lemma1", "--field", "gf02"],
+        # the linear alphabet needs 1/2 in the field
+        ["dims", "--field", "gf2", "--mode", "linear"],
+        ["counterexample", "--field", "gf2", "--mode", "linear"],
         pytest.param(["parse", "--expr", DEEP_EXPR], id="parse --expr <1200 nested parentheses>"),
         pytest.param(["counterexample", "--witness", DEEP_EXPR], id="counterexample --witness <1200 nested parentheses>"),
     ],

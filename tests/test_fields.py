@@ -35,6 +35,11 @@ def test_field_from_name():
         field_from_name("gf6")
     with pytest.raises(FieldError):
         field_from_name("float")
+    # non-canonical spellings of GF(11), GF(3) and GF(2) would echo different
+    # names in reports for one field
+    for name in ("gf1_1", "gf\u0663", "gf02", "gf+2", "gf2 ", " gf2", "gf2\n", "GF2", "gf"):
+        with pytest.raises(FieldError):
+            field_from_name(name)
 
 
 def test_rational_add():

@@ -18,7 +18,6 @@ from jvu.jordan import (
     JordanElement,
     _spanning_candidates,
     circ,
-    commutator_image,
     degree_residual,
     je_circ,
     jordan_closure_table,
@@ -218,7 +217,7 @@ def test_assoc_component_contains_commutator():
     summands visibly carry the generator, so membership must hold."""
     for field in (QQ, GF2):
         x, y, z, f = setup_elems(field)
-        g = commutator_image(x, y, z)
+        g = parse_expr(COMMUTATOR_WITNESS, G3, field)
         w = (circ(x, y) * z * x * y).symmetrize()
         s = u_apply(circ(x, y), z)
         assert g == w - s
@@ -233,7 +232,7 @@ def test_bracketing_consistency_of_membership_verdicts():
     for field in (QQ, GF2):
         x, y, z, f = setup_elems(field)
         comp = outer_ideal_component(f, D, mode_for(field), field)
-        g = commutator_image(x, y, z)
+        g = parse_expr(COMMUTATOR_WITNESS, G3, field)
         w = (circ(x, y) * z * x * y).symmetrize()
         gv, _ = comp.membership(g)
         wv, _ = comp.membership(w)
@@ -246,7 +245,7 @@ def test_bracketing_consistency_of_membership_verdicts():
 )
 def test_gap_witness_commutator(field, mode):
     x, y, z, f = setup_elems(field)
-    g = commutator_image(x, y, z)
+    g = parse_expr(COMMUTATOR_WITNESS, G3, field)
     report = cohn_gap_witness(f, g, D, mode, field)
     assert report.g_in_assoc and not report.g_in_outer
     assert report.gap
@@ -283,7 +282,7 @@ def test_outer_component_validates_input():
 def test_gf3_sanity_bridge():
     """An odd prime behaves like the rationals on the whole pattern."""
     x, y, z, f = setup_elems(GF5)
-    g = commutator_image(x, y, z)
+    g = parse_expr(COMMUTATOR_WITNESS, G3, GF5)
     report = cohn_gap_witness(f, g, D, "linear", GF5)
     assert report.gap
 

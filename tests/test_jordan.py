@@ -18,7 +18,6 @@ from jvu.jordan import (
     JordanElement,
     _spanning_candidates,
     circ,
-    commutator_image,
     je_circ,
     jordan_closure_table,
     recipe_str,
@@ -89,12 +88,15 @@ def test_u_apply_via_circle_in_char_not_2():
         assert lhs == rhs
 
 
-def test_commutator_image_examples():
+def test_commutator_witness_examples():
+    """The witness text is z[U_x, U_y] = y x z x y - x y z y x: it vanishes
+    at y = x and changes sign when x and y swap."""
     x, y, z = (gen(G3, QQ, n) for n in "xyz")
-    expected = y * x * z * x * y - x * y * z * y * x
-    assert commutator_image(x, y, z) == expected
-    assert commutator_image(x, x, z).is_zero()
-    assert (commutator_image(x, y, z) + commutator_image(y, x, z)).is_zero()
+    witness = parse_expr(COMMUTATOR_WITNESS, G3, QQ)
+    assert witness == y * x * z * x * y - x * y * z * y * x
+    assert parse_expr(COMMUTATOR_WITNESS.replace("y", "x"), G3, QQ).is_zero()
+    swapped = parse_expr(COMMUTATOR_WITNESS.translate(str.maketrans("xy", "yx")), G3, QQ)
+    assert (witness + swapped).is_zero()
 
 
 @pytest.mark.parametrize("field", [QQ, GF2, GF5])
@@ -106,7 +108,7 @@ def test_commutator_identity_residual_zero(field):
 def test_lemma1_texts_evaluate_to_hand_built(field):
     """Each claim text parses to the polynomial built from the operations."""
     x, y, z = (gen(G3, field, n) for n in "xyz")
-    assert parse_expr(COMMUTATOR_WITNESS, G3, field) == commutator_image(x, y, z)
+    assert parse_expr(COMMUTATOR_WITNESS, G3, field) == u_apply(y, u_apply(x, z)) - u_apply(x, u_apply(y, z))
     assert parse_expr(SYMMETRIZED_PRODUCT, G3, field) == (circ(x, y) * z * x * y).symmetrize()
     assert parse_expr(U_IMAGE, G3, field) == u_apply(circ(x, y), z)
 
@@ -114,7 +116,7 @@ def test_lemma1_texts_evaluate_to_hand_built(field):
 def test_commutator_identity_gf5_frozen_expansion():
     """Independent oracle: the eight associative words expanded by hand."""
     x, y, z = (gen(G3, GF5, n) for n in "xyz")
-    lhs = commutator_image(x, y, z)
+    lhs = parse_expr(COMMUTATOR_WITNESS, G3, GF5)
     assert lhs.terms == {(1, 0, 2, 0, 1): 1, (0, 1, 2, 1, 0): 4}
     sym_part = (circ(x, y) * z * x * y).symmetrize()
     assert sym_part.terms == {(0, 1, 2, 0, 1): 1, (1, 0, 2, 0, 1): 2, (1, 0, 2, 1, 0): 1}
