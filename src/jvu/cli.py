@@ -42,7 +42,7 @@ from .jordan import (
     symmetric_component_dim,
     commutator_identity_residual,
 )
-from .linalg import ComponentBasis, solve_combination, to_vector
+from .linalg import ComponentBasis, coordinates, solve_combination
 
 SCHEMA_VERSION = 1
 #: Default of ``--degree-bound``, a guard of the command line only: the
@@ -173,7 +173,7 @@ def _run_dims(args):
     canonical = names == ("x", "y", "z", "t") and d == (1, 1, 1, 1)
     if canonical:
         tetrad = parse_expr(GOAL_EXPR, gens, field)
-        inside = table.subspace(d).contains(to_vector(tetrad, table.component_basis(d)))
+        inside = table.subspace(d).contains(coordinates(tetrad, table.component_basis(d)))
         data["tetrad"] = {"expr": GOAL_EXPR, "in_jordan_span": inside}
     if canonical and field.characteristic == 2:
         ok = sym_dim == 12 and jordan_dim == 11 and not data["tetrad"]["in_jordan_span"]

@@ -36,7 +36,7 @@ from .jordan import (
     jordan_closure_table,
     recipe_str,
 )
-from .linalg import ComponentBasis, Subspace, from_vector, to_vector, words_of_multidegree
+from .linalg import ComponentBasis, Subspace, coordinates, from_vector, words_of_multidegree
 
 
 def _sub_multidegrees(limit: MultiDegree) -> list[MultiDegree]:
@@ -59,7 +59,7 @@ class _SpanComponent:
 
     def membership(self, p: FreePoly):
         """("inside", {insert index -> coeff}) or ("outside", residual FreePoly)."""
-        verdict, data = self.span.membership(to_vector(p, self.component_basis))
+        verdict, data = self.span.membership(coordinates(p, self.component_basis))
         if verdict == "inside":
             return verdict, data
         return verdict, from_vector(data, self.component_basis, self.field)
@@ -222,7 +222,7 @@ def assoc_ideal_component(f: FreePoly, d: MultiDegree) -> AssocIdealComponent:
             for w2 in words_of_multidegree(gens, e2):
                 p = left * FreePoly.from_word(gens, field, w2)
                 products.append((w1, w2))
-                span.insert(to_vector(p, cb))
+                span.insert(coordinates(p, cb))
     return AssocIdealComponent(f, d, field, cb, span, products)
 
 

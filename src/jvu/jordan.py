@@ -22,7 +22,7 @@ from bisect import bisect_left, bisect_right
 from .expr import CALLS, circ, format_call, parse_expr, square, u_apply, u_lin
 from .fields import Field
 from .freealg import FreePoly, GeneratorSet, MultiDegree
-from .linalg import ComponentBasis, Subspace, to_vector
+from .linalg import ComponentBasis, Subspace, coordinates
 
 LINEAR = "linear"
 QUADRATIC = "quadratic"
@@ -180,7 +180,7 @@ class GradedSpanTable:
             raise ValueError("span table takes homogeneous elements only")
         if not dominated(d, self.limit):
             return False
-        vec = to_vector(elem.value, self.component_basis(d))
+        vec = coordinates(elem.value, self.component_basis(d))
         self._inserted.setdefault(d, []).append(elem)
         if self.subspace(d).insert(vec):
             self._reps.setdefault(d, []).append(elem)
@@ -215,7 +215,7 @@ class GradedSpanTable:
         if elem.value.is_zero():
             return True
         d = elem.multidegree
-        return self.subspace(d).contains(to_vector(elem.value, self.component_basis(d)))
+        return self.subspace(d).contains(coordinates(elem.value, self.component_basis(d)))
 
     def close(self, seeds, products) -> int:
         """Insert the seeds, then ``products(new)`` round after round, where
@@ -342,5 +342,5 @@ def symmetric_component_dim(gens: GeneratorSet, d: MultiDegree, field: Field) ->
     for w in cb.words:
         sym = FreePoly.from_word(gens, field, w).symmetrize()
         if not sym.is_zero():
-            span.insert(to_vector(sym, cb))
+            span.insert(coordinates(sym, cb))
     return span.dim

@@ -1,12 +1,12 @@
 """Exact linear algebra over a Field.
 
 Homogeneous polynomials are vectorized against the complete deglex-ordered
-word list of one multidegree; subspaces are kept in reduced row-echelon form,
-and a membership test that finds a vector inside solves an explicit
-coefficient certificate over the vectors that were inserted, not just a
-verdict.  Ambient dimensions in this workbench stay small (a couple of
-thousand at most), so vectors are dense; row operations touch only the
-nonzero columns of the row they eliminate with.
+word list of one multidegree: ``coordinates`` re-keys a polynomial's sparse
+int store to columns, and ``to_vector`` is its dense view.  Subspaces are kept
+in reduced row-echelon form, and a membership test that finds a vector inside
+solves an explicit coefficient certificate over the vectors that were
+inserted, not just a verdict.  Row operations touch only the nonzero columns
+of the row they eliminate with.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Iterable, NamedTuple
 
-from .fields import Field
+from .fields import Field, FieldError
 from .freealg import FreePoly, GeneratorSet, MultiDegree, Word
 
 
@@ -61,25 +62,43 @@ class ComponentBasis:
     def __len__(self):
         return len(self.words)
 
-    def index(self, word: Word) -> int:
-        return self._index[tuple(word)]
-
     def __repr__(self):
         return f"ComponentBasis({self.multidegree}, {len(self.words)} words)"
 
 
-def to_vector(p: FreePoly, cb: ComponentBasis) -> list:
-    """Exact coordinates of a homogeneous polynomial against cb's word list:
-    the ints of its store when its denominator is 1."""
-    if p.gens != cb.gens:
+class Coordinates(NamedTuple):
+    """A read-only vector in a FreePoly's store form: ints ``vals`` at ``cols``, over den."""
+
+    cols: tuple
+    vals: Iterable
+    den: int
+    dim: int
+    field: Field
+
+    def dense(self) -> list:
+        """The vector as a list of exact field scalars: its ints when den is 1."""
+        vec = [self.field.zero] * self.dim
+        for j, c in zip(self.cols, self.vals):
+            vec[j] = c if self.den == 1 else Fraction(c, self.den)
+        return vec
+
+
+def coordinates(p: FreePoly, cb: ComponentBasis) -> Coordinates:
+    """p's store re-keyed to the columns of cb's word list; refuses another
+    generator set or a word outside cb's multidegree."""
+    if p.gens is not cb.gens and p.gens != cb.gens:
         raise ValueError("mismatched generator sets")
-    vec = [p.field.zero] * len(cb.words)
-    for w, c in (p.num if p.den == 1 else p.terms).items():
-        j = cb._index.get(w)  # cb holds exactly the words of its multidegree
-        if j is None:
-            raise ValueError(f"polynomial is not homogeneous of multidegree {cb.multidegree}")
-        vec[j] = c
-    return vec
+    try:  # cb holds exactly the words of its multidegree
+        cols = tuple(map(cb._index.__getitem__, p.num))
+    except KeyError:
+        raise ValueError(f"polynomial is not homogeneous of multidegree {cb.multidegree}") from None
+    return tuple.__new__(Coordinates, (cols, p.num.values(), p.den, len(cb.words), p.field))  # no Python-level __new__
+
+
+def to_vector(p: FreePoly, cb: ComponentBasis) -> list:
+    """The dense view of ``coordinates(p, cb)``: exact scalars, the ints of
+    the store when its denominator is 1."""
+    return coordinates(p, cb).dense()
 
 
 def from_vector(vec, cb: ComponentBasis, field: Field) -> FreePoly:
@@ -94,9 +113,9 @@ _ASCII_BITS = bytes.maketrans(b"\0\1", b"01")  # GF(2) entries as the digits of 
 class Subspace:
     """An echelonized subspace with pivot bookkeeping and certificates on demand.
 
-    Every vector given to ``insert``, ``contains`` or ``membership`` must have
-    ``ambient_dim`` exact scalars of the field (``Field.require_exact``); it
-    is converted once to the row store that the characteristic fixes.  Over Q
+    ``insert``, ``contains`` and ``membership`` take ``Coordinates`` over the
+    field, whose ints the row store takes as they are, or a list of
+    ``ambient_dim`` scalars that ``Field.require_exact`` checks.  Over Q
     a row is a primitive int list with a positive pivot entry, and a row
     operation is ``a*x - c*y`` with ``gcd(a, c)`` cancelled (fraction-free
     elimination, Bareiss 1968); over GF(2) a row is an int bitset, bit j for
@@ -120,7 +139,7 @@ class Subspace:
         self._support: list[list[int]] = []  # GF(p) and Q: each row's nonzero columns, ascending
         self._pivots: list[int] = []
         self._mask = 0  # GF(2): the pivot columns as a bitset
-        self._grew: list[tuple[int, list]] = []  # (insert index, vector) per independent insert
+        self._grew: list[tuple] = []  # (insert index, list or Coordinates) per independent insert
 
     @property
     def dim(self) -> int:
@@ -141,23 +160,29 @@ class Subspace:
             return row >> j & 1
         return row[j] if self._p else Fraction(row[j], row[self._pivots[i]])
 
-    def _encode(self, v: list):
-        """Convert v to the store, checking it in the same pass: (x, s) with
-        v = x / s.  Refuses exactly what ``Field.require_exact`` refuses, with
-        its FieldError."""
-        if len(v) != self.ambient_dim:
+    def _encode(self, v):
+        """Convert v to the store, (x, s) with v = x / s: Coordinates as they are,
+        a list refused exactly as ``Field.require_exact`` refuses it (FieldError)."""
+        sparse, p = isinstance(v, Coordinates), self._p
+        if (v.dim if sparse else len(v)) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        if self._p == 2:
-            try:  # bytes() refuses a non-integer and an entry outside 0..255
-                bits = bytes(v)
-            except (TypeError, ValueError):
-                bits = b"\2"
-            if bits.translate(None, b"\0\1"):
-                self.field.require_exact(v)  # raises: an entry is not 0 or 1
-            return int(bits[::-1].translate(_ASCII_BITS) or b"0", 2), 1
-        if self._p:
-            self.field.require_exact(v)
-            return list(v), 1
+        if sparse:
+            cols, vals, s, n, field = v
+            if field.characteristic != p:
+                raise FieldError(f"coordinates over {field!r} for a span over {self.field!r}")
+            if p == 2:
+                x = 0
+                for j in cols:
+                    x |= 1 << j
+                return x, 1
+            x = [0] * n
+            for j, c in zip(cols, vals):
+                x[j] = c
+            return x, s
+        if p:  # over GF(2) two C-level passes stand in for require_exact when every entry is an int 0 or 1
+            if not (p == 2 and {int, bool}.issuperset(map(type, v)) and {0, 1}.issuperset(v)):
+                self.field.require_exact(v)
+            return (int(bytes(v)[::-1].translate(_ASCII_BITS) or b"0", 2) if p == 2 else list(v)), 1
         zero = self.field.zero  # to_vector fills with this object: skip it without a method call
         entries = [(j, c) for j, c in enumerate(v) if c is not zero]
         self.field.require_exact([c for _, c in entries])
@@ -166,6 +191,11 @@ class Subspace:
         for j, c in entries:
             x[j] = c.numerator * (s // c.denominator)
         return x, s
+
+    def _entries(self, v, cols) -> list:
+        """The field scalars of a list or Coordinates v on the columns cols."""
+        v = v.dense() if isinstance(v, Coordinates) else v
+        return [v[j] for j in cols]
 
     def _eliminate(self, x: list, xcols, row: list, cols: list[int], q: int) -> int:
         """Clear the nonzero entry q of the list x in place with ``row``, whose
@@ -205,7 +235,7 @@ class Subspace:
     def _is_zero(self, x) -> bool:
         return not x if self._p == 2 else not any(x)
 
-    def insert(self, v: list) -> bool:
+    def insert(self, v) -> bool:
         """Insert a vector; returns True iff it enlarged the span."""
         x, _ = self._encode(v)
         self.n_inserted += 1
@@ -239,13 +269,13 @@ class Subspace:
         self._pivots.insert(pos, pivot)
         if p != 2:
             self._support.insert(pos, cols)
-        self._grew.append((self.n_inserted - 1, list(v)))
+        self._grew.append((self.n_inserted - 1, v if isinstance(v, Coordinates) else list(v)))
         return True
 
-    def contains(self, v: list) -> bool:
+    def contains(self, v) -> bool:
         return self._is_zero(self._reduce(*self._encode(v))[0])
 
-    def membership(self, v: list):
+    def membership(self, v):
         """Return ("inside", certificate) or ("outside", exact RREF residual).
 
         The certificate maps insert indices to nonzero coefficients such that
@@ -261,7 +291,7 @@ class Subspace:
                 return "outside", [x >> j & 1 for j in range(self.ambient_dim)]
             return "outside", x if self._p else [Fraction(c, s) for c in x]
         pivots = self._pivots
-        coeffs, _ = _solve([[b[p] for p in pivots] for _, b in self._grew], [v[p] for p in pivots], self.field)
+        coeffs, _ = _solve([self._entries(b, pivots) for _, b in self._grew], self._entries(v, pivots), self.field)
         return "inside", {idx: c for (idx, _), c in zip(self._grew, coeffs) if c}
 
 

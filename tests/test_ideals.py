@@ -2,10 +2,12 @@
 
 import dataclasses
 import hashlib
+import sys
 import time
 
 import pytest
 
+from jvu import linalg
 from jvu.expr import parse_expr
 from jvu.fields import make_field
 from jvu.freealg import FreePoly, GeneratorSet
@@ -391,3 +393,31 @@ def test_degree_ceiling_refused_before_any_closure():
     with pytest.raises(ValueError, match="exceeds bound"):
         outer_ideal_component(f, (4, 4, 2), "linear", QQ)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("field,mode", [(GF2, "quadratic"), (QQ, "linear")], ids=["gf2-quadratic", "q-linear"])
+def test_gap_checks_never_build_dense_vectors(monkeypatch, field, mode):
+    """A gap check and its fixed-point re-verification hand every ideal
+    product and witness to the spans as coordinates: with every binding of
+    ``to_vector`` raising, they still give the pinned dimensions."""
+
+    def refuse(*args):
+        raise AssertionError("to_vector called on the gap-check path")
+
+    dense = linalg.to_vector
+    bindings = [
+        (module, name)
+        for module in list(sys.modules.values())
+        if module.__name__.startswith("jvu")
+        for name, value in list(vars(module).items())
+        if value is dense
+    ]
+    assert (linalg, "to_vector") in bindings
+    for module, name in bindings:
+        monkeypatch.setattr(module, name, refuse)
+    x, y, z, f = setup_elems(field)
+    witnesses = {(2, 2, 1): parse_expr(COMMUTATOR_WITNESS, G3, field), (3, 2, 1): (x * x * y * z * y * x).symmetrize()}
+    for d, g in witnesses.items():
+        report = cohn_gap_witness(f, g, d, mode, field)
+        assert outer_ideal_is_closed(report.outer)
+        assert (report.outer.dim, report.assoc.dim) == LADDER_DIMS[d]

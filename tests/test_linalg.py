@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from conftest import rand_scalar
+from conftest import rand_nonzero_scalar, rand_scalar
 from jvu.fields import FieldError, make_field
 from jvu.freealg import FreePoly, GeneratorSet
 from jvu.jordan import circ, u_apply
@@ -14,6 +14,7 @@ from jvu.linalg import (
     ComponentBasis,
     Subspace,
     affine_solve,
+    coordinates,
     from_vector,
     solve_combination,
     to_vector,
@@ -622,3 +623,107 @@ def test_encode_refuses_exactly_what_require_exact_refuses(field):
         with pytest.raises(FieldError):
             span.insert([1, 95, 1])
         assert span.rows == [[1, 0, 1]]
+
+
+class _Index:
+    """Not an int, but usable as one: ``__index__`` returns the given value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"_Index({self.value})"
+
+
+def test_gf2_list_refuses_index_only_entries():
+    """Over GF(2) a list entry that is not an int is refused even when its
+    ``__index__`` is 0 or 1, with the FieldError of ``require_exact``."""
+    for v in ([_Index(1), 0], [1, _Index(0)], [_Index(1), _Index(1)]):
+        with pytest.raises(FieldError) as expected:
+            GF2.require_exact(v)
+        for entry in ("insert", "contains", "membership"):
+            span = Subspace(GF2, 2)
+            span.insert([0, 1])
+            with pytest.raises(FieldError) as caught:
+                getattr(span, entry)(v)
+            assert str(caught.value) == str(expected.value)
+            assert (span.dim, span.n_inserted, span.rows) == (1, 1, [[0, 1]])
+
+
+def _random_component_poly(rng, field, cb, done):
+    """A random element of cb's component: a few words with nonzero random
+    scalars, or (a third of the time, once there is something to combine) a
+    random combination of earlier ones, which lands inside their span."""
+    if done and rng.random() < 1 / 3:
+        out = FreePoly.zero(cb.gens, field)
+        for p in rng.sample(done, min(len(done), 3)):
+            out = out + p.scale(rand_scalar(rng, field))
+        return out
+    words = rng.sample(cb.words, rng.randint(1, 4))
+    return FreePoly(cb.gens, field, {w: rand_nonzero_scalar(rng, field) for w in words})
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, _GF3, GF5], ids=["q", "gf2", "gf3", "gf5"])
+@pytest.mark.parametrize("seed", range(4))
+def test_coordinates_and_dense_lists_agree(field, seed):
+    """One span fed ``coordinates`` and a twin fed ``to_vector`` lists of the
+    same polynomials agree on rows, pivots, dim, insert count, contains and
+    membership (verdicts, certificates, residuals) after every step.  Over Q
+    the random scalars have denominators up to 9."""
+    rng = random.Random(f"{field!r}/{seed}")
+    cb = ComponentBasis(G3, (2, 1, 1))
+    sparse, dense = Subspace(field, len(cb)), Subspace(field, len(cb))
+    done = []
+    for _ in range(12):
+        p = _random_component_poly(rng, field, cb, done)
+        assert sparse.insert(coordinates(p, cb)) == dense.insert(to_vector(p, cb))
+        done.append(p)
+        assert (sparse.rows, sparse.pivots, sparse.dim, sparse.n_inserted) == (
+            dense.rows, dense.pivots, dense.dim, dense.n_inserted
+        )
+        for q in (_random_component_poly(rng, field, cb, done), p, FreePoly.zero(G3, field)):
+            c, v = coordinates(q, cb), to_vector(q, cb)
+            assert sparse.contains(c) == dense.contains(v) == sparse.contains(v) == dense.contains(c)
+            verdict = sparse.membership(c)
+            assert verdict == dense.membership(v) == sparse.membership(v) == dense.membership(c)
+            if verdict[0] == "inside":
+                total = FreePoly.zero(G3, field)
+                for i, coeff in verdict[1].items():
+                    total = total + done[i].scale(coeff)
+                assert total == q
+
+
+def _refusal(call):
+    try:
+        call()
+    except ValueError as e:  # FieldError is a ValueError
+        return type(e), str(e)
+    return None
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, _GF3, GF5], ids=["q", "gf2", "gf3", "gf5"])
+def test_coordinates_refuse_what_to_vector_refuses(field):
+    """An inhomogeneous polynomial, one over another generator set, and a
+    component of the wrong size are refused with the errors the dense route
+    gives, and the span is left as it was; coordinates over another field are
+    a FieldError."""
+    cb = ComponentBasis(G3, (1, 1, 0))
+    x, y = gen(G3, field, "x"), gen(G3, field, "y")
+    for bad in (x * y + x, gen(G2, field, "x") * gen(G2, field, "y")):
+        expected = _refusal(lambda: to_vector(bad, cb))
+        assert expected is not None and _refusal(lambda: coordinates(bad, cb)) == expected
+    wrong = ComponentBasis(G3, (1, 1, 1))
+    for entry in ("insert", "contains", "membership"):
+        span = Subspace(field, len(cb))
+        span.insert(coordinates(x * y, cb))
+        expected = _refusal(lambda: getattr(span, entry)(to_vector(x * y * gen(G3, field, "z"), wrong)))
+        assert expected == (ValueError, "ambient dimension mismatch")
+        assert _refusal(lambda: getattr(span, entry)(coordinates(x * y * gen(G3, field, "z"), wrong))) == expected
+        other = QQ if field.characteristic else GF5
+        xy = gen(G3, other, "x") * gen(G3, other, "y")
+        with pytest.raises(FieldError):
+            getattr(span, entry)(coordinates(xy, cb))
+        assert (span.dim, span.n_inserted, span.rows) == (1, 1, [[1, 0]])
