@@ -18,8 +18,14 @@ Operators multiply by Kronecker substitution (cf. Harvey 2009): each row of
 the right factor is packed into one int of 27 slots w bits wide, and each
 row of the product is one sum of at most 27 big-int multiples of those
 packed rows.  The slot width comes from the entry bound: every product
-entry c has |c| <= 27 max|a| max|b| < 2^(w-1), and a bias of 2^(w-1) in
-each slot keeps every slot in [1, 2^w - 1], so no carry crosses a slot.
+entry c has |c| <= 27 max|a| max|b| < 2^(w-1), each max scanned once per
+operator, and a bias of 2^(w-1) in each slot keeps every slot in
+[1, 2^w - 1], so no carry crosses a slot.  The structure constants of
+``r_op`` are read off ``_product2`` the same way: coordinate k of
+2(e_i . P), for the probe P with coordinate j equal to 2^(3j), is
+sum_j T[i][j][k] 2^(3j) with T[i][j] = 2(e_i . e_j), whose entries lie in
+[-2, 2], so 27 products fill the table.  Results the operators compute
+skip the constructor's shape check, and its gcd when den is 1.
 
 Each level has one product definition.  A split octonion is a plain
 8-tuple with no class around it, and ``zorn_mul``, ``zorn_conj`` and
@@ -164,6 +170,8 @@ class AlbertElement:
 
     def scale(self, c):
         """c times self, for an int or Fraction c."""
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"expected an int or a Fraction, got {type(c).__name__} {c!r}")
         return AlbertElement([c.numerator * x for x in self.num], c.denominator * self.den)
 
     def is_zero(self):
@@ -209,71 +217,85 @@ def jordan_mul(a: AlbertElement, b: AlbertElement) -> AlbertElement:
 # Exact operators
 
 
+def _slots(w: int):
+    """The bias, 2^(w-1) in each of DIM slots w bits wide, and the reader that
+    turns bias + sum_j c_j 2^(w j), every |c_j| < 2^(w-1), into (c_0, ..., c_26)."""
+    half, mask, shifts = 1 << (w - 1), (1 << w) - 1, range(0, w * DIM, w)
+    return ((1 << (w * DIM)) - 1) // mask * half, lambda acc: tuple([((acc >> s) & mask) - half for s in shifts])
+
+
 class AlbertOperator:
     """An exact linear operator on Albert elements, acting on coordinate row
     vectors from the right: (x op)[j] = sum_i x[i] num[i][j] / den, with 27
     integer row tuples ``num`` over one positive ``den`` in lowest terms."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_peak")
 
     def __init__(self, num, den: int = 1):
         rows = tuple(map(tuple, num))
         if len(rows) != DIM or any(len(row) != DIM for row in rows):
             raise ValueError("Albert operators are 27x27")
-        g = _content(den, chain.from_iterable(rows))
-        self.num = rows if g == 1 else tuple(tuple(x // g for x in row) for row in rows)
-        self.den = den // g
+        self._store(rows, den, _content(den, chain.from_iterable(rows)))
+
+    @classmethod
+    def _computed(cls, rows: tuple, den: int) -> "AlbertOperator":
+        """27 int row tuples computed here, over den > 0: no shape check, and a gcd only if den != 1."""
+        op = cls.__new__(cls)
+        op._store(rows, den, 1 if den == 1 else gcd(den, *chain.from_iterable(rows)))
+        return op
+
+    def _store(self, rows: tuple, den: int, g: int):
+        self.num = rows if g == 1 else tuple(tuple([x // g for x in row]) for row in rows)
+        self.den, self._peak = den // g, None
+
+    def _max_abs(self) -> int:
+        """The largest |entry| of ``num``, scanned on first use only."""
+        if self._peak is None:
+            self._peak = max(map(abs, chain.from_iterable(self.num)))
+        return self._peak
 
     @classmethod
     def identity(cls):
         return cls([[1 if i == j else 0 for j in range(DIM)] for i in range(DIM)])
 
     def __matmul__(self, other: "AlbertOperator") -> "AlbertOperator":
-        """The exact product, by Kronecker substitution: each row of
-        ``other.num`` is packed into one int of DIM slots, w bits each, and
-        row i of the product is bias + sum_k self.num[i][k] * packed[k].
-
-        Every entry c of the product has |c| <= B = 27 max|a| max|b|, and
-        w = bit_length(B) + 1 gives |c| < 2^(w-1).  The bias puts 2^(w-1) in
-        every slot, so each slot holds c + 2^(w-1) in [1, 2^w - 1]: no slot
-        goes negative and no carry crosses a slot, and the slots are read
-        back by shift and mask."""
-        a, b = self.num, other.num
-        bound = DIM * max(map(abs, chain.from_iterable(a))) * max(map(abs, chain.from_iterable(b)))
-        w = bound.bit_length() + 1
-        half, mask = 1 << (w - 1), (1 << w) - 1
+        """The exact product by Kronecker substitution (see the module
+        docstring): row i is read off bias + sum_k self.num[i][k] * packed[k],
+        where packed[k] is row k of ``other.num`` in DIM slots of w bits."""
+        w = (DIM * self._max_abs() * other._max_abs()).bit_length() + 1
+        bias, read = _slots(w)
         packed = []
-        for row in b:
+        for row in other.num:
             p = 0
             for x in reversed(row):
                 p = (p << w) + x
             packed.append(p)
-        bias = ((1 << (w * DIM)) - 1) // mask * half  # 2^(w-1) in each of the DIM slots
-        shifts = range(0, w * DIM, w)
         num = []
-        for row in a:
+        for row in self.num:
             acc = bias
             for x, p in zip(row, packed):
                 if x:
                     acc += x * p
-            num.append([((acc >> s) & mask) - half for s in shifts])
-        return AlbertOperator(num, self.den * other.den)
+            num.append(read(acc))
+        return AlbertOperator._computed(tuple(num), self.den * other.den)
 
     def __add__(self, other: "AlbertOperator") -> "AlbertOperator":
         da, db = self.den, other.den
-        num = [[db * x + da * y for x, y in zip(ra, rb)] for ra, rb in zip(self.num, other.num)]
-        return AlbertOperator(num, da * db)
+        num = tuple(tuple([db * x + da * y for x, y in zip(ra, rb)]) for ra, rb in zip(self.num, other.num))
+        return AlbertOperator._computed(num, da * db)
 
     def __sub__(self, other: "AlbertOperator") -> "AlbertOperator":
         da, db = self.den, other.den
-        num = [[db * x - da * y for x, y in zip(ra, rb)] for ra, rb in zip(self.num, other.num)]
-        return AlbertOperator(num, da * db)
+        num = tuple(tuple([db * x - da * y for x, y in zip(ra, rb)]) for ra, rb in zip(self.num, other.num))
+        return AlbertOperator._computed(num, da * db)
 
     def __neg__(self):
         return self.scale_int(-1)
 
     def scale_int(self, k: int) -> "AlbertOperator":
-        return AlbertOperator([[k * x for x in row] for row in self.num], self.den)
+        if not isinstance(k, int):
+            raise TypeError(f"expected an int, got {type(k).__name__} {k!r}")
+        return AlbertOperator._computed(tuple(tuple([k * x for x in row]) for row in self.num), self.den)
 
     def is_zero(self) -> bool:
         return all(not x for row in self.num for x in row)
@@ -295,15 +317,21 @@ class AlbertOperator:
 
 @functools.cache
 def _structure_constants() -> tuple:
-    """Sparse rows of 2 * (basis_i . basis_j): entry [i][j] is a tuple of
-    (k, coefficient) pairs.  Built on first use, not at import."""
-    basis = [AlbertElement.basis(k) for k in range(DIM)]
-    table = [[()] * DIM for _ in range(DIM)]
+    """Sparse rows of T[i][j] = 2(basis_i . basis_j), each a tuple of
+    (k, coefficient) pairs, built on first use from one ``_product2`` of
+    basis_i and a probe (see the module docstring)."""
+    bias, read = _slots(3)
+    probe = AlbertElement([1 << (3 * j) for j in range(DIM)])
+    table = []
     for i in range(DIM):
-        for j in range(i, DIM):  # the product is commutative: mirror i > j
-            row = tuple((k, c) for k, c in enumerate(_product2(basis[i], basis[j]).num) if c)
-            table[i][j] = table[j][i] = row
-    return tuple(map(tuple, table))
+        rows = [[] for _ in range(DIM)]
+        for k, v in enumerate(_product2(AlbertElement.basis(i), probe).num):
+            if v:
+                for row, c in zip(rows, read(bias + v)):
+                    if c:
+                        row.append((k, c))
+        table.append(tuple(map(tuple, rows)))
+    return tuple(table)
 
 
 def r_op(a: AlbertElement) -> AlbertOperator:
@@ -317,8 +345,8 @@ def r_op(a: AlbertElement) -> AlbertOperator:
             if v:
                 for j, c in sci[k]:
                     row[j] += v * c
-        num.append(row)
-    return AlbertOperator(num, 2 * a.den)
+        num.append(tuple(row))
+    return AlbertOperator._computed(tuple(num), 2 * a.den)
 
 
 def u_op(a: AlbertElement) -> AlbertOperator:

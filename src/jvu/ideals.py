@@ -217,12 +217,12 @@ def assoc_ideal_component(f: FreePoly, d: MultiDegree) -> AssocIdealComponent:
     products: list[tuple] = []
     for e1 in _sub_multidegrees(rest):
         e2 = degree_residual(rest, e1)
+        rights = [(w2, FreePoly.from_word(gens, field, w2)) for w2 in words_of_multidegree(gens, e2)]
         for w1 in words_of_multidegree(gens, e1):
             left = FreePoly.from_word(gens, field, w1) * f
-            for w2 in words_of_multidegree(gens, e2):
-                p = left * FreePoly.from_word(gens, field, w2)
+            for w2, right in rights:
                 products.append((w1, w2))
-                span.insert(coordinates(p, cb))
+                span.insert(coordinates(left * right, cb))
     return AssocIdealComponent(f, d, field, cb, span, products)
 
 

@@ -217,6 +217,34 @@ def test_structure_constants_pinned():
     assert digest == "2cf9784edc962763580996071c48cb5965178dbd2e6bae5ef493f7e9822d5105"
 
 
+def test_structure_constants_from_27_packed_products(monkeypatch):
+    """The table read off one packed _product2 per basis element equals, entry
+    for entry, the table of all 378 basis pairs multiplied one at a time, and
+    one build makes exactly 27 _product2 calls."""
+    basis = [AlbertElement.basis(k) for k in range(27)]
+    reference = [[()] * 27 for _ in range(27)]
+    for i in range(27):
+        for j in range(i, 27):
+            row = tuple((k, c) for k, c in enumerate(_product2(basis[i], basis[j]).num) if c)
+            reference[i][j] = reference[j][i] = row
+    assert sum(1 for i in range(27) for j in range(i, 27)) == 378
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return _product2(a, b)
+
+    monkeypatch.setattr(albert, "_product2", counted)
+    albert._structure_constants.cache_clear()
+    try:
+        table = albert._structure_constants()
+    finally:
+        albert._structure_constants.cache_clear()
+    assert len(calls) == 27
+    assert table == tuple(map(tuple, reference))
+    assert all(-2 <= c <= 2 for row in reference for entry in row for _, c in entry)
+
+
 # -- operators ---------------------------------------------------------------
 
 
@@ -720,3 +748,47 @@ def test_packed_product_matches_triple_loop():
     extremes = [max(x for row in (p @ q).num for x in row) for p, q in [(plus, plus), (minus, minus)]]
     assert extremes == [27 * m * m] * 2
     assert min(x for row in (plus @ minus).num for x in row) == -27 * m * m
+
+
+# -- results the operators compute -------------------------------------------
+
+
+def test_scale_refuses_inexact_scalars():
+    """AlbertElement.scale takes an int or a Fraction and scale_int an int;
+    anything else is a TypeError, on operators over 1 and over another den."""
+    a = random_element(random.Random(49))
+    for bad in (0.5, "2", None, 1.0):
+        with pytest.raises(TypeError):
+            a.scale(bad)
+    assert a.scale(Fraction(1, 2)) == AlbertElement(a.num, 2)
+    for op in (AlbertOperator.identity(), r_op(a)):
+        for bad in (0.5, "2", None, Fraction(1, 2), 2.0):
+            with pytest.raises(TypeError):
+                op.scale_int(bad)
+    assert AlbertOperator.identity().scale_int(3) == AlbertOperator([[3 * int(i == j) for j in range(27)] for i in range(27)])
+
+
+def test_computed_operators_have_canonical_stores():
+    """Every operator result (r_op, u_op, @, +, -, scale_int) on sampled,
+    fractional, zero and identity operators has the store the public
+    constructor gives its value: 27 tuples of 27 ints in lowest terms over a
+    positive den, and a largest |entry| equal to a fresh scan."""
+    rng = random.Random(50)
+    a, b = sample_zero_pair(rng)
+    f = frac_element(rng)
+    assert f.den != 1
+    ops = [r_op(a), r_op(b), u_op(a), r_op(f), u_op(f)]
+    ops += [AlbertOperator([[0] * 27 for _ in range(27)], 5), AlbertOperator.identity(), r_op(UNIT)]
+    ops.append(AlbertOperator([[rng.randint(-9, 9) for _ in range(27)] for _ in range(27)], 6))
+    assert {op.den for op in ops} != {1}
+    results = list(ops)
+    for p in ops:
+        results += [p.scale_int(k) for k in (0, 2, -3)]
+        for q in ops:
+            results += [p @ q, p + q, p - q]
+    for r in results:
+        assert type(r.num) is tuple and len(r.num) == 27
+        assert all(type(row) is tuple and len(row) == 27 and all(type(x) is int for x in row) for row in r.num)
+        fresh = AlbertOperator(r.num, r.den)
+        assert (r.num, r.den) == (fresh.num, fresh.den) and r.den > 0
+        assert r._max_abs() == max(abs(x) for row in r.num for x in row)
