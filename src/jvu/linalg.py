@@ -179,9 +179,8 @@ class Subspace:
             for j, c in zip(cols, vals):
                 x[j] = c
             return x, s
-        if p:  # over GF(2) two C-level passes stand in for require_exact when every entry is an int 0 or 1
-            if not (p == 2 and {int, bool}.issuperset(map(type, v)) and {0, 1}.issuperset(v)):
-                self.field.require_exact(v)
+        if p:
+            self.field.require_exact(v)
             return (int(bytes(v)[::-1].translate(_ASCII_BITS) or b"0", 2) if p == 2 else list(v)), 1
         zero = self.field.zero  # to_vector fills with this object: skip it without a method call
         entries = [(j, c) for j, c in enumerate(v) if c is not zero]

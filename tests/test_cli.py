@@ -1,5 +1,6 @@
 """The command-line front end: verbs, reports, exit codes, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ import time
 import pytest
 
 import jvu
+from jvu import albert
 from jvu.cli import EXIT_CONFIRMED, EXIT_ERROR, EXIT_REFUTED, coefficient_targets, main, run_command
 from jvu.fields import field_from_name
 from jvu.freealg import FreePoly
@@ -160,6 +162,37 @@ def test_albert_verb_small_run():
     assert data["cubic_pass"] == 3
     assert data["zero_pair"]["u_commutator_zero_pass"] == 3
     assert data["nonvacuous_found"] is True
+
+
+def _zero_pair_with(**flips):
+    real = albert.check_zero_pair
+    return lambda a, b: dataclasses.replace(real(a, b), **flips)
+
+
+def _no_noncommuting_pair(rng):
+    raise RuntimeError("no noncommuting pair found")
+
+
+#: Every fact of ZeroPairChecks but the dichotomy witnesses s_ab_zero and a2b_zero.
+ZERO_PAIR_FACTS = [f.name for f in dataclasses.fields(albert.ZeroPairChecks) if f.name not in ("s_ab_zero", "a2b_zero")]
+
+ALBERT_FAULTS = {
+    "cubic": ("check_cubic", lambda a: albert.AlbertElement.unit()),
+    "eq1": ("check_eq1", lambda a, b: albert.AlbertElement.unit()),
+    "operator_identity": ("check_operator_identity", lambda a, b: False),
+    **{k: ("check_zero_pair", _zero_pair_with(**{k: False})) for k in ZERO_PAIR_FACTS},
+    "dichotomy": ("check_zero_pair", _zero_pair_with(s_ab_zero=False, a2b_zero=False)),
+    "nonvacuous": ("find_noncommuting_pair", _no_noncommuting_pair),
+}
+
+
+@pytest.mark.parametrize("fault", [None, *ALBERT_FAULTS])
+def test_every_albert_check_gates_the_verdict(monkeypatch, fault):
+    """The albert verb is refuted when any one of its checks fails."""
+    if fault is not None:
+        monkeypatch.setattr(albert, *ALBERT_FAULTS[fault])
+    code, report = run_command(["albert", "--samples", "2", "--seed", "7"])
+    assert (code, report["verdict"]) == ((EXIT_CONFIRMED, "confirmed") if fault is None else (EXIT_REFUTED, "refuted"))
 
 
 def test_albert_rejects_prime_field():

@@ -6,7 +6,16 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_poly
-from jvu.expr import CALLS, KEYWORDS, ParseError, format_call, format_linear_combination, format_poly, parse_expr
+from jvu.expr import (
+    CALLS,
+    KEYWORDS,
+    ParseError,
+    _tokenize,
+    format_call,
+    format_linear_combination,
+    format_poly,
+    parse_expr,
+)
 from jvu.fields import make_field
 from jvu.freealg import FreePoly, GeneratorSet
 from jvu.jordan import circ, u_apply, u_lin
@@ -75,6 +84,35 @@ def test_parse_errors_carry_position():
         parse_expr("U(x, z)", G3, QQ)  # needs the semicolon
     with pytest.raises(ParseError):
         parse_expr("x y", G3, QQ)  # missing operator
+
+
+X_PLUS_Y = [("name", "x", 1), ("sym", "+", 3), ("name", "y", 5), ("end", "", 7)]
+
+
+@pytest.mark.parametrize(
+    "text,tokens",
+    [
+        ("", [("end", "", 0)]),
+        (" ", [("end", "", 1)]),
+        ("\t\r\x1c\xa0", [("end", "", 4)]),
+        *[(f"{w}x{w}+{w}y{w}", X_PLUS_Y) for w in ("\t", "\r", "\x1c", "\xa0")],
+        ("\u0663*x", [("int", "\u0663", 0), ("sym", "*", 1), ("name", "x", 2), ("end", "", 3)]),
+        ("12x", [("int", "12", 0), ("name", "x", 2), ("end", "", 3)]),
+    ],
+)
+def test_tokenize_edge_inputs(text, tokens):
+    """Any Unicode whitespace separates tokens, and a Unicode digit is an int."""
+    assert _tokenize(text) == tokens
+
+
+@pytest.mark.parametrize(
+    "text,char,pos",
+    [("\xe9", "\xe9", 0), ("x + \xe9", "\xe9", 4), ("#", "#", 0), ("x # y", "#", 2), ("  \t#", "#", 3)],
+)
+def test_tokenize_refuses_other_characters(text, char, pos):
+    with pytest.raises(ParseError) as e:
+        _tokenize(text)
+    assert (str(e.value), e.value.pos) == (f"unexpected character {char!r} (at position {pos})", pos)
 
 
 def test_keyword_generator_names_rejected():

@@ -395,6 +395,21 @@ def test_degree_ceiling_refused_before_any_closure():
     assert time.perf_counter() - start < 1.0
 
 
+def test_limit_of_wrong_length_refused_before_any_closure():
+    """A span table needs one limit entry per generator: a short limit would
+    leave the missing generator unbounded and the closure would not end."""
+    for limit in [(1, 1), (1, 1, 1, 5)]:
+        with pytest.raises(ValueError, match="generators"):
+            GradedSpanTable(G3, QQ, limit)
+    *_, f = setup_elems(QQ)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="generators"):
+        jordan_closure_table(G3, (1, 1), "linear", False, QQ)
+    with pytest.raises(ValueError, match="generators"):
+        outer_ideal_component(f, (2, 2), "linear", QQ)
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("field,mode", [(GF2, "quadratic"), (QQ, "linear")], ids=["gf2-quadratic", "q-linear"])
 def test_gap_checks_never_build_dense_vectors(monkeypatch, field, mode):
     """A gap check and its fixed-point re-verification hand every ideal
