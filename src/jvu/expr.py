@@ -10,8 +10,10 @@ Grammar (ASCII rendering of the algebra's notation):
     atom    := INT ['/' INT] | 'one' | generator | call | '(' expr ')'
     call    := rev(e) | sym(e) | sq(e) | circ(e, f) | U(b; a) | Ulin(b, c; a)
 
-``U(b; a)`` denotes a U_b = b a b and ``Ulin(b, c; a)`` denotes b a c + c a b;
-``one`` is the unit of the free algebra (the adjoined unit of the hull).
+``INT`` is a run of ASCII digits 0-9; any other digit is an unexpected
+character.  ``U(b; a)`` denotes a U_b = b a b and ``Ulin(b, c; a)`` denotes
+b a c + c a b; ``one`` is the unit of the free algebra (the adjoined unit of
+the hull).
 The calls are stated once, in ``CALLS``, which the parser and ``format_call`` read.
 """
 
@@ -58,7 +60,7 @@ CALLS = MappingProxyType({
 KEYWORDS = (*CALLS, "one")
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[-+*/(),;])|(?P<bad>\S))"
+    r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[-+*/(),;])|(?P<bad>\S))"
 )
 
 

@@ -131,9 +131,9 @@ class FreePoly:
         return cls(gens, field, {(): c})
 
     def _compat(self, other: "FreePoly"):
-        if self.gens != other.gens:
+        if self.gens is not other.gens and self.gens != other.gens:
             raise ValueError("mismatched generator sets")
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("mismatched fields")
 
     # -- ring operations ----------------------------------------------------
@@ -206,8 +206,22 @@ class FreePoly:
         return self._with({w[::-1]: n for w, n in self.num.items()}, self.den)
 
     def symmetrize(self) -> "FreePoly":
-        """{p} = p + p*; always a fixed point of reverse."""
-        return self + self.reverse()
+        """{p} = p + p*, in one pass over the store: each word's int is added
+        at its reverse, one ``% p`` per word over GF(p); always a fixed point
+        of reverse."""
+        p = self.field.characteristic
+        num = dict(self.num)
+        get = num.get
+        for w, n in self.num.items():
+            r = w[::-1]
+            s = get(r, 0) + n
+            if p:
+                s %= p
+            if s:
+                num[r] = s
+            else:  # n is nonzero, so r was there
+                del num[r]
+        return self._with(num, self.den)
 
     def component(self, d: MultiDegree) -> "FreePoly":
         """The sub-sum of terms of multidegree exactly d."""

@@ -150,12 +150,14 @@ def outer_ideal_component(f: JordanElement, d: MultiDegree, mode: str, field: Fi
     ``GradedSpanTable.close`` runs breadth-first rounds until a round adds
     nothing.  Every ideal element has multidegree >= deg f, so every
     multiplier and every U_f seed has multidegree <= d - deg f, and the hull
-    is closed only that far.
+    is closed only that far.  f must be homogeneous and fixed by reversal.
     """
     _require_field("generator", f.value.field, field)
     d = tuple(d)
     if f.multidegree is None:
         raise ValueError("ideal generator must be homogeneous")
+    if f.value.reverse() != f.value:  # je_circ and je_ulin rely on it
+        raise ValueError("ideal generator must be symmetric under reversal")
     if not dominated(f.multidegree, d):
         raise ValueError(f"generator multidegree {f.multidegree} not below target {d}")
     gens = f.value.gens

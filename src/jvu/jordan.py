@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from functools import cache
 
-from .expr import CALLS, circ, format_call, parse_expr, square, u_apply, u_lin
+from .expr import CALLS, circ, format_call, parse_expr, square, u_apply, u_lin  # circ, u_lin: re-exported
 from .fields import Field
 from .freealg import FreePoly, GeneratorSet, MultiDegree
 from .linalg import ComponentBasis, Subspace, coordinates
@@ -60,6 +60,10 @@ def commutator_identity_residual(field: Field) -> FreePoly:
 
 class JordanElement:
     """A symmetric polynomial together with the Jordan expression producing it.
+
+    The value is reversal-fixed, p* = p: generators and the unit are, and
+    each Jordan product of reversal-fixed factors is again.  ``je_circ`` and
+    ``je_ulin`` rely on it; ``JordanElement(value, recipe)`` does not check it.
 
     Recipe nodes: ("gen", name), ("unit",), ("square", r), ("circ", r, r),
     ("U", b, a) for a U_b, ("Ulin", b, c, a); an operation node is a call of
@@ -102,7 +106,9 @@ def _product(value: FreePoly, recipe, *factors: JordanElement) -> JordanElement:
 
 
 def je_circ(v: JordanElement, w: JordanElement) -> JordanElement:
-    return _product(circ(v.value, w.value), ("circ", v.recipe, w.recipe), v, w)
+    """v o w = vw + wv = {vw}: on reversal-fixed factors wv = (vw)*, so one
+    associative product is symmetrized."""
+    return _product((v.value * w.value).symmetrize(), ("circ", v.recipe, w.recipe), v, w)
 
 
 def je_square(v: JordanElement) -> JordanElement:
@@ -114,7 +120,9 @@ def je_u(b: JordanElement, a: JordanElement) -> JordanElement:
 
 
 def je_ulin(b: JordanElement, c: JordanElement, a: JordanElement) -> JordanElement:
-    return _product(u_lin(b.value, c.value, a.value), ("Ulin", b.recipe, c.recipe, a.recipe), b, c, a)
+    """b a c + c a b = {bac}: on reversal-fixed factors cab = (bac)*, so one
+    product chain is symmetrized."""
+    return _product((b.value * a.value * c.value).symmetrize(), ("Ulin", b.recipe, c.recipe, a.recipe), b, c, a)
 
 
 def recipe_str(recipe) -> str:

@@ -137,6 +137,7 @@ class Subspace:
         self._p = field.characteristic
         self._rows: list = []  # store rows, in pivot order
         self._support: list[list[int]] = []  # GF(p) and Q: each row's nonzero columns, ascending
+        self._by_pivot: dict[int, tuple] = {}  # GF(p) and Q: pivot -> (its row, the row's support)
         self._pivots: list[int] = []
         self._mask = 0  # GF(2): the pivot columns as a bitset
         self._grew: list[tuple] = []  # (insert index, list or Coordinates) per independent insert
@@ -161,8 +162,10 @@ class Subspace:
         return row[j] if self._p else Fraction(row[j], row[self._pivots[i]])
 
     def _encode(self, v):
-        """Convert v to the store, (x, s) with v = x / s: Coordinates as they are,
-        a list refused exactly as ``Field.require_exact`` refuses it (FieldError)."""
+        """Convert v to the store, (x, s, support) with v = x / s and x zero
+        off the columns ``support`` (None over GF(2), where x is a bitset):
+        Coordinates as they are, a list refused exactly as
+        ``Field.require_exact`` refuses it (FieldError)."""
         sparse, p = isinstance(v, Coordinates), self._p
         if (v.dim if sparse else len(v)) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
@@ -174,14 +177,16 @@ class Subspace:
                 x = 0
                 for j in cols:
                     x |= 1 << j
-                return x, 1
+                return x, 1, None
             x = [0] * n
             for j, c in zip(cols, vals):
                 x[j] = c
-            return x, s
+            return x, s, cols
         if p:
             self.field.require_exact(v)
-            return (int(bytes(v)[::-1].translate(_ASCII_BITS) or b"0", 2) if p == 2 else list(v)), 1
+            if p == 2:
+                return int(bytes(v)[::-1].translate(_ASCII_BITS) or b"0", 2), 1, None
+            return list(v), 1, [j for j, c in enumerate(v) if c]
         zero = self.field.zero  # to_vector fills with this object: skip it without a method call
         entries = [(j, c) for j, c in enumerate(v) if c is not zero]
         self.field.require_exact([c for _, c in entries])
@@ -189,7 +194,7 @@ class Subspace:
         x = [0] * len(v)
         for j, c in entries:
             x[j] = c.numerator * (s // c.denominator)
-        return x, s
+        return x, s, [j for j, _ in entries]
 
     def _entries(self, v, cols) -> list:
         """The field scalars of a list or Coordinates v on the columns cols."""
@@ -216,19 +221,20 @@ class Subspace:
             x[j] -= c * row[j]
         return a
 
-    def _reduce(self, x, s: int):
+    def _reduce(self, x, s: int, support):
         """The RREF residual of x / s against the rows, as (x', s'); a list x
-        is reduced in place."""
+        is reduced in place.  A row is zero on every other pivot column, so
+        only the pivots in x's ``support`` can need elimination."""
         if self._p == 2:
             m = x & self._mask  # a row changes no other row's pivot bit
             while m:
                 x ^= self._rows[bisect_left(self._pivots, (m & -m).bit_length() - 1)]
                 m &= m - 1
             return x, s
-        every = range(len(x))
-        for q, row, cols in zip(self._pivots, self._rows, self._support):
-            if x[q]:
-                s *= self._eliminate(x, every, row, cols, q)
+        every, by_pivot = range(len(x)), self._by_pivot
+        for q in support:
+            if q in by_pivot and x[q]:
+                s *= self._eliminate(x, every, *by_pivot[q], q)
         return x, s
 
     def _is_zero(self, x) -> bool:
@@ -236,9 +242,9 @@ class Subspace:
 
     def insert(self, v) -> bool:
         """Insert a vector; returns True iff it enlarged the span."""
-        x, _ = self._encode(v)
+        x, _, support = self._encode(v)
         self.n_inserted += 1
-        x, _ = self._reduce(x, 1)
+        x, _ = self._reduce(x, 1, support)
         p = self._p
         if p == 2:
             if not x:
@@ -268,6 +274,7 @@ class Subspace:
         self._pivots.insert(pos, pivot)
         if p != 2:
             self._support.insert(pos, cols)
+            self._by_pivot[pivot] = (x, cols)
         self._grew.append((self.n_inserted - 1, v if isinstance(v, Coordinates) else list(v)))
         return True
 

@@ -96,18 +96,25 @@ X_PLUS_Y = [("name", "x", 1), ("sym", "+", 3), ("name", "y", 5), ("end", "", 7)]
         (" ", [("end", "", 1)]),
         ("\t\r\x1c\xa0", [("end", "", 4)]),
         *[(f"{w}x{w}+{w}y{w}", X_PLUS_Y) for w in ("\t", "\r", "\x1c", "\xa0")],
-        ("\u0663*x", [("int", "\u0663", 0), ("sym", "*", 1), ("name", "x", 2), ("end", "", 3)]),
+        ("007*x", [("int", "007", 0), ("sym", "*", 3), ("name", "x", 4), ("end", "", 5)]),
         ("12x", [("int", "12", 0), ("name", "x", 2), ("end", "", 3)]),
     ],
 )
 def test_tokenize_edge_inputs(text, tokens):
-    """Any Unicode whitespace separates tokens, and a Unicode digit is an int."""
+    """Any Unicode whitespace separates tokens, and an int is ASCII digits."""
     assert _tokenize(text) == tokens
 
 
 @pytest.mark.parametrize(
     "text,char,pos",
-    [("\xe9", "\xe9", 0), ("x + \xe9", "\xe9", 4), ("#", "#", 0), ("x # y", "#", 2), ("  \t#", "#", 3)],
+    [
+        ("\xe9", "\xe9", 0),
+        ("x + \xe9", "\xe9", 4),
+        ("#", "#", 0),
+        ("x # y", "#", 2),
+        ("  \t#", "#", 3),
+        ("\u0663*x", "\u0663", 0),
+    ],
 )
 def test_tokenize_refuses_other_characters(text, char, pos):
     with pytest.raises(ParseError) as e:

@@ -279,6 +279,8 @@ def test_outer_component_validates_input():
         outer_ideal_component(f, (4, 4, 2), "linear", QQ)  # total degree above the ceiling
     with pytest.raises(ValueError):
         outer_ideal_component(f, D, "cubic", QQ)
+    with pytest.raises(ValueError, match="symmetric"):
+        outer_ideal_component(JordanElement(x * y, ("gen", "x")), D, "linear", QQ)
 
 
 def test_gf3_sanity_bridge():

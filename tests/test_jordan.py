@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_poly
+from jvu import expr
 from jvu.expr import parse_expr
 from jvu.fields import make_field
 from jvu.freealg import FreePoly, GeneratorSet
@@ -18,7 +19,9 @@ from jvu.jordan import (
     JordanElement,
     _spanning_candidates,
     circ,
+    dominated,
     je_circ,
+    je_ulin,
     jordan_closure_table,
     recipe_str,
     spanning_is_fixed_point,
@@ -28,10 +31,12 @@ from jvu.jordan import (
     u_lin,
     commutator_identity_residual,
 )
+from jvu.ideals import outer_ideal_component
 from jvu.linalg import to_vector
 
 QQ = make_field("rationals")
 GF2 = make_field("prime-field", 2)
+GF3 = make_field("prime-field", 3)
 GF5 = make_field("prime-field", 5)
 
 G1 = GeneratorSet(("x",))
@@ -334,3 +339,63 @@ def test_closure_insert_stream_pinned(case, limit, mode, unital, field):
         lines.extend(recipe_str(e.recipe) for e in table.inserted(d))
     count = len(lines) - len(table.multidegrees())
     assert (count, hashlib.sha256("\n".join(lines).encode()).hexdigest()) == CLOSURE_STREAMS[case]
+
+
+_SYMMETRIC_CASES = [(QQ, "linear"), (GF2, "quadratic"), (GF3, "linear"), (GF3, "quadratic")]
+_SYMMETRIC_IDS = ["q-linear", "gf2-quadratic", "gf3-linear", "gf3-quadratic"]
+_SYMMETRIC_LIMITS = [(2, 2, 1), (3, 2, 1), (2, 2, 2)]
+
+
+@functools.cache
+def _closure_and_ideal_tables(field, mode, limit):
+    """The closure table at limit, and the outer ideal of x o y at limit
+    with the hull it multiplies by."""
+    f = je_circ(JordanElement.generator(G3, field, "x"), JordanElement.generator(G3, field, "y"))
+    outer = outer_ideal_component(f, limit, mode, field)
+    return jordan_closure_table(G3, limit, mode, mode == "quadratic", field), outer.table, outer.hull
+
+
+@pytest.mark.parametrize("limit", _SYMMETRIC_LIMITS, ids=lambda d: "".join(map(str, d)))
+@pytest.mark.parametrize("field, mode", _SYMMETRIC_CASES, ids=_SYMMETRIC_IDS)
+def test_table_elements_are_reversal_fixed(field, mode, limit):
+    """je_circ and je_ulin rely on it: every representative and every
+    inserted element of a closure or outer-ideal table is fixed by reversal."""
+    for table in _closure_and_ideal_tables(field, mode, limit):
+        inserted = [e for d in table.multidegrees() for e in table.inserted(d)]
+        assert inserted and all(e.value.reverse() == e.value for e in inserted)
+        assert all(e.value.reverse() == e.value for e in table.all_reps())
+
+
+@pytest.mark.parametrize("limit", _SYMMETRIC_LIMITS, ids=lambda d: "".join(map(str, d)))
+@pytest.mark.parametrize("field, mode", _SYMMETRIC_CASES, ids=_SYMMETRIC_IDS)
+def test_symmetric_products_match_the_grammar(field, mode, limit):
+    """On seeded samples of table representatives whose degrees sum to at
+    most the limit, je_circ and je_ulin equal the grammar's general
+    ``expr.circ`` (pq + qp) and ``expr.u_lin`` (bac + cab)."""
+    rng = random.Random(f"{field!r}/{mode}/{limit}")
+    reps = [e for table in _closure_and_ideal_tables(field, mode, limit) for e in table.all_reps()]
+
+    def sample(k):
+        while True:
+            picked = [rng.choice(reps) for _ in range(k)]
+            if dominated(tuple(map(sum, zip(*(e.multidegree for e in picked)))), limit):
+                return picked
+
+    for _ in range(20):
+        a, b = sample(2)
+        assert je_circ(a, b).value == expr.circ(a.value, b.value)
+        b, c, a = sample(3)
+        assert je_ulin(b, c, a).value == expr.u_lin(b.value, c.value, a.value)
+
+
+def test_symmetric_products_make_one_product_chain(monkeypatch):
+    """je_circ makes one FreePoly product and je_ulin two."""
+    calls = []
+    mul = FreePoly.__mul__
+    monkeypatch.setattr(FreePoly, "__mul__", lambda p, q: calls.append(1) or mul(p, q))
+    x, y, z = (JordanElement.generator(G3, QQ, n) for n in "xyz")
+    xy = je_circ(x, y)
+    assert len(calls) == 1
+    calls.clear()
+    je_ulin(xy, z, x)
+    assert len(calls) == 2

@@ -727,3 +727,42 @@ def test_coordinates_refuse_what_to_vector_refuses(field):
         with pytest.raises(FieldError):
             getattr(span, entry)(coordinates(xy, cb))
         assert (span.dim, span.n_inserted, span.rows) == (1, 1, [[1, 0]])
+
+
+class _FullScanSpan(Subspace):
+    """A span whose reduction tests the incoming vector at every pivot."""
+
+    def _reduce(self, x, s, support):
+        every = range(len(x))
+        for q, row, cols in zip(self._pivots, self._rows, self._support):
+            if x[q]:
+                s *= self._eliminate(x, every, row, cols, q)
+        return x, s
+
+
+@pytest.mark.parametrize("field", [QQ, _GF3, GF5], ids=["q", "gf3", "gf5"])
+@pytest.mark.parametrize("seed", range(4))
+def test_support_reduction_matches_full_scan(field, seed):
+    """A span that eliminates only at the pivots in a vector's support, and a
+    twin that tests every pivot, fed the same seeded ``coordinates`` (over Q
+    with denominators up to 9), agree on rows, pivots, supports, residuals and
+    certificates after every step; the pivot map holds each row and its
+    support list themselves."""
+    rng = random.Random(f"full-scan/{field!r}/{seed}")
+    cb = ComponentBasis(G3, (2, 2, 1))
+    fast, full = Subspace(field, len(cb)), _FullScanSpan(field, len(cb))
+    done = []
+    for _ in range(24):
+        p = _random_component_poly(rng, field, cb, done)
+        assert fast.insert(coordinates(p, cb)) == full.insert(coordinates(p, cb))
+        done.append(p)
+        assert (fast.rows, fast.pivots, fast._support) == (full.rows, full.pivots, full._support)
+        assert sorted(fast._by_pivot) == fast.pivots
+        assert all(
+            fast._by_pivot[q][0] is row and fast._by_pivot[q][1] is cols
+            for q, row, cols in zip(fast._pivots, fast._rows, fast._support)
+        )
+        for q in (_random_component_poly(rng, field, cb, done), p):
+            for v in (coordinates(q, cb), to_vector(q, cb)):
+                assert fast.membership(v) == full.membership(v)
+                assert fast.contains(v) == full.contains(v)
