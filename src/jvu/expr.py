@@ -20,6 +20,7 @@ The calls are stated once, in ``CALLS``, which the parser and ``format_call`` re
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from types import MappingProxyType
 
 from .fields import Field, FieldError
@@ -144,18 +145,20 @@ class _Parser:
     def atom(self) -> FreePoly:
         kind, val, pos = self.next()
         if kind == "int":
-            num = int(val)
+            num = int(Decimal(val))  # int(str) refuses past 4300 digits; INT has no length bound
             den = 1
             if self.peek()[1] == "/":
                 self.next()
                 k2, v2, p2 = self.next()
                 if k2 != "int":
                     raise ParseError("expected denominator digits", p2)
-                den = int(v2)
+                den = int(Decimal(v2))
             try:
+                if not den:  # before Fraction, whose own message prints num
+                    raise ZeroDivisionError
                 c = self.field.from_rational(num, den)
             except (ZeroDivisionError, FieldError):
-                raise ParseError(f"bad scalar {num}/{den} over this field", pos) from None
+                raise ParseError(f"bad scalar {Decimal(num)}/{Decimal(den)} over this field", pos) from None
             return FreePoly.constant(self.gens, self.field, c)
         if kind == "name":
             if val == "one":

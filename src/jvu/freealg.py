@@ -13,6 +13,7 @@ lexicographic order used throughout is just tuple order within a component.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
@@ -261,11 +262,13 @@ class FreePoly:
 
 
 def format_scalar(c, field: Field) -> str:
+    """c in the grammar's digits; a Q numerator or denominator of any length
+    prints through Decimal, which str(int) refuses past 4300 digits."""
     if field.characteristic:
         return str(c)
     if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
+        return str(Decimal(c.numerator))
+    return f"{Decimal(c.numerator)}/{Decimal(c.denominator)}"
 
 
 def _signed_sum(terms, field: Field) -> str:

@@ -156,8 +156,6 @@ def outer_ideal_component(f: JordanElement, d: MultiDegree, mode: str, field: Fi
     d = tuple(d)
     if f.multidegree is None:
         raise ValueError("ideal generator must be homogeneous")
-    if f.value.reverse() != f.value:  # je_circ and je_ulin rely on it
-        raise ValueError("ideal generator must be symmetric under reversal")
     if not dominated(f.multidegree, d):
         raise ValueError(f"generator multidegree {f.multidegree} not below target {d}")
     gens = f.value.gens

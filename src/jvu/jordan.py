@@ -63,7 +63,8 @@ class JordanElement:
 
     The value is reversal-fixed, p* = p: generators and the unit are, and
     each Jordan product of reversal-fixed factors is again.  ``je_circ`` and
-    ``je_ulin`` rely on it; ``JordanElement(value, recipe)`` does not check it.
+    ``je_ulin`` rely on it, so ``JordanElement(value, recipe)`` refuses any
+    other value; the products skip that check, as their factors hold it.
 
     Recipe nodes: ("gen", name), ("unit",), ("square", r), ("circ", r, r),
     ("U", b, a) for a U_b, ("Ulin", b, c, a); an operation node is a call of
@@ -75,6 +76,8 @@ class JordanElement:
     __slots__ = ("value", "recipe", "multidegree")
 
     def __init__(self, value: FreePoly, recipe):
+        if value.reverse() != value:
+            raise ValueError("a Jordan element's value must be symmetric under reversal")
         self.value = value
         self.recipe = recipe
         self.multidegree = value.multidegree()

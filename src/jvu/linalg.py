@@ -11,7 +11,6 @@ of the row they eliminate with.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -120,14 +119,15 @@ class Subspace:
     operation is ``a*x - c*y`` with ``gcd(a, c)`` cancelled (fraction-free
     elimination, Bareiss 1968); over GF(2) a row is an int bitset, bit j for
     column j; over GF(p), p odd, a row is a residue list with pivot entry 1.
-    A list row keeps its nonzero columns beside it, and is updated in place
-    on those columns only.
+    One dict maps each pivot column to its row: the bitset over GF(2), and
+    otherwise the pair of the list row and its nonzero columns, ascending,
+    which is updated in place on those columns only.
 
     Rows are in reduced row-echelon form.  ``rows`` and ``pivots`` are views
-    built when read: ``rows`` is the unique RREF basis in field scalars, so it
-    does not depend on insertion order.  Beside the rows the span keeps only
-    the inserts that grew it, with their insert indices; :meth:`membership`
-    solves a certificate over them when a vector is inside.
+    built when read, in pivot order: ``rows`` is the unique RREF basis in
+    field scalars, so it does not depend on insertion order.  Beside the rows
+    the span keeps only the inserts that grew it, with their insert indices;
+    :meth:`membership` solves a certificate over them when a vector is inside.
     """
 
     def __init__(self, field: Field, ambient_dim: int):
@@ -135,31 +135,29 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.n_inserted = 0
         self._p = field.characteristic
-        self._rows: list = []  # store rows, in pivot order
-        self._support: list[list[int]] = []  # GF(p) and Q: each row's nonzero columns, ascending
-        self._by_pivot: dict[int, tuple] = {}  # GF(p) and Q: pivot -> (its row, the row's support)
-        self._pivots: list[int] = []
+        self._rows: dict = {}  # pivot -> bitset (GF(2)), or (list row, its nonzero columns ascending)
         self._mask = 0  # GF(2): the pivot columns as a bitset
         self._grew: list[tuple] = []  # (insert index, list or Coordinates) per independent insert
 
     @property
     def dim(self) -> int:
-        return len(self._pivots)
+        return len(self._rows)
 
     @property
     def pivots(self) -> list[int]:
-        return list(self._pivots)
+        return sorted(self._rows)
 
     @property
     def rows(self) -> list[list]:
-        return [[self._scalar(i, j) for j in range(self.ambient_dim)] for i in range(self.dim)]
+        return [[self._scalar(q, j) for j in range(self.ambient_dim)] for q in self.pivots]
 
-    def _scalar(self, i: int, j: int):
-        """Entry j of the i-th RREF row, as a field scalar."""
-        row = self._rows[i]
+    def _scalar(self, q: int, j: int):
+        """Entry j of the RREF row with pivot q, as a field scalar."""
+        row = self._rows[q]
         if self._p == 2:
             return row >> j & 1
-        return row[j] if self._p else Fraction(row[j], row[self._pivots[i]])
+        row = row[0]
+        return row[j] if self._p else Fraction(row[j], row[q])
 
     def _encode(self, v):
         """Convert v to the store, (x, s, support) with v = x / s and x zero
@@ -228,13 +226,13 @@ class Subspace:
         if self._p == 2:
             m = x & self._mask  # a row changes no other row's pivot bit
             while m:
-                x ^= self._rows[bisect_left(self._pivots, (m & -m).bit_length() - 1)]
+                x ^= self._rows[(m & -m).bit_length() - 1]
                 m &= m - 1
             return x, s
-        every, by_pivot = range(len(x)), self._by_pivot
+        every, rows = range(len(x)), self._rows
         for q in support:
-            if q in by_pivot and x[q]:
-                s *= self._eliminate(x, every, *by_pivot[q], q)
+            if q in rows and x[q]:
+                s *= self._eliminate(x, every, *rows[q], q)
         return x, s
 
     def _is_zero(self, x) -> bool:
@@ -251,7 +249,7 @@ class Subspace:
                 return False
             pivot = (x & -x).bit_length() - 1
             self._mask |= x & -x
-            self._rows = [row ^ x if row >> pivot & 1 else row for row in self._rows]
+            self._rows = {q: row ^ x if row >> pivot & 1 else row for q, row in self._rows.items()}
         else:
             cols = [j for j, c in enumerate(x) if c]
             if not cols:
@@ -262,19 +260,14 @@ class Subspace:
                 x = [c * inv % p for c in x]
             else:
                 x = _primitive(x, x[pivot])
-            for row, rcols in zip(self._rows, self._support):  # clear the new pivot column in place
+            for row, rcols in self._rows.values():  # clear the new pivot column in place
                 if row[pivot]:
                     self._eliminate(row, rcols, x, cols, pivot)
                     rcols[:] = [j for j in sorted(set(rcols).union(cols)) if row[j]]
                     if not p and (g := gcd(*[row[j] for j in rcols])) != 1:
                         for j in rcols:
                             row[j] //= g
-        pos = bisect_left(self._pivots, pivot)
-        self._rows.insert(pos, x)
-        self._pivots.insert(pos, pivot)
-        if p != 2:
-            self._support.insert(pos, cols)
-            self._by_pivot[pivot] = (x, cols)
+        self._rows[pivot] = x if p == 2 else (x, cols)
         self._grew.append((self.n_inserted - 1, v if isinstance(v, Coordinates) else list(v)))
         return True
 
@@ -296,7 +289,7 @@ class Subspace:
             if self._p == 2:
                 return "outside", [x >> j & 1 for j in range(self.ambient_dim)]
             return "outside", x if self._p else [Fraction(c, s) for c in x]
-        pivots = self._pivots
+        pivots = self.pivots
         coeffs, _ = _solve([self._entries(b, pivots) for _, b in self._grew], self._entries(v, pivots), self.field)
         return "inside", {idx: c for (idx, _), c in zip(self._grew, coeffs) if c}
 
@@ -334,18 +327,18 @@ def _solve(columns: list[list], rhs: list, f: Field):
     system = Subspace(f, n + 1)
     for i, b in enumerate(rhs):
         system.insert([col[i] for col in columns] + [b])
-    pivots = system._pivots
+    pivots = system.pivots
     if n in pivots:
         return None, []
     particular = [f.zero] * n
-    for i, p in enumerate(pivots):
-        particular[p] = system._scalar(i, n)
+    for p in pivots:
+        particular[p] = system._scalar(p, n)
     homogeneous = []
     for j in [k for k in range(n) if k not in pivots]:
         vec = [f.zero] * n
         vec[j] = f.one
-        for i, p in enumerate(pivots):
-            vec[p] = f.neg(system._scalar(i, j))
+        for p in pivots:
+            vec[p] = f.neg(system._scalar(p, j))
         homogeneous.append(vec)
     return particular, homogeneous
 

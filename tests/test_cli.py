@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from decimal import Decimal
 
 import pytest
 
@@ -15,7 +16,7 @@ from jvu import albert
 from jvu.cli import EXIT_CONFIRMED, EXIT_ERROR, EXIT_REFUTED, coefficient_targets, main, run_command
 from jvu.fields import field_from_name
 from jvu.freealg import FreePoly
-from jvu.jordan import circ, u_apply
+from jvu.jordan import COMMUTATOR_WITNESS, circ, u_apply
 
 #: environment in which a `python -m jvu.cli` subprocess imports this same jvu
 SUBPROCESS_ENV = {
@@ -27,6 +28,9 @@ SUBPROCESS_ENV = {
 
 #: x nested in 1200 parentheses, deeper than the parser's recursion allows
 DEEP_EXPR = "(" * 1200 + "x" + ")" * 1200
+
+#: a 5000-digit integer, past the 4300 digits that int <-> str converts by default
+BIG = "1" + "0" * 5000
 
 REPORT_KEYS = {
     "schema_version",
@@ -207,6 +211,34 @@ def test_parse_verb():
     assert report["data"]["round_trip"] is True
 
 
+@pytest.mark.parametrize(
+    "expr, canonical",
+    [
+        (BIG, BIG),
+        ("9" * 3000 + "*" + "9" * 3000 + "*x", f"{Decimal((10**3000 - 1) ** 2)}*x"),
+        (f"1/{BIG}*x + {BIG}/3*y", f"1/{BIG}*x + {BIG}/3*y"),
+    ],
+    ids=["5000-digit literal", "6000-digit product", "5000-digit denominator"],
+)
+def test_parse_verb_takes_integers_of_any_length(expr, canonical):
+    """The grammar's INT has no length bound, and a Q coefficient prints
+    exactly however many digits it has."""
+    code, report = run_command(["parse", "--field", "q", "--expr", expr])
+    assert code == EXIT_CONFIRMED
+    assert report["data"]["canonical"] == canonical
+    assert report["data"]["round_trip"] is True
+
+
+@pytest.mark.parametrize("scale", [BIG, f"1/{BIG}"], ids=["5000-digit factor", "5000-digit denominator"])
+def test_counterexample_witness_with_long_coefficient(scale):
+    """A scalar multiple of the default witness is a gap witness whatever
+    the length of the scalar, with the same ideal dimensions."""
+    code, report = run_command(["counterexample", "--field", "q", "--witness", f"{scale}*({COMMUTATOR_WITNESS})"])
+    assert code == EXIT_CONFIRMED
+    assert report["verdict"] == "confirmed"
+    assert (report["data"]["outer_dim"], report["data"]["assoc_dim"]) == (10, 21)
+
+
 def test_parse_verb_syntax_error():
     code, report = run_command(["parse", "--expr", "x +"])
     assert code == EXIT_ERROR
@@ -243,6 +275,7 @@ def test_usage_error_exit_code():
         ["dims", "--field", "gf2", "--mode", "linear"],
         ["counterexample", "--field", "gf2", "--mode", "linear"],
         pytest.param(["parse", "--expr", DEEP_EXPR], id="parse --expr <1200 nested parentheses>"),
+        pytest.param(["parse", "--expr", f"{BIG}/0"], id="parse --expr <5000 digits>/0"),
         pytest.param(["counterexample", "--witness", DEEP_EXPR], id="counterexample --witness <1200 nested parentheses>"),
     ],
     ids=lambda argv: " ".join(argv),

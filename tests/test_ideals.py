@@ -118,7 +118,7 @@ def test_closure_tables_are_not_shared():
     x, y, _, f = setup_elems(GF2)
     table = jordan_closure_table(G3, D, "quadratic", True, GF2)
     assert jordan_closure_table(G3, D, "quadratic", True, GF2) is not table
-    table.insert(JordanElement(x * y, ("gen", "x")))  # not a Jordan element
+    table.insert(JordanElement(x * y * x, ("gen", "x")))  # a recipe that does not build the value
     assert outer_ideal_component(f, D, "quadratic", GF2).dim == 10
 
 

@@ -366,6 +366,16 @@ def test_table_elements_are_reversal_fixed(field, mode, limit):
         assert all(e.value.reverse() == e.value for e in table.all_reps())
 
 
+@pytest.mark.parametrize("field", [QQ, GF2], ids=["q", "gf2"])
+def test_jordan_element_refuses_a_value_not_fixed_by_reversal(field):
+    """je_circ(e, z) is e*z + z*e only when e is reversal-fixed, so the
+    constructor refuses x*y whatever its recipe, and takes x*y*x."""
+    x, y = gen(G3, field, "x"), gen(G3, field, "y")
+    with pytest.raises(ValueError, match="symmetric under reversal"):
+        JordanElement(x * y, ("circ", ("gen", "x"), ("gen", "y")))
+    assert JordanElement(x * y * x, ("U", ("gen", "x"), ("gen", "y"))).multidegree == (2, 1, 0)
+
+
 @pytest.mark.parametrize("limit", _SYMMETRIC_LIMITS, ids=lambda d: "".join(map(str, d)))
 @pytest.mark.parametrize("field, mode", _SYMMETRIC_CASES, ids=_SYMMETRIC_IDS)
 def test_symmetric_products_match_the_grammar(field, mode, limit):

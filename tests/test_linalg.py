@@ -502,7 +502,7 @@ def test_span_kernel_matches_plain_gauss_jordan(case):
         assert (s.rows, s.pivots, s.dim, s.n_inserted) == (ref.rows, ref.pivots, len(ref.rows), ref.n_inserted)
         assert all(exact(row) for row in s.rows)
         if field == QQ:  # the integer store keeps each row primitive, pivot entry positive
-            assert all(gcd(*row) == 1 and row[p] > 0 for p, row in zip(s._pivots, s._rows))
+            assert all(gcd(*row) == 1 and row[p] > 0 for p, (row, _) in s._rows.items())
         for _ in range(4):
             for v in ([entry(rng) for _ in range(n)], _apply(inserted, [entry(rng) for _ in inserted], n, field)):
                 verdict, data = s.membership(v)
@@ -518,6 +518,7 @@ def test_span_kernel_matches_plain_gauss_jordan(case):
 
 _SUPPORT_CASES = {
     "q": (QQ, lambda rng: rng.choice((0, 0, 0, 1, -1, Fraction(rng.randint(-9, 9), rng.randint(1, 9))))),
+    "gf2": (GF2, lambda rng: rng.choice((0, 0, 1))),
     "gf3": (make_field("prime-field", 3), lambda rng: rng.choice((0, 0, rng.randrange(3)))),
     "gf5": (GF5, lambda rng: rng.choice((0, 0, rng.randrange(5)))),
 }
@@ -525,9 +526,11 @@ _SUPPORT_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_SUPPORT_CASES))
 def test_support_index_is_each_rows_nonzero_columns(case):
-    """After every insert of a seeded sequence, each list row's support list
-    holds exactly its nonzero columns, ascending, and the rows stay in
-    reduced row-echelon form."""
+    """After every insert of a seeded sequence, the store is keyed by the
+    pivots and each key is its row's first nonzero column; each list row's
+    column list holds exactly its nonzero columns, ascending; over GF(2) the
+    mask is the bitset of the pivots.  The rows stay in reduced row-echelon
+    form: each row is nonzero at its own pivot and zero at every other."""
     field, entry = _SUPPORT_CASES[case]
     rng = random.Random(case)
     for _ in range(60):
@@ -535,9 +538,14 @@ def test_support_index_is_each_rows_nonzero_columns(case):
         s = Subspace(field, n)
         for _ in range(rng.randint(1, n + 3)):
             s.insert([entry(rng) for _ in range(n)])
-            assert s._support == [[j for j, c in enumerate(row) if c] for row in s._rows]
-            for i, p in enumerate(s.pivots):
-                assert [s._rows[k][p] != 0 for k in range(s.dim)] == [k == i for k in range(s.dim)]
+            assert sorted(s._rows) == s.pivots and len(s._rows) == s.dim
+            if field == GF2:
+                assert s._mask == sum(1 << q for q in s._rows)
+                assert all(row & -row == row & s._mask == 1 << q for q, row in s._rows.items())
+                continue
+            for q, (row, cols) in s._rows.items():
+                assert cols == [j for j, c in enumerate(row) if c] and cols[0] == q
+                assert [row[p] != 0 for p in s.pivots] == [p == q for p in s.pivots]
 
 
 @pytest.mark.parametrize("field", [QQ, GF2, make_field("prime-field", 3), GF5], ids=["q", "gf2", "gf3", "gf5"])
@@ -734,9 +742,9 @@ class _FullScanSpan(Subspace):
 
     def _reduce(self, x, s, support):
         every = range(len(x))
-        for q, row, cols in zip(self._pivots, self._rows, self._support):
+        for q in self.pivots:
             if x[q]:
-                s *= self._eliminate(x, every, row, cols, q)
+                s *= self._eliminate(x, every, *self._rows[q], q)
         return x, s
 
 
@@ -745,9 +753,8 @@ class _FullScanSpan(Subspace):
 def test_support_reduction_matches_full_scan(field, seed):
     """A span that eliminates only at the pivots in a vector's support, and a
     twin that tests every pivot, fed the same seeded ``coordinates`` (over Q
-    with denominators up to 9), agree on rows, pivots, supports, residuals and
-    certificates after every step; the pivot map holds each row and its
-    support list themselves."""
+    with denominators up to 9), agree on rows, pivots, stored rows with their
+    nonzero columns, residuals and certificates after every step."""
     rng = random.Random(f"full-scan/{field!r}/{seed}")
     cb = ComponentBasis(G3, (2, 2, 1))
     fast, full = Subspace(field, len(cb)), _FullScanSpan(field, len(cb))
@@ -756,12 +763,7 @@ def test_support_reduction_matches_full_scan(field, seed):
         p = _random_component_poly(rng, field, cb, done)
         assert fast.insert(coordinates(p, cb)) == full.insert(coordinates(p, cb))
         done.append(p)
-        assert (fast.rows, fast.pivots, fast._support) == (full.rows, full.pivots, full._support)
-        assert sorted(fast._by_pivot) == fast.pivots
-        assert all(
-            fast._by_pivot[q][0] is row and fast._by_pivot[q][1] is cols
-            for q, row, cols in zip(fast._pivots, fast._rows, fast._support)
-        )
+        assert (fast.rows, fast.pivots, fast._rows) == (full.rows, full.pivots, full._rows)
         for q in (_random_component_poly(rng, field, cb, done), p):
             for v in (coordinates(q, cb), to_vector(q, cb)):
                 assert fast.membership(v) == full.membership(v)
