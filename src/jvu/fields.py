@@ -140,6 +140,8 @@ def field_from_name(name: str) -> Field:
     if name == "q":
         return make_field(RATIONALS)
     if re.fullmatch(r"gf[1-9][0-9]*", name):
+        if len(name) - 2 > len(str(_MAX_PRIME)):  # refused before int() reads a number of any length
+            raise FieldError(f"modulus too large: {len(name) - 2} digits")
         return make_field(PRIME_FIELD, int(name[2:]))
     raise FieldError(f"bad field name {name!r} (expected q or gf<p>)")
 

@@ -66,7 +66,7 @@ class ComponentBasis:
 
 
 class Coordinates(NamedTuple):
-    """A read-only vector in a FreePoly's store form: ints ``vals`` at ``cols``, over den."""
+    """A read-only vector in a FreePoly's store form: nonzero ints ``vals`` at ``cols``, over den."""
 
     cols: tuple
     vals: Iterable
@@ -114,14 +114,14 @@ class Subspace:
 
     ``insert``, ``contains`` and ``membership`` take ``Coordinates`` over the
     field, whose ints the row store takes as they are, or a list of
-    ``ambient_dim`` scalars that ``Field.require_exact`` checks.  Over Q
-    a row is a primitive int list with a positive pivot entry, and a row
-    operation is ``a*x - c*y`` with ``gcd(a, c)`` cancelled (fraction-free
-    elimination, Bareiss 1968); over GF(2) a row is an int bitset, bit j for
-    column j; over GF(p), p odd, a row is a residue list with pivot entry 1.
-    One dict maps each pivot column to its row: the bitset over GF(2), and
-    otherwise the pair of the list row and its nonzero columns, ascending,
-    which is updated in place on those columns only.
+    ``ambient_dim`` scalars that ``Field.require_exact`` checks.  Over GF(2)
+    a row is an int bitset, bit j for column j; otherwise it is a dict from
+    each nonzero column to its int, so its keys are its support.  Over Q a
+    row is primitive with a positive pivot entry, and a row operation is
+    ``a*x - c*y`` with ``gcd(a, c)`` cancelled (fraction-free elimination,
+    Bareiss 1968); over GF(p), p odd, a row holds residues, pivot entry 1.
+    One dict maps each pivot column to its row, and a row operation updates
+    the row in place on the eliminating row's keys.
 
     Rows are in reduced row-echelon form.  ``rows`` and ``pivots`` are views
     built when read, in pivot order: ``rows`` is the unique RREF basis in
@@ -135,7 +135,7 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.n_inserted = 0
         self._p = field.characteristic
-        self._rows: dict = {}  # pivot -> bitset (GF(2)), or (list row, its nonzero columns ascending)
+        self._rows: dict = {}  # pivot -> bitset (GF(2)), or dict from column to nonzero int
         self._mask = 0  # GF(2): the pivot columns as a bitset
         self._grew: list[tuple] = []  # (insert index, list or Coordinates) per independent insert
 
@@ -156,123 +156,112 @@ class Subspace:
         row = self._rows[q]
         if self._p == 2:
             return row >> j & 1
-        row = row[0]
-        return row[j] if self._p else Fraction(row[j], row[q])
+        return row.get(j, 0) if self._p else Fraction(row.get(j, 0), row[q])
 
     def _encode(self, v):
-        """Convert v to the store, (x, s, support) with v = x / s and x zero
-        off the columns ``support`` (None over GF(2), where x is a bitset):
-        Coordinates as they are, a list refused exactly as
-        ``Field.require_exact`` refuses it (FieldError)."""
+        """Convert v to the store, (x, s) with v = x / s, x a bitset over
+        GF(2) and otherwise a dict from column to nonzero int: Coordinates
+        as they are, a list refused exactly as ``Field.require_exact``
+        refuses it (FieldError)."""
         sparse, p = isinstance(v, Coordinates), self._p
         if (v.dim if sparse else len(v)) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         if sparse:
-            cols, vals, s, n, field = v
+            cols, vals, s, _, field = v
             if field.characteristic != p:
                 raise FieldError(f"coordinates over {field!r} for a span over {self.field!r}")
             if p == 2:
                 x = 0
                 for j in cols:
                     x |= 1 << j
-                return x, 1, None
-            x = [0] * n
-            for j, c in zip(cols, vals):
-                x[j] = c
-            return x, s, cols
+                return x, 1
+            return dict(zip(cols, vals)), s
         if p:
             self.field.require_exact(v)
             if p == 2:
-                return int(bytes(v)[::-1].translate(_ASCII_BITS) or b"0", 2), 1, None
-            return list(v), 1, [j for j, c in enumerate(v) if c]
+                return int(bytes(v)[::-1].translate(_ASCII_BITS) or b"0", 2), 1
+            return {j: c for j, c in enumerate(v) if c}, 1
         zero = self.field.zero  # to_vector fills with this object: skip it without a method call
         entries = [(j, c) for j, c in enumerate(v) if c is not zero]
         self.field.require_exact([c for _, c in entries])
         s = lcm(*[c.denominator for _, c in entries])
-        x = [0] * len(v)
-        for j, c in entries:
-            x[j] = c.numerator * (s // c.denominator)
-        return x, s, [j for j, _ in entries]
+        return {j: c.numerator * (s // c.denominator) for j, c in entries if c}, s
 
     def _entries(self, v, cols) -> list:
         """The field scalars of a list or Coordinates v on the columns cols."""
         v = v.dense() if isinstance(v, Coordinates) else v
         return [v[j] for j in cols]
 
-    def _eliminate(self, x: list, xcols, row: list, cols: list[int], q: int) -> int:
-        """Clear the nonzero entry q of the list x in place with ``row``, whose
-        pivot is q and whose nonzero columns are ``cols``.  Over Q, x is first
-        scaled on ``xcols`` (the columns where it may be nonzero) when the
-        gcd-reduced pivot entry is not 1.  Returns that positive factor."""
-        p, c = self._p, x[q]
-        if p:
-            for j in cols:
-                x[j] = (x[j] - c * row[j]) % p
-            return 1
-        a = row[q]
-        g = gcd(a, c)
-        a, c = a // g, c // g
-        if a != 1:
-            for j in xcols:
-                x[j] *= a
-        for j in cols:
-            x[j] -= c * row[j]
+    def _eliminate(self, x: dict, row: dict, q: int) -> int:
+        """Clear the entry q of the dict x in place with ``row``, whose pivot
+        is q, deleting every entry that becomes zero.  Over Q, x is first
+        scaled when the gcd-reduced pivot entry is not 1.  Returns that
+        positive factor."""
+        p, c, a = self._p, x[q], 1
+        if not p:
+            g = gcd(row[q], c)
+            a, c = row[q] // g, c // g
+            if a != 1:
+                for j in x:
+                    x[j] *= a
+        for j, r in row.items():
+            e = (x.get(j, 0) - c * r) % p if p else x.get(j, 0) - c * r
+            if e:
+                x[j] = e
+            else:
+                del x[j]
         return a
 
-    def _reduce(self, x, s: int, support):
-        """The RREF residual of x / s against the rows, as (x', s'); a list x
+    def _reduce(self, x, s: int):
+        """The RREF residual of x / s against the rows, as (x', s'); a dict x
         is reduced in place.  A row is zero on every other pivot column, so
-        only the pivots in x's ``support`` can need elimination."""
+        only the pivots among x's keys need elimination, and none is added."""
         if self._p == 2:
             m = x & self._mask  # a row changes no other row's pivot bit
             while m:
                 x ^= self._rows[(m & -m).bit_length() - 1]
                 m &= m - 1
             return x, s
-        every, rows = range(len(x)), self._rows
-        for q in support:
-            if q in rows and x[q]:
-                s *= self._eliminate(x, every, *rows[q], q)
+        rows = self._rows
+        for q in [q for q in x if q in rows]:
+            s *= self._eliminate(x, rows[q], q)
         return x, s
-
-    def _is_zero(self, x) -> bool:
-        return not x if self._p == 2 else not any(x)
 
     def insert(self, v) -> bool:
         """Insert a vector; returns True iff it enlarged the span."""
-        x, _, support = self._encode(v)
+        x, _ = self._encode(v)
         self.n_inserted += 1
-        x, _ = self._reduce(x, 1, support)
+        x, _ = self._reduce(x, 1)
+        if not x:
+            return False
         p = self._p
         if p == 2:
-            if not x:
-                return False
             pivot = (x & -x).bit_length() - 1
             self._mask |= x & -x
             self._rows = {q: row ^ x if row >> pivot & 1 else row for q, row in self._rows.items()}
         else:
-            cols = [j for j, c in enumerate(x) if c]
-            if not cols:
-                return False
-            pivot = cols[0]
+            pivot = min(x)
             if p:
                 inv = pow(x[pivot], -1, p)
-                x = [c * inv % p for c in x]
-            else:
-                x = _primitive(x, x[pivot])
-            for row, rcols in self._rows.values():  # clear the new pivot column in place
-                if row[pivot]:
-                    self._eliminate(row, rcols, x, cols, pivot)
-                    rcols[:] = [j for j in sorted(set(rcols).union(cols)) if row[j]]
-                    if not p and (g := gcd(*[row[j] for j in rcols])) != 1:
-                        for j in rcols:
+                for j in x:
+                    x[j] = x[j] * inv % p
+            else:  # divide by the content, signed to make the pivot entry positive
+                g = gcd(*x.values()) if x[pivot] > 0 else -gcd(*x.values())
+                if g != 1:
+                    for j in x:
+                        x[j] //= g
+            for row in self._rows.values():  # clear the new pivot column in place
+                if pivot in row:
+                    self._eliminate(row, x, pivot)
+                    if not p and (g := gcd(*row.values())) != 1:
+                        for j in row:
                             row[j] //= g
-        self._rows[pivot] = x if p == 2 else (x, cols)
+        self._rows[pivot] = x
         self._grew.append((self.n_inserted - 1, v if isinstance(v, Coordinates) else list(v)))
         return True
 
     def contains(self, v) -> bool:
-        return self._is_zero(self._reduce(*self._encode(v))[0])
+        return not self._reduce(*self._encode(v))[0]
 
     def membership(self, v):
         """Return ("inside", certificate) or ("outside", exact RREF residual).
@@ -285,19 +274,14 @@ class Subspace:
         independent inserts B_k of sum(x_k * B_k[p]) = v[p], one row per pivot p.
         """
         x, s = self._reduce(*self._encode(v))
-        if not self._is_zero(x):
+        if x:
+            every = range(self.ambient_dim)
             if self._p == 2:
-                return "outside", [x >> j & 1 for j in range(self.ambient_dim)]
-            return "outside", x if self._p else [Fraction(c, s) for c in x]
+                return "outside", [x >> j & 1 for j in every]
+            return "outside", [x.get(j, 0) if self._p else Fraction(x.get(j, 0), s) for j in every]
         pivots = self.pivots
         coeffs, _ = _solve([self._entries(b, pivots) for _, b in self._grew], self._entries(v, pivots), self.field)
         return "inside", {idx: c for (idx, _), c in zip(self._grew, coeffs) if c}
-
-
-def _primitive(x: list[int], sign: int) -> list[int]:
-    """x divided by its content, negated too when ``sign`` is negative."""
-    g = gcd(*x) if sign > 0 else -gcd(*x)
-    return x if g == 1 else [c // g for c in x]
 
 
 @dataclass

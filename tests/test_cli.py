@@ -276,6 +276,9 @@ def test_usage_error_exit_code():
         ["counterexample", "--field", "gf2", "--mode", "linear"],
         pytest.param(["parse", "--expr", DEEP_EXPR], id="parse --expr <1200 nested parentheses>"),
         pytest.param(["parse", "--expr", f"{BIG}/0"], id="parse --expr <5000 digits>/0"),
+        # a modulus past Python's int/str digit limit is refused by its length
+        pytest.param(["lemma1", "--field", f"gf{BIG}"], id="lemma1 --field gf1<5000 zeros>"),
+        pytest.param(["parse", "--field", f"gf{BIG}", "--expr", "x"], id="parse --field gf1<5000 zeros> --expr x"),
         pytest.param(["counterexample", "--witness", DEEP_EXPR], id="counterexample --witness <1200 nested parentheses>"),
     ],
     ids=lambda argv: " ".join(argv),

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -32,7 +33,7 @@ from jvu.jordan import (
     commutator_identity_residual,
 )
 from jvu.ideals import outer_ideal_component
-from jvu.linalg import to_vector
+from jvu.linalg import to_vector, words_of_multidegree
 
 QQ = make_field("rationals")
 GF2 = make_field("prime-field", 2)
@@ -409,3 +410,22 @@ def test_symmetric_products_make_one_product_chain(monkeypatch):
     calls.clear()
     je_ulin(xy, z, x)
     assert len(calls) == 2
+
+
+def _reversible_dim(gens, e):
+    """dim H_e, the reversal-fixed part of multidegree e: reversal fixes each
+    palindrome and pairs off the other words."""
+    words = words_of_multidegree(gens, e)
+    return (len(words) + sum(w == w[::-1] for w in words)) // 2
+
+
+@pytest.mark.parametrize("limit", [(4, 2, 1), (3, 3, 1), (3, 2, 2)], ids=lambda d: "".join(map(str, d)))
+@pytest.mark.parametrize("field, mode", _SYMMETRIC_CASES, ids=_SYMMETRIC_IDS)
+def test_closure_meets_cohn_reversibility(field, mode, limit):
+    """Cohn's reversibility theorem: for three generators the Jordan algebra
+    they generate is all of H, in every characteristic.  So every nonzero
+    multidegree e <= limit of the non-unital closure of x, y, z has dimension
+    (#words(e) + #palindromes(e)) / 2, a count with no linear algebra."""
+    table = jordan_closure_table(G3, limit, mode, False, field)
+    every = [e for e in itertools.product(*(range(c + 1) for c in limit)) if any(e)]
+    assert [table.dim(e) for e in every] == [_reversible_dim(G3, e) for e in every]

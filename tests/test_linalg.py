@@ -9,7 +9,8 @@ import pytest
 from conftest import rand_nonzero_scalar, rand_scalar
 from jvu.fields import FieldError, make_field
 from jvu.freealg import FreePoly, GeneratorSet
-from jvu.jordan import circ, u_apply
+from jvu.ideals import outer_ideal_component
+from jvu.jordan import JordanElement, circ, je_circ, jordan_closure_table, u_apply
 from jvu.linalg import (
     ComponentBasis,
     Subspace,
@@ -502,7 +503,7 @@ def test_span_kernel_matches_plain_gauss_jordan(case):
         assert (s.rows, s.pivots, s.dim, s.n_inserted) == (ref.rows, ref.pivots, len(ref.rows), ref.n_inserted)
         assert all(exact(row) for row in s.rows)
         if field == QQ:  # the integer store keeps each row primitive, pivot entry positive
-            assert all(gcd(*row) == 1 and row[p] > 0 for p, (row, _) in s._rows.items())
+            assert all(gcd(*row.values()) == 1 and row[p] > 0 for p, row in s._rows.items())
         for _ in range(4):
             for v in ([entry(rng) for _ in range(n)], _apply(inserted, [entry(rng) for _ in inserted], n, field)):
                 verdict, data = s.membership(v)
@@ -527,10 +528,10 @@ _SUPPORT_CASES = {
 @pytest.mark.parametrize("case", sorted(_SUPPORT_CASES))
 def test_support_index_is_each_rows_nonzero_columns(case):
     """After every insert of a seeded sequence, the store is keyed by the
-    pivots and each key is its row's first nonzero column; each list row's
-    column list holds exactly its nonzero columns, ascending; over GF(2) the
-    mask is the bitset of the pivots.  The rows stay in reduced row-echelon
-    form: each row is nonzero at its own pivot and zero at every other."""
+    pivots; each dict row holds only nonzero values, its smallest key is its
+    pivot, and it holds no other pivot key; over GF(2) the mask is the bitset
+    of the pivots and each row holds its own pivot bit and no other.  So the
+    rows stay in reduced row-echelon form."""
     field, entry = _SUPPORT_CASES[case]
     rng = random.Random(case)
     for _ in range(60):
@@ -543,9 +544,9 @@ def test_support_index_is_each_rows_nonzero_columns(case):
                 assert s._mask == sum(1 << q for q in s._rows)
                 assert all(row & -row == row & s._mask == 1 << q for q, row in s._rows.items())
                 continue
-            for q, (row, cols) in s._rows.items():
-                assert cols == [j for j, c in enumerate(row) if c] and cols[0] == q
-                assert [row[p] != 0 for p in s.pivots] == [p == q for p in s.pivots]
+            for q, row in s._rows.items():
+                assert all(row.values()) and min(row) == q
+                assert row.keys() & s._rows.keys() == {q}
 
 
 @pytest.mark.parametrize("field", [QQ, GF2, make_field("prime-field", 3), GF5], ids=["q", "gf2", "gf3", "gf5"])
@@ -740,11 +741,10 @@ def test_coordinates_refuse_what_to_vector_refuses(field):
 class _FullScanSpan(Subspace):
     """A span whose reduction tests the incoming vector at every pivot."""
 
-    def _reduce(self, x, s, support):
-        every = range(len(x))
+    def _reduce(self, x, s):
         for q in self.pivots:
-            if x[q]:
-                s *= self._eliminate(x, every, *self._rows[q], q)
+            if q in x:
+                s *= self._eliminate(x, self._rows[q], q)
         return x, s
 
 
@@ -753,8 +753,8 @@ class _FullScanSpan(Subspace):
 def test_support_reduction_matches_full_scan(field, seed):
     """A span that eliminates only at the pivots in a vector's support, and a
     twin that tests every pivot, fed the same seeded ``coordinates`` (over Q
-    with denominators up to 9), agree on rows, pivots, stored rows with their
-    nonzero columns, residuals and certificates after every step."""
+    with denominators up to 9), agree on rows, pivots, stored rows,
+    residuals and certificates after every step."""
     rng = random.Random(f"full-scan/{field!r}/{seed}")
     cb = ComponentBasis(G3, (2, 2, 1))
     fast, full = Subspace(field, len(cb)), _FullScanSpan(field, len(cb))
@@ -768,3 +768,32 @@ def test_support_reduction_matches_full_scan(field, seed):
             for v in (coordinates(q, cb), to_vector(q, cb)):
                 assert fast.membership(v) == full.membership(v)
                 assert fast.contains(v) == full.contains(v)
+
+
+def _stream_tables(field, mode):
+    """The outer ideal of x o y at (2,2,2), and the closure at (3,2,1)."""
+    x, y = (JordanElement.generator(G3, field, name) for name in "xy")
+    yield outer_ideal_component(je_circ(x, y), (2, 2, 2), mode, field).table
+    yield jordan_closure_table(G3, (3, 2, 1), mode, mode == "quadratic", field)
+
+
+@pytest.mark.parametrize(
+    "field, mode", [(QQ, "linear"), (_GF3, "linear"), (GF2, "quadratic")], ids=["q-linear", "gf3-linear", "gf2-quadratic"]
+)
+def test_spans_match_plain_gauss_jordan_on_jordan_insert_streams(field, mode):
+    """Every component's insert stream of two real tables, fed to a fresh
+    span as ``coordinates`` and to the plain Gauss-Jordan as ``to_vector``
+    lists, gets the same verdict at each insert and the same pivots after
+    it, and ends in the same RREF rows as the reference and the table."""
+    inserts = 0
+    for table in _stream_tables(field, mode):
+        for d in table.multidegrees():
+            cb = table.component_basis(d)
+            span, ref = Subspace(field, len(cb)), _ReferenceSpan(field)
+            for e in table.inserted(d):
+                assert span.insert(coordinates(e.value, cb)) == ref.insert(to_vector(e.value, cb))
+                assert span.pivots == ref.pivots
+                inserts += 1
+            assert span.rows == ref.rows == table.subspace(d).rows
+            assert span.pivots == table.subspace(d).pivots
+    assert inserts > 100
