@@ -16,13 +16,17 @@ int when its reduced denominator is 1 and a Fraction otherwise.
 
 Operators multiply by Kronecker substitution (cf. Harvey 2009): each row of
 the right factor is packed into one int of 27 slots w bits wide, and each
-row of the product is one sum of at most 27 big-int multiples of those
-packed rows.  The slot width comes from the entry bound: every product
-entry c has |c| <= 27 max|a| max|b| < 2^(w-1), each max scanned once per
-operator, and a bias of 2^(w-1) in each slot keeps every slot in
-[1, 2^w - 1], so no carry crosses a slot.  The structure constants of
-``r_op`` are read off ``_product2`` the same way: coordinate k of
-2(e_i . P), for the probe P with coordinate j equal to 2^(3j), is
+row of the product is one sum of 27 big-int multiples of those packed rows.
+The slot width comes from the entry bound: every product entry c has
+|c| <= 27 max|a| max|b| < 2^(w-1), each max scanned once per operator, and
+a bias of 2^(w-1) in each slot keeps every slot in [1, 2^w - 1], so no
+carry crosses a slot.  If w <= 64 and the right factor's entries fit signed
+64-bit words, the slots are words: a row packs by one ``struct`` pack and
+one ``int.from_bytes``, a product row reads back by one ``to_bytes`` and one
+unpack, and XOR with the bias turns two's-complement words into biased
+ones and back; wider slots shift and mask in Python.  The structure
+constants of ``r_op`` are read off ``_product2`` the same way: coordinate k
+of 2(e_i . P), for the probe P with coordinate j equal to 2^(3j), is
 sum_j T[i][j][k] 2^(3j) with T[i][j] = 2(e_i . e_j), whose entries lie in
 [-2, 2], so 27 products fill the table.  Results the operators compute
 skip the constructor's shape check, and its gcd when den is 1.
@@ -47,10 +51,12 @@ from __future__ import annotations
 
 import functools
 import random
+import struct
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import chain
 from math import gcd
+from operator import mul
 
 from .fields import RATIONALS, make_field
 from .linalg import affine_solve
@@ -217,6 +223,11 @@ def jordan_mul(a: AlbertElement, b: AlbertElement) -> AlbertElement:
 # Exact operators
 
 
+#: DIM signed 64-bit words, and the 64-bit bias 2^63 in each of them
+_WORDS = struct.Struct(f"<{DIM}q")
+_TOPS = int.from_bytes(_WORDS.pack(*[-(1 << 63)] * DIM), "little")
+
+
 def _slots(w: int):
     """The bias, 2^(w-1) in each of DIM slots w bits wide, and the reader that
     turns bias + sum_j c_j 2^(w j), every |c_j| < 2^(w-1), into (c_0, ..., c_26)."""
@@ -260,9 +271,14 @@ class AlbertOperator:
 
     def __matmul__(self, other: "AlbertOperator") -> "AlbertOperator":
         """The exact product by Kronecker substitution (see the module
-        docstring): row i is read off bias + sum_k self.num[i][k] * packed[k],
-        where packed[k] is row k of ``other.num`` in DIM slots of w bits."""
+        docstring): row i is read off sum_k self.num[i][k] * packed[k], where
+        packed[k] is row k of ``other.num`` in 64-bit words or w-bit slots."""
         w = (DIM * self._max_abs() * other._max_abs()).bit_length() + 1
+        if w <= 64 and other._max_abs() < 1 << 63:
+            packed = [(int.from_bytes(_WORDS.pack(*row), "little") ^ _TOPS) - _TOPS for row in other.num]
+            words = ((sum(map(mul, row, packed)) + _TOPS) ^ _TOPS for row in self.num)
+            num = tuple([_WORDS.unpack(acc.to_bytes(_WORDS.size, "little")) for acc in words])
+            return AlbertOperator._computed(num, self.den * other.den)
         bias, read = _slots(w)
         packed = []
         for row in other.num:

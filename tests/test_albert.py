@@ -6,13 +6,14 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 
 from jvu import albert
 from jvu.albert import (
     _product2,
+    _slots,
     _u_image,
     AlbertElement,
     AlbertOperator,
@@ -748,6 +749,62 @@ def test_packed_product_matches_triple_loop():
     extremes = [max(x for row in (p @ q).num for x in row) for p, q in [(plus, plus), (minus, minus)]]
     assert extremes == [27 * m * m] * 2
     assert min(x for row in (plus @ minus).num for x in row) == -27 * m * m
+
+
+def test_word_product_boundary_matches_triple_loop(monkeypatch):
+    """Products whose entries reach +-27 M^2 just inside one signed 64-bit
+    word take the one-word path, and one step past it the w-bit path; a zero
+    factor against entries of 2^63 and more takes the word path only when
+    those entries are on the left.  Every product equals the plain triple
+    loop store for store, den included."""
+    wide = []
+    monkeypatch.setattr(albert, "_slots", lambda w: wide.append(w) or _slots(w))
+
+    def factors(m):
+        """Pairs whose product entries are all +-27 m^2 over the product of
+        the dens: constant factors, and a sign per row against a sign per
+        column, whose product rows hold both signs."""
+        plus = AlbertOperator([[m] * 27 for _ in range(27)], 7)
+        minus = AlbertOperator([[-m] * 27 for _ in range(27)])
+        by_row = AlbertOperator([[m if i % 2 else -m] * 27 for i in range(27)])
+        by_col = AlbertOperator([[m if j % 2 else -m for j in range(27)] for _ in range(27)], 5)
+        return [(plus, plus), (plus, minus), (minus, plus), (minus, minus), (by_row, by_col), (by_col, by_row)]
+
+    inside = isqrt((2**63 - 1) // 27)
+    assert 27 * inside**2 < 2**63 <= 27 * (inside + 1) ** 2
+    rng = random.Random(51)
+    big = AlbertOperator([[rng.choice((1, -1)) * rng.randint(2**63, 2**70) for _ in range(27)] for _ in range(27)], 3)
+    zero = AlbertOperator([[0] * 27 for _ in range(27)], 7)
+    cases = [(inside, factors(inside), []), (inside + 1, factors(inside + 1), [65] * 6)]
+    cases.append((None, [(big, zero), (zero, big)], [1]))
+    for m, pairs, widths in cases:
+        wide.clear()
+        for p, q in pairs:
+            got, want = p @ q, plain_matmul(p, q)
+            assert (got.num, got.den) == (want.num, want.den)
+            if m is not None:
+                entries = {Fraction(x, got.den) for row in got.num for x in row}
+                assert {abs(x) for x in entries} == {Fraction(27 * m * m, p.den * q.den)}
+        assert wide == widths
+
+
+def test_product_routes_give_the_same_verdicts(monkeypatch):
+    """check_zero_pair, check_operator_identity and find_noncommuting_pair
+    give the same results from the packed product as from the triple loop."""
+
+    def verdicts():
+        rng = random.Random(52)
+        pairs = [sample_zero_pair(rng) for _ in range(2)]
+        zero_pairs = [check_zero_pair(a, b) for a, b in pairs]
+        zero_pairs.append(check_zero_pair(pairs[0][0].scale(Fraction(2, 3)), pairs[0][1]))
+        identities = [check_operator_identity(random_element(rng), frac_element(rng)) for _ in range(2)]
+        a, b = find_noncommuting_pair(rng)
+        return zero_pairs, identities, (a.num, a.den, b.num, b.den)
+
+    packed = verdicts()
+    monkeypatch.setattr(AlbertOperator, "__matmul__", plain_matmul)
+    assert verdicts() == packed
+    assert all(all_hold(checks) for checks in packed[0]) and packed[1] == [True, True]
 
 
 # -- results the operators compute -------------------------------------------
