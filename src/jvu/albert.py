@@ -15,21 +15,21 @@ on integers, and a scalar read off the store (a coordinate, t(a), n(a)) is an
 int when its reduced denominator is 1 and a Fraction otherwise.
 
 Operators multiply by Kronecker substitution (cf. Harvey 2009): each row of
-the right factor is packed into one int of 27 slots w bits wide, and each
-row of the product is one sum of 27 big-int multiples of those packed rows.
-The slot width comes from the entry bound: every product entry c has
-|c| <= 27 max|a| max|b| < 2^(w-1), each max scanned once per operator, and
-a bias of 2^(w-1) in each slot keeps every slot in [1, 2^w - 1], so no
-carry crosses a slot.  If w <= 64 and the right factor's entries fit signed
-64-bit words, the slots are words: a row packs by one ``struct`` pack and
-one ``int.from_bytes``, a product row reads back by one ``to_bytes`` and one
-unpack, and XOR with the bias turns two's-complement words into biased
-ones and back; wider slots shift and mask in Python.  The structure
-constants of ``r_op`` are read off ``_product2`` the same way: coordinate k
-of 2(e_i . P), for the probe P with coordinate j equal to 2^(3j), is
-sum_j T[i][j][k] 2^(3j) with T[i][j] = 2(e_i . e_j), whose entries lie in
-[-2, 2], so 27 products fill the table.  Results the operators compute
-skip the constructor's shape check, and its gcd when den is 1.
+the right factor is packed into one int of 27 signed 64-bit words, and each
+row of the product is one sum of 27 big-int multiples of those packed rows,
+read back as 27 words.  Every product entry c has |c| <= 27 max|a| max|b|,
+each max scanned once per operator; while that bound and the right factor's
+entries fit signed words, no carry crosses a word.  A row packs by one
+``struct`` pack and one ``int.from_bytes``, a product row reads back by one
+``to_bytes`` and one unpack, and XOR with 2^63 in each word turns
+two's-complement words into offset ones and back.  Entries past a word take
+the plain exact product of the stores instead; no verb reaches it.  The
+structure constants of ``r_op`` are read off ``_product2`` by the same word
+reader: coordinate k of 2(e_i . P), for the probe P with coordinate j equal
+to 2^(64j), is sum_j T[i][j][k] 2^(64j) with T[i][j] = 2(e_i . e_j), whose
+entries lie in [-2, 2], so 27 products fill the table.  Results the
+operators compute skip the constructor's shape check, and its gcd when den
+is 1.
 
 Each level has one product definition.  A split octonion is a plain
 8-tuple with no class around it, and ``zorn_mul``, ``zorn_conj`` and
@@ -228,11 +228,9 @@ _WORDS = struct.Struct(f"<{DIM}q")
 _TOPS = int.from_bytes(_WORDS.pack(*[-(1 << 63)] * DIM), "little")
 
 
-def _slots(w: int):
-    """The bias, 2^(w-1) in each of DIM slots w bits wide, and the reader that
-    turns bias + sum_j c_j 2^(w j), every |c_j| < 2^(w-1), into (c_0, ..., c_26)."""
-    half, mask, shifts = 1 << (w - 1), (1 << w) - 1, range(0, w * DIM, w)
-    return ((1 << (w * DIM)) - 1) // mask * half, lambda acc: tuple([((acc >> s) & mask) - half for s in shifts])
+def _words(acc: int) -> tuple:
+    """(c_0, ..., c_26) read off acc = sum_j c_j 2^(64j), every c_j a signed 64-bit word."""
+    return _WORDS.unpack(((acc + _TOPS) ^ _TOPS).to_bytes(_WORDS.size, "little"))
 
 
 class AlbertOperator:
@@ -272,28 +270,16 @@ class AlbertOperator:
     def __matmul__(self, other: "AlbertOperator") -> "AlbertOperator":
         """The exact product by Kronecker substitution (see the module
         docstring): row i is read off sum_k self.num[i][k] * packed[k], where
-        packed[k] is row k of ``other.num`` in 64-bit words or w-bit slots."""
+        packed[k] is row k of ``other.num`` in 64-bit words.  Entries past a
+        word take the plain product of the stores."""
         w = (DIM * self._max_abs() * other._max_abs()).bit_length() + 1
         if w <= 64 and other._max_abs() < 1 << 63:
             packed = [(int.from_bytes(_WORDS.pack(*row), "little") ^ _TOPS) - _TOPS for row in other.num]
-            words = ((sum(map(mul, row, packed)) + _TOPS) ^ _TOPS for row in self.num)
-            num = tuple([_WORDS.unpack(acc.to_bytes(_WORDS.size, "little")) for acc in words])
-            return AlbertOperator._computed(num, self.den * other.den)
-        bias, read = _slots(w)
-        packed = []
-        for row in other.num:
-            p = 0
-            for x in reversed(row):
-                p = (p << w) + x
-            packed.append(p)
-        num = []
-        for row in self.num:
-            acc = bias
-            for x, p in zip(row, packed):
-                if x:
-                    acc += x * p
-            num.append(read(acc))
-        return AlbertOperator._computed(tuple(num), self.den * other.den)
+            num = tuple([_words(sum(map(mul, row, packed))) for row in self.num])
+        else:
+            cols = list(zip(*other.num))
+            num = tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in self.num])
+        return AlbertOperator._computed(num, self.den * other.den)
 
     def __add__(self, other: "AlbertOperator") -> "AlbertOperator":
         da, db = self.den, other.den
@@ -335,15 +321,14 @@ class AlbertOperator:
 def _structure_constants() -> tuple:
     """Sparse rows of T[i][j] = 2(basis_i . basis_j), each a tuple of
     (k, coefficient) pairs, built on first use from one ``_product2`` of
-    basis_i and a probe (see the module docstring)."""
-    bias, read = _slots(3)
-    probe = AlbertElement([1 << (3 * j) for j in range(DIM)])
+    basis_i and a probe, read by ``_words`` (see the module docstring)."""
+    probe = AlbertElement([1 << (64 * j) for j in range(DIM)])
     table = []
     for i in range(DIM):
         rows = [[] for _ in range(DIM)]
         for k, v in enumerate(_product2(AlbertElement.basis(i), probe).num):
             if v:
-                for row, c in zip(rows, read(bias + v)):
+                for row, c in zip(rows, _words(v)):
                     if c:
                         row.append((k, c))
         table.append(tuple(map(tuple, rows)))

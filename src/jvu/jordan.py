@@ -226,11 +226,15 @@ class GradedSpanTable:
         return self._spans[d].dim
 
     def contains(self, elem: JordanElement) -> bool:
-        """True iff elem is zero or lies in the span of its multidegree."""
+        """True iff elem is zero or lies in the span of its multidegree; a
+        component with no span answers False and is left without one."""
         if elem.value.is_zero():
             return True
         d = elem.multidegree
-        return self.subspace(d).contains(coordinates(elem.value, self.component_basis(d)))
+        if d is None:
+            raise ValueError("span table takes homogeneous elements only")
+        vec = coordinates(elem.value, self.component_basis(d))
+        return d in self._spans and self._spans[d].contains(vec)
 
     def close(self, seeds, products) -> int:
         """Insert the seeds, then ``products(new)`` round after round, where

@@ -13,7 +13,6 @@ import pytest
 from jvu import albert
 from jvu.albert import (
     _product2,
-    _slots,
     _u_image,
     AlbertElement,
     AlbertOperator,
@@ -38,6 +37,7 @@ from jvu.albert import (
     zorn_mul,
     zorn_norm,
 )
+from jvu.cli import run_command
 
 E11 = AlbertElement.diag_idempotent(0)
 E22 = AlbertElement.diag_idempotent(1)
@@ -751,14 +751,31 @@ def test_packed_product_matches_triple_loop():
     assert min(x for row in (plus @ minus).num for x in row) == -27 * m * m
 
 
+def record_paths(monkeypatch):
+    """Patch the operator product to append, per call, "word" when it read
+    its 27 rows through ``albert._words`` and "plain" when it read none."""
+    paths, reads = [], []
+    words, matmul = albert._words, AlbertOperator.__matmul__
+    monkeypatch.setattr(albert, "_words", lambda acc: reads.append(acc) or words(acc))
+
+    def spy(p, q):
+        reads.clear()
+        out = matmul(p, q)
+        assert len(reads) in (0, 27)
+        paths.append("word" if reads else "plain")
+        return out
+
+    monkeypatch.setattr(AlbertOperator, "__matmul__", spy)
+    return paths
+
+
 def test_word_product_boundary_matches_triple_loop(monkeypatch):
     """Products whose entries reach +-27 M^2 just inside one signed 64-bit
-    word take the one-word path, and one step past it the w-bit path; a zero
-    factor against entries of 2^63 and more takes the word path only when
-    those entries are on the left.  Every product equals the plain triple
-    loop store for store, den included."""
-    wide = []
-    monkeypatch.setattr(albert, "_slots", lambda w: wide.append(w) or _slots(w))
+    word take the one-word path, and one step past it the plain product; a
+    zero factor against entries of 2^63 and more takes the word path only
+    when those entries are on the left.  Every product equals the plain
+    triple loop store for store, den included."""
+    paths = record_paths(monkeypatch)
 
     def factors(m):
         """Pairs whose product entries are all +-27 m^2 over the product of
@@ -775,17 +792,28 @@ def test_word_product_boundary_matches_triple_loop(monkeypatch):
     rng = random.Random(51)
     big = AlbertOperator([[rng.choice((1, -1)) * rng.randint(2**63, 2**70) for _ in range(27)] for _ in range(27)], 3)
     zero = AlbertOperator([[0] * 27 for _ in range(27)], 7)
-    cases = [(inside, factors(inside), []), (inside + 1, factors(inside + 1), [65] * 6)]
-    cases.append((None, [(big, zero), (zero, big)], [1]))
-    for m, pairs, widths in cases:
-        wide.clear()
+    cases = [(inside, factors(inside), ["word"] * 6), (inside + 1, factors(inside + 1), ["plain"] * 6)]
+    cases.append((None, [(big, zero), (zero, big)], ["word", "plain"]))
+    for m, pairs, want_paths in cases:
+        paths.clear()
         for p, q in pairs:
             got, want = p @ q, plain_matmul(p, q)
             assert (got.num, got.den) == (want.num, want.den)
             if m is not None:
                 entries = {Fraction(x, got.den) for row in got.num for x in row}
                 assert {abs(x) for x in entries} == {Fraction(27 * m * m, p.den * q.den)}
-        assert wide == widths
+        assert paths == want_paths
+
+
+def test_albert_verb_products_stay_on_words(monkeypatch):
+    """Every operator product the albert verb makes takes the word path, so
+    the plain product serves only inputs no verb produces."""
+    paths = record_paths(monkeypatch)
+    for seed in ("1", "42"):
+        paths.clear()
+        code, report = run_command(["albert", "--samples", "20", "--seed", seed])
+        assert code == 0 and report["verdict"] == "confirmed"
+        assert paths and set(paths) == {"word"}
 
 
 def test_product_routes_give_the_same_verdicts(monkeypatch):

@@ -17,11 +17,14 @@ from jvu.jordan import (
     COMMUTATOR_WITNESS,
     SYMMETRIZED_PRODUCT,
     U_IMAGE,
+    GradedSpanTable,
     JordanElement,
     _spanning_candidates,
     circ,
     dominated,
     je_circ,
+    je_square,
+    je_u,
     je_ulin,
     jordan_closure_table,
     recipe_str,
@@ -375,6 +378,27 @@ def test_jordan_element_refuses_a_value_not_fixed_by_reversal(field):
     with pytest.raises(ValueError, match="symmetric under reversal"):
         JordanElement(x * y, ("circ", ("gen", "x"), ("gen", "y")))
     assert JordanElement(x * y * x, ("U", ("gen", "x"), ("gen", "y"))).multidegree == (2, 1, 0)
+
+
+def test_span_table_contains_agrees_with_insert():
+    """contains refuses a non-homogeneous element with insert's ValueError,
+    answers False on a component with no span without creating one, and
+    still refuses an element over another generator set."""
+    g2 = GeneratorSet(("x", "y"))
+    x, y = (JordanElement.generator(g2, QQ, name) for name in "xy")
+    table = GradedSpanTable(g2, QQ, (2, 1))
+    assert table.insert(je_circ(x, y))
+    mixed = JordanElement(x.value + y.value, None)
+    for query in (table.insert, table.contains):
+        with pytest.raises(ValueError, match="homogeneous elements only"):
+            query(mixed)
+    assert table.contains(je_circ(y, x))
+    assert not table.contains(je_u(x, x)) and not table.contains(je_square(x))
+    assert set(table._spans) == {(1, 1)} and table.dim((3, 0)) == 0
+    a, b = (JordanElement.generator(GeneratorSet(("a", "b")), QQ, name) for name in "ab")
+    for foreign in (je_circ(a, b), je_u(a, a)):
+        with pytest.raises(ValueError, match="mismatched generator sets"):
+            table.contains(foreign)
 
 
 @pytest.mark.parametrize("limit", _SYMMETRIC_LIMITS, ids=lambda d: "".join(map(str, d)))
