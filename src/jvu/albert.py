@@ -25,17 +25,17 @@ entries fit signed words, no carry crosses a word.  A row packs by one
 two's-complement words into offset ones and back.  Entries past a word take
 the plain exact product of the stores instead; no verb reaches it.  The
 structure constants of ``r_op`` are read off ``_product2`` by the same word
-reader: coordinate k of 2(e_i . P), for the probe P with coordinate j equal
-to 2^(64j), is sum_j T[i][j][k] 2^(64j) with T[i][j] = 2(e_i . e_j), whose
-entries lie in [-2, 2], so 27 products fill the table.  Results the
+reader: numerator k of 2(e_i . P), for the plain probe tuple P with entry j
+equal to 2^(64j), is sum_j T[i][j][k] 2^(64j) with T[i][j] = 2(e_i . e_j),
+whose entries lie in [-2, 2], so 27 products fill the table.  Results the
 operators compute skip the constructor's shape check, and its gcd when den
 is 1.
 
-Each level has one product definition.  A split octonion is a plain
-8-tuple with no class around it, and ``zorn_mul``, ``zorn_conj`` and
-``zorn_norm`` are its whole arithmetic.  For Hermitian elements it is
-``_product2``, the closed-form entries of 2(a.b) = AB + BA on the numerators,
-which ``jordan_mul`` and the structure constants of ``r_op`` read.
+Each level has one product definition, a plain integer formula with no class
+around it: ``zorn_mul`` (with ``zorn_conj`` and ``zorn_norm``) on split
+octonions as 8-tuples, and ``_product2`` on Hermitian elements, the 27
+numerators of 2(a.b) = AB + BA from two numerator sequences.  ``jordan_mul``
+builds its element from them once; the ``r_op`` table reads them.
 
 The cubic form data t, s, n is the Freudenthal determinant package; the sign
 conventions are pinned by requiring the cubic characteristic identity
@@ -190,17 +190,16 @@ class AlbertElement:
         return f"AlbertElement({self.num}, {self.den})"
 
 
-def _product2(a: AlbertElement, b: AlbertElement) -> AlbertElement:
-    """2(a.b) = AB + BA of Hermitian matrices on the numerators of a and b,
-    over the product of their denominators, entry by entry in the layout of
-    AlbertElement: integer coordinates give integer coordinates.  For each
-    cyclic (i, j, k) of (0, 1, 2),
+def _product2(an, bn) -> list:
+    """The 27 numerators of 2(a.b) = AB + BA over a.den b.den, from the
+    numerator sequences an, bn of a and b, entry by entry in the layout of
+    AlbertElement: integers in, integers out.  For each cyclic (i, j, k) of
+    (0, 1, 2),
 
         d_i = 2 a.d_i b.d_i + t(a.o_j conj b.o_j) + t(a.o_k conj b.o_k),
         o_i = (a.d_j + a.d_k) b.o_i + (b.d_j + b.d_k) a.o_i
               + conj(b.o_j a.o_k + a.o_j b.o_k).
     """
-    an, bn = a.num, b.num
     ao, bo = (an[3:11], an[11:19], an[19:27]), (bn[3:11], bn[11:19], bn[19:27])
     d, o = [], []
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -210,13 +209,12 @@ def _product2(a: AlbertElement, b: AlbertElement) -> AlbertElement:
         sa, sb = an[j] + an[k], bn[j] + bn[k]
         cross = zorn_conj([x + y for x, y in zip(zorn_mul(bo[j], ao[k]), zorn_mul(ao[j], bo[k]))])
         o.extend(sa * y + sb * x + c for x, y, c in zip(ao[i], bo[i], cross))
-    return AlbertElement(d + o, a.den * b.den)
+    return d + o
 
 
 def jordan_mul(a: AlbertElement, b: AlbertElement) -> AlbertElement:
-    """The Jordan product (AB + BA)/2: ``_product2`` over twice its denominator."""
-    p = _product2(a, b)
-    return AlbertElement(p.num, 2 * p.den)
+    """The Jordan product (AB + BA)/2: ``_product2`` of the numerators over 2 a.den b.den."""
+    return AlbertElement(_product2(a.num, b.num), 2 * a.den * b.den)
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +319,12 @@ class AlbertOperator:
 def _structure_constants() -> tuple:
     """Sparse rows of T[i][j] = 2(basis_i . basis_j), each a tuple of
     (k, coefficient) pairs, built on first use from one ``_product2`` of
-    basis_i and a probe, read by ``_words`` (see the module docstring)."""
-    probe = AlbertElement([1 << (64 * j) for j in range(DIM)])
+    basis_i's numerators and a probe tuple, read by ``_words`` (module docstring)."""
+    probe = tuple([1 << (64 * j) for j in range(DIM)])
     table = []
     for i in range(DIM):
         rows = [[] for _ in range(DIM)]
-        for k, v in enumerate(_product2(AlbertElement.basis(i), probe).num):
+        for k, v in enumerate(_product2(AlbertElement.basis(i).num, probe)):
             if v:
                 for row, c in zip(rows, _words(v)):
                     if c:
@@ -371,9 +369,8 @@ def trace_form(a: AlbertElement):
 
 
 def s_form(a: AlbertElement):
-    """s(a) = (t(a)^2 - t(a^2)) / 2."""
-    t = trace_form(a)
-    return _scalar(t * t - trace_form(jordan_mul(a, a)), 2)
+    """s(a) = s(a, a) / 2 = (t(a)^2 - t(a^2)) / 2."""
+    return _scalar(s_bilinear(a, a), 2)
 
 
 def norm_form(a: AlbertElement):
@@ -435,8 +432,8 @@ def check_operator_identity(a: AlbertElement, b: AlbertElement) -> bool:
     """R_b^2 R_a + R_a R_b^2 = -R_{(ba)b} + 2 R_{ab} R_b + R_{b^2} R_a, exactly."""
     ra, rb = r_op(a), r_op(b)
     rb2 = rb @ rb
-    ab, bab = jordan_mul(a, b), jordan_mul(jordan_mul(b, a), b)
-    return rb2 @ ra + ra @ rb2 + r_op(bab) == (r_op(ab) @ rb).scale_int(2) + r_op(jordan_mul(b, b)) @ ra
+    ab = jordan_mul(a, b)  # and (ba)b = (ab)b, as ba = ab
+    return rb2 @ ra + ra @ rb2 + r_op(jordan_mul(ab, b)) == (r_op(ab) @ rb).scale_int(2) + r_op(jordan_mul(b, b)) @ ra
 
 
 def zero_pair_operator_collapse(ra: AlbertOperator, rb_sq: AlbertOperator, rb2_ra: AlbertOperator) -> bool:
@@ -466,7 +463,8 @@ OPERATOR_CHECKS = tuple(f.name for f in fields(ZeroPairChecks)[:-2])
 
 def check_zero_pair(a: AlbertElement, b: AlbertElement) -> ZeroPairChecks:
     """All the zero-product consequences at once, from one set of operators
-    R_a, R_b, R_{a^2}, R_{b^2}, R_a^2, R_b^2; see ZeroPairChecks."""
+    R_a, R_b, R_{a^2}, R_{b^2}, R_a^2, R_b^2; see ZeroPairChecks.  Once a.b = 0
+    is checked, s(a, b) = t(a) t(b) - t(a.b) is t(a) t(b)."""
     if not jordan_mul(a, b).is_zero():
         raise ValueError("precondition a.b = 0 violated")
     ra, rb = r_op(a), r_op(b)
@@ -481,7 +479,7 @@ def check_zero_pair(a: AlbertElement, b: AlbertElement) -> ZeroPairChecks:
         commutators_match=ua_ub + rb2 @ ra2 == ub_ua + ra2 @ rb2,
         u_commutator_zero=ua_ub == ub_ua,
         operator_collapse=zero_pair_operator_collapse(ra, rb_sq, rb2_ra),
-        s_ab_zero=s_bilinear(a, b) == 0,
+        s_ab_zero=trace_form(a) * trace_form(b) == 0,
         a2b_zero=jordan_mul(a2, b).is_zero(),
     )
 

@@ -23,7 +23,7 @@ from functools import cache
 from .expr import CALLS, circ, format_call, parse_expr, square, u_apply, u_lin  # circ, u_lin: re-exported
 from .fields import Field
 from .freealg import FreePoly, GeneratorSet, MultiDegree
-from .linalg import ComponentBasis, Subspace, coordinates
+from .linalg import ComponentBasis, Subspace, coordinates, words_of_multidegree
 
 LINEAR = "linear"
 QUADRATIC = "quadratic"
@@ -352,11 +352,10 @@ def spanning_is_fixed_point(table: GradedSpanTable, mode: str) -> bool:
 
 
 def symmetric_component_dim(gens: GeneratorSet, d: MultiDegree, field: Field) -> int:
-    """Dimension of span{ {w} : w a word of multidegree d } over the field."""
-    cb = ComponentBasis(gens, d)
-    span = Subspace(field, len(cb))
-    for w in cb.words:
-        sym = FreePoly.from_word(gens, field, w).symmetrize()
-        if not sym.is_zero():
-            span.insert(coordinates(sym, cb))
-    return span.dim
+    """Dimension of span{ {w} : w a word of multidegree d }: one per reversal
+    orbit, as the sums {w} = w + rev(w) of distinct orbits have disjoint
+    supports, less the palindromes, whose {w} = 2w, in characteristic 2."""
+    words = words_of_multidegree(gens, d)
+    palindromes = sum(w == w[::-1] for w in words)
+    orbits = (len(words) + palindromes) // 2
+    return orbits - palindromes if field.characteristic == 2 else orbits

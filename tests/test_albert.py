@@ -194,7 +194,7 @@ def test_jordan_mul_matches_hermitian_matrix_product():
         assert hermitian_matrix(jordan_mul(a, b)) == expected
 
     def doubled_on_integers(a, b):
-        p = _product2(a, b).coords()
+        p = _product2(a.num, b.num)
         return all(type(c) is int for c in p) and p == [2 * c for c in jordan_mul(a, b).coords()]
 
     for _ in range(30):
@@ -226,7 +226,7 @@ def test_structure_constants_from_27_packed_products(monkeypatch):
     reference = [[()] * 27 for _ in range(27)]
     for i in range(27):
         for j in range(i, 27):
-            row = tuple((k, c) for k, c in enumerate(_product2(basis[i], basis[j]).num) if c)
+            row = tuple((k, c) for k, c in enumerate(_product2(basis[i].num, basis[j].num)) if c)
             reference[i][j] = reference[j][i] = row
     assert sum(1 for i in range(27) for j in range(i, 27)) == 378
     calls = []
@@ -543,6 +543,66 @@ def test_check_zero_pair_builds_each_operator_once(monkeypatch):
     assert calls == {"r_op": 4, "matmul": 12}
 
 
+def count_calls(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls; returns the count list."""
+    calls, orig = [], getattr(owner, name)
+
+    def counted(*args):
+        calls.append(1)
+        return orig(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_jordan_mul_builds_one_element(monkeypatch):
+    """jordan_mul runs the AlbertElement constructor once per product, on
+    integer and fractional pairs, and a structure-table build runs it only for
+    the 27 basis elements, none around the probe or the packed products."""
+    rng = random.Random(48)
+    pairs = [(random_element(rng), random_element(rng)), (frac_element(rng), frac_element(rng))]
+    expected = [jordan_mul(a, b) for a, b in pairs]
+    inits = count_calls(monkeypatch, AlbertElement, "__init__")
+    for (a, b), p in zip(pairs, expected):
+        del inits[:]
+        assert jordan_mul(a, b) == p
+        assert len(inits) == 1
+    del inits[:]
+    albert._structure_constants.cache_clear()
+    try:
+        albert._structure_constants()
+    finally:
+        albert._structure_constants.cache_clear()
+    assert len(inits) == 27
+
+
+def test_zero_pair_and_operator_identity_product_counts(monkeypatch):
+    """check_zero_pair makes 4 products (a.b, a^2, b^2, a^2 b): s(a, b) reads
+    the a.b = 0 it has checked.  check_operator_identity makes 3 (ab, (ab)b,
+    b^2): (ba)b is (ab)b."""
+    a, b = sample_zero_pair(41)
+    x, y = random_element(random.Random(36)), random_element(random.Random(37))
+    calls = count_calls(monkeypatch, albert, "jordan_mul")
+    assert all_hold(check_zero_pair(a, b))
+    assert len(calls) == 4
+    del calls[:]
+    assert check_operator_identity(x, y)
+    assert len(calls) == 3
+
+
+def test_s_ab_zero_is_s_bilinear_zero():
+    """s_ab_zero is s(a, b) = 0: False on sampled pairs, and True on
+    (E11, E22 - E33), a zero pair with t(E22 - E33) = 0."""
+    rng = random.Random(41)
+    for _ in range(3):
+        a, b = sample_zero_pair(rng)
+        assert check_zero_pair(a, b).s_ab_zero is (s_bilinear(a, b) == 0) is False
+    a, b = E11, E22 - AlbertElement.diag_idempotent(2)
+    checks = check_zero_pair(a, b)
+    assert checks.s_ab_zero is (s_bilinear(a, b) == 0) is True
+    assert all_hold(checks)
+
+
 def off_by_one(op):
     """op with the value of entry (3, 5) raised by one."""
     return op + AlbertOperator([[int((i, j) == (3, 5)) for j in range(27)] for i in range(27)])
@@ -679,7 +739,7 @@ def test_product2_is_doubled_jordan_mul_on_fractions():
     rng = random.Random(46)
     for _ in range(30):
         a, b = frac_element(rng), frac_element(rng)
-        p, q = _product2(a, b), jordan_mul(a, b).scale(2)
+        p, q = AlbertElement(_product2(a.num, b.num), a.den * b.den), jordan_mul(a, b).scale(2)
         assert p == q and (p.num, p.den) == (q.num, q.den)
 
 
@@ -694,7 +754,7 @@ def test_products_build_no_fraction(monkeypatch):
 
     monkeypatch.setattr(albert, "Fraction", refuse)
     p = jordan_mul(a, b)
-    assert _product2(a, b) == p.scale(2)
+    assert AlbertElement(_product2(a.num, b.num), a.den * b.den) == p.scale(2)
     assert r_op(b).apply(a) == p
 
 

@@ -36,7 +36,7 @@ from jvu.jordan import (
     commutator_identity_residual,
 )
 from jvu.ideals import outer_ideal_component
-from jvu.linalg import to_vector, words_of_multidegree
+from jvu.linalg import ComponentBasis, Subspace, coordinates, to_vector, words_of_multidegree
 
 QQ = make_field("rationals")
 GF2 = make_field("prime-field", 2)
@@ -233,6 +233,25 @@ def test_symmetric_component_dim_char2_palindrome_collapse():
     g2 = GeneratorSet(("x", "y"))
     assert symmetric_component_dim(g2, (2, 1), QQ) == 2
     assert symmetric_component_dim(g2, (2, 1), GF2) == 1
+
+
+def test_symmetric_component_dim_matches_span_rank():
+    """The orbit count equals the rank of span{ {w} } found by elimination,
+    on every component <= (2,2,2) and <= (1,1,1,1), zero multidegrees included."""
+
+    def span_dim(gens, d, field):
+        cb = ComponentBasis(gens, d)
+        span = Subspace(field, len(cb))
+        for w in cb.words:
+            sym = FreePoly.from_word(gens, field, w).symmetrize()
+            if not sym.is_zero():
+                span.insert(coordinates(sym, cb))
+        return span.dim
+
+    for gens, top in ((G3, (2, 2, 2)), (G4, (1, 1, 1, 1))):
+        for d in itertools.product(*(range(t + 1) for t in top)):
+            for field in (QQ, GF2, GF3):
+                assert symmetric_component_dim(gens, d, field) == span_dim(gens, d, field), (d, field)
 
 
 def test_recipes_evaluate_and_render():
