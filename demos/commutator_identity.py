@@ -12,14 +12,14 @@ several fields and confirms the residual is the zero polynomial each time.
 """
 
 from jvu.expr import format_poly, parse_expr
-from jvu.fields import make_field
+from jvu.fields import field_from_name
 from jvu.freealg import GeneratorSet
 from jvu.jordan import COMMUTATOR_WITNESS, SYMMETRIZED_PRODUCT, U_IMAGE, commutator_identity_residual
 
 for name, field in (
-    ("rationals", make_field("rationals")),
-    ("GF(2)", make_field("prime-field", 2)),
-    ("GF(5)", make_field("prime-field", 5)),
+    ("rationals", field_from_name("q")),
+    ("GF(2)", field_from_name("gf2")),
+    ("GF(5)", field_from_name("gf5")),
 ):
     gens = GeneratorSet(("x", "y", "z"))
     lhs, sym_part, u_part = (parse_expr(text, gens, field) for text in (COMMUTATOR_WITNESS, SYMMETRIZED_PRODUCT, U_IMAGE))

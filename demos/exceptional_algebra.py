@@ -65,8 +65,8 @@ print("  jordan_mul(a, b) is zero:", jordan_mul(a, b).is_zero())
 print("  [U_a, U_b] is zero:      ", u_op(a) @ u_op(b) == u_op(b) @ u_op(a))
 print()
 
-e11 = AlbertElement.diag_idempotent(0)
-e22 = AlbertElement.diag_idempotent(1)
+e11 = AlbertElement.basis(0)
+e22 = AlbertElement.basis(1)
 print("Peirce spaces of an idempotent e are U-images: J_0(e) = U_{1-e}(J), J_1(e) = U_e(J).")
 print("They multiply to zero, which is where the sampler draws from.")
 print("  U_{1-e11}(e22) = e22:", u_op(unit - e11).apply(e22) == e22)

@@ -7,10 +7,10 @@ raw material of the special Jordan algebra.
 """
 
 from jvu.expr import format_poly, parse_expr
-from jvu.fields import make_field
+from jvu.fields import field_from_name
 from jvu.freealg import FreePoly, GeneratorSet
 
-field = make_field("rationals")
+field = field_from_name("q")
 gens = GeneratorSet(("x", "y", "z"))
 
 x = FreePoly.generator(gens, field, "x")
@@ -45,7 +45,7 @@ for text in ("x*y + y*x", "sym(x*y*z)", "U(x; z)", "Ulin(x, y; z)", "1/2*circ(x,
     print(f"  {text:22s} -> {format_poly(value)}")
 print()
 
-gf2 = make_field("prime-field", 2)
+gf2 = field_from_name("gf2")
 x2 = FreePoly.generator(gens, gf2, "x")
 z2 = FreePoly.generator(gens, gf2, "z")
 print("Characteristic 2 degenerations are handled by the same generic code:")

@@ -18,7 +18,7 @@ coefficient system behind the multilinear part of the argument.
 
 from jvu.cli import run_command
 from jvu.expr import format_poly, parse_expr
-from jvu.fields import make_field
+from jvu.fields import field_from_name
 from jvu.freealg import GeneratorSet
 from jvu.ideals import cohn_gap_witness
 from jvu.jordan import COMMUTATOR_WITNESS, SYMMETRIZED_PRODUCT, U_IMAGE, JordanElement, je_circ
@@ -26,8 +26,8 @@ from jvu.jordan import COMMUTATOR_WITNESS, SYMMETRIZED_PRODUCT, U_IMAGE, JordanE
 D = (2, 2, 1)
 
 for name, field, mode in (
-    ("GF(2)", make_field("prime-field", 2), "quadratic"),
-    ("rationals", make_field("rationals"), "linear"),
+    ("GF(2)", field_from_name("gf2"), "quadratic"),
+    ("rationals", field_from_name("q"), "linear"),
 ):
     gens = GeneratorSet(("x", "y", "z"))
     f = je_circ(JordanElement.generator(gens, field, "x"), JordanElement.generator(gens, field, "y"))

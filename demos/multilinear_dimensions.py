@@ -10,7 +10,7 @@ tricks are unavailable.
 """
 
 from jvu.expr import format_poly
-from jvu.fields import make_field
+from jvu.fields import field_from_name
 from jvu.freealg import FreePoly, GeneratorSet
 from jvu.jordan import jordan_closure_table, recipe_str, symmetric_component_dim
 from jvu.linalg import to_vector
@@ -19,7 +19,7 @@ gens = GeneratorSet(("x", "y", "z", "t"))
 d = (1, 1, 1, 1)
 
 tables = {}
-for name, field in (("GF(2)", make_field("prime-field", 2)), ("rationals", make_field("rationals"))):
+for name, field in (("GF(2)", field_from_name("gf2")), ("rationals", field_from_name("q"))):
     sym_dim = symmetric_component_dim(gens, d, field)
     table = tables[name] = jordan_closure_table(gens, d, "quadratic", False, field)
 

@@ -58,12 +58,12 @@ from itertools import chain
 from math import gcd
 from operator import mul
 
-from .fields import RATIONALS, make_field
+from .fields import field_from_name
 from .linalg import affine_solve
 
 DIM = 27
 
-_QQ = make_field(RATIONALS)
+_QQ = field_from_name("q")
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +150,6 @@ class AlbertElement:
     @classmethod
     def unit(cls):
         return cls((1, 1, 1) + (0,) * 24)
-
-    @classmethod
-    def diag_idempotent(cls, i: int):
-        return cls([int(k == i) for k in range(3)] + [0] * 24)
 
     @classmethod
     def basis(cls, k: int):
@@ -405,24 +401,26 @@ def norm_trilinear(a: AlbertElement, b: AlbertElement, c: AlbertElement):
 
 
 def check_cubic(a: AlbertElement) -> AlbertElement:
-    """Residual of a^3 - t(a) a^2 + s(a) a - n(a) 1; exactly zero on contract."""
-    a2 = jordan_mul(a, a)
-    a3 = jordan_mul(a2, a)
-    t, s, n = trace_form(a), s_form(a), norm_form(a)
-    return a3 - a2.scale(t) + a.scale(s) - AlbertElement.unit().scale(n)
+    """Residual of a^3 - t(a) a^2 + s(a) a - n(a) 1; exactly zero on contract.
+    Two ``jordan_mul`` calls: s(a) = (t(a)^2 - t(a^2)) / 2 reads the a^2 held."""
+    a2, t = jordan_mul(a, a), trace_form(a)
+    s = _scalar(t * t - trace_form(a2), 2)
+    return jordan_mul(a2, a) - a2.scale(t) + a.scale(s) - AlbertElement.unit().scale(norm_form(a))
 
 
 def check_eq1(a: AlbertElement, b: AlbertElement) -> AlbertElement:
     """Residual of the directional linearization of the cubic identity:
-    a^2 b + 2 (ab) a  vs  t(b) a^2 + 2 t(a) ab - s(a,b) a - s(a) b + n(a,a,b)/2."""
+    a^2 b + 2 (ab) a  vs  t(b) a^2 + 2 t(a) ab - s(a,b) a - s(a) b + n(a,a,b)/2.
+    Four ``jordan_mul`` calls: s(a, b) = t(a) t(b) - t(ab) and s(a) read the ab and a^2 held."""
     a2 = jordan_mul(a, a)
     ab = jordan_mul(a, b)
+    ta, tb = trace_form(a), trace_form(b)
     lhs = jordan_mul(a2, b) + jordan_mul(ab, a).scale(2)
     rhs = (
-        a2.scale(trace_form(b))
-        + ab.scale(2 * trace_form(a))
-        - a.scale(s_bilinear(a, b))
-        - b.scale(s_form(a))
+        a2.scale(tb)
+        + ab.scale(2 * ta)
+        - a.scale(ta * tb - trace_form(ab))
+        - b.scale(_scalar(ta * ta - trace_form(a2), 2))
         + AlbertElement.unit().scale(Fraction(norm_trilinear(a, a, b), 2))
     )
     return lhs - rhs
@@ -506,8 +504,9 @@ def _integral(x: AlbertElement) -> AlbertElement:
     return AlbertElement(x.num, gcd(*x.num) or 1)
 
 
-def sample_zero_pair(seed_or_rng) -> tuple[AlbertElement, AlbertElement]:
-    """A reproducible pair (a, b) with a.b = 0, via Peirce decomposition.
+def sample_zero_pair(rng: random.Random) -> tuple[AlbertElement, AlbertElement]:
+    """A pair (a, b) with a.b = 0, via Peirce decomposition, drawn from rng
+    (reproducible for a seeded one).
 
     Builds a rank-one element c = U_w(e11) from a random integer w; if
     c^2 = t(c) c, then e = c / t(c) is idempotent and a = U_{t(c) 1 - c}(r1),
@@ -517,8 +516,7 @@ def sample_zero_pair(seed_or_rng) -> tuple[AlbertElement, AlbertElement]:
     before returning.  Retries on degenerate draws and aborts after 100
     attempts.
     """
-    rng = seed_or_rng if isinstance(seed_or_rng, random.Random) else random.Random(seed_or_rng)
-    e11 = AlbertElement.diag_idempotent(0)
+    e11 = AlbertElement.basis(0)
     unit = AlbertElement.unit()
     for _ in range(100):
         w = random_element(rng)

@@ -26,7 +26,7 @@ from . import __version__
 from . import albert
 from .expr import KEYWORDS, ParseError, format_poly, format_scalar, parse_expr
 from .fields import Field, FieldError, field_from_name
-from .freealg import GeneratorSet
+from .freealg import FreePoly, GeneratorSet
 from .ideals import cohn_gap_witness
 from .jordan import (
     COMMUTATOR_WITNESS,
@@ -294,10 +294,9 @@ def _run_coefficients(args):
         normalized = True
     ref_p, ref_h = reference_family(field)
     matches = normalized and particular == ref_p and homogeneous == ref_h
-    family = {
-        f"alpha{i+1}": _family_entry(particular[i], homogeneous[0][i] if homogeneous else field.zero, field)
-        for i in range(7)
-    }
+    param = GeneratorSet(("L",))  # alpha_i = p_i + h_i*L, a polynomial in the parameter L
+    h = homogeneous[0] if homogeneous else [field.zero] * 7
+    family = {f"alpha{i+1}": format_poly(FreePoly(param, field, {(): particular[i], (0,): h[i]})) for i in range(7)}
     data = {
         "feasible": True,
         "homogeneous_dim": len(sol.homogeneous),
@@ -307,21 +306,6 @@ def _run_coefficients(args):
         "matches_reference": matches,
     }
     return ("confirmed" if matches else "refuted"), inputs, data, {}
-
-
-def _family_entry(p, h, field: Field) -> str:
-    """Render alpha_i = p + L*h as a readable string in the parameter L."""
-    parts = []
-    if not field.is_zero(p):
-        parts.append(format_scalar(p, field))
-    if not field.is_zero(h):
-        if h == field.one:
-            parts.append("L")
-        else:
-            parts.append(f"{format_scalar(h, field)}*L")
-    if not parts:
-        return "0"
-    return " + ".join(parts).replace("+ -", "- ")
 
 
 def _run_albert(args):

@@ -3,16 +3,14 @@
 Scalars are plain Python values: ``fractions.Fraction`` for the rationals,
 ``int`` residues in ``[0, p)`` for GF(p).  A :class:`Field` handle owns the
 operations; everything downstream is generic over it.  All arithmetic is
-exact, there is no floating-point mode.
+exact, there is no floating-point mode.  ``field_from_name`` is the one
+validated constructor: it takes the names reports echo, ``q`` and ``gf<p>``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-
-RATIONALS = "rationals"
-PRIME_FIELD = "prime-field"
 
 # GF(p) residues are machine integers; everything needed here fits far below this.
 _MAX_PRIME = 2**31
@@ -117,31 +115,22 @@ class Field:
         return not a
 
 
-def make_field(kind: str, p: int | None = None) -> Field:
-    """Create a field handle: ``make_field("rationals")`` or ``make_field("prime-field", p)``."""
-    if kind == RATIONALS:
-        if p is not None:
-            raise FieldError("the rationals take no modulus")
-        return Field(0)
-    if kind == PRIME_FIELD:
-        if p is not None and p >= _MAX_PRIME:
-            raise FieldError(f"modulus too large: {p}")
-        if p is None or not _is_prime(p):
-            raise FieldError(f"prime-field modulus must be prime, got {p!r}")
-        return Field(p)
-    raise FieldError(f"unknown field kind {kind!r}")
-
-
 def field_from_name(name: str) -> Field:
     """Parse a field name as used on the command line: ``q``, ``gf2``, ``gf5``, ...
 
     Only the canonical spelling is accepted (ASCII digits, no leading zero,
-    no sign or space), so each field has one name and reports echo it."""
+    no sign or space), so each field has one name and reports echo it.  The
+    modulus must be a prime below 2^31."""
     if name == "q":
-        return make_field(RATIONALS)
+        return Field(0)
     if re.fullmatch(r"gf[1-9][0-9]*", name):
         if len(name) - 2 > len(str(_MAX_PRIME)):  # refused before int() reads a number of any length
             raise FieldError(f"modulus too large: {len(name) - 2} digits")
-        return make_field(PRIME_FIELD, int(name[2:]))
+        p = int(name[2:])
+        if p >= _MAX_PRIME:
+            raise FieldError(f"modulus too large: {p}")
+        if not _is_prime(p):
+            raise FieldError(f"prime-field modulus must be prime, got {p}")
+        return Field(p)
     raise FieldError(f"bad field name {name!r} (expected q or gf<p>)")
 

@@ -111,10 +111,6 @@ class FreePoly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, gens: GeneratorSet, field: Field) -> "FreePoly":
-        return cls(gens, field)
-
-    @classmethod
     def one(cls, gens: GeneratorSet, field: Field) -> "FreePoly":
         """The empty word with coefficient 1 (the unit of F<X>)."""
         return cls(gens, field, {(): field.one})

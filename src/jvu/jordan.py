@@ -66,11 +66,11 @@ class JordanElement:
     ``je_ulin`` rely on it, so ``JordanElement(value, recipe)`` refuses any
     other value; the products skip that check, as their factors hold it.
 
-    Recipe nodes: ("gen", name), ("unit",), ("square", r), ("circ", r, r),
-    ("U", b, a) for a U_b, ("Ulin", b, c, a); an operation node is a call of
-    ``expr.CALLS`` (node "square" is call "sq").  ``expr.parse_expr``
-    evaluates the rendered recipe, ``recipe_str``, which is how certificates
-    replay.
+    A recipe is grammar text: a leaf is its own text, a generator name or
+    ``"one"``, and an operation node is a tuple headed by its ``expr.CALLS``
+    name: ("sq", r), ("circ", r, r), ("U", b, a) for a U_b, ("Ulin", b, c, a).
+    ``expr.parse_expr`` evaluates the rendered recipe, ``recipe_str``, which
+    is how certificates replay.
     """
 
     __slots__ = ("value", "recipe", "multidegree")
@@ -87,11 +87,11 @@ class JordanElement:
 
     @classmethod
     def generator(cls, gens: GeneratorSet, field: Field, name: str) -> "JordanElement":
-        return cls(FreePoly.generator(gens, field, name), ("gen", name))
+        return cls(FreePoly.generator(gens, field, name), name)
 
     @classmethod
     def unit(cls, gens: GeneratorSet, field: Field) -> "JordanElement":
-        return cls(FreePoly.one(gens, field), ("unit",))
+        return cls(FreePoly.one(gens, field), "one")
 
 
 def _product(value: FreePoly, recipe, *factors: JordanElement) -> JordanElement:
@@ -115,7 +115,7 @@ def je_circ(v: JordanElement, w: JordanElement) -> JordanElement:
 
 
 def je_square(v: JordanElement) -> JordanElement:
-    return _product(square(v.value), ("square", v.recipe), v, v)
+    return _product(square(v.value), ("sq", v.recipe), v, v)
 
 
 def je_u(b: JordanElement, a: JordanElement) -> JordanElement:
@@ -129,15 +129,13 @@ def je_ulin(b: JordanElement, c: JordanElement, a: JordanElement) -> JordanEleme
 
 
 def recipe_str(recipe) -> str:
-    """Render a recipe in the expression grammar of the command line."""
-    kind, *args = recipe
-    if kind == "gen":
-        return args[0]
-    if kind == "unit":
-        return "one"
-    call = "sq" if kind == "square" else kind
+    """Render a recipe in the expression grammar of the command line: a leaf
+    is already text, and a node renders as the call its head names."""
+    if isinstance(recipe, str):
+        return recipe
+    call, *args = recipe
     if call not in CALLS:
-        raise ValueError(f"unknown recipe node {kind!r}")
+        raise ValueError(f"unknown recipe node {call!r}")
     return format_call(call, [recipe_str(r) for r in args])
 
 

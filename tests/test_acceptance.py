@@ -20,7 +20,7 @@ from jvu.albert import (
 )
 from jvu.cli import EXIT_CONFIRMED, run_command
 from jvu.expr import parse_expr
-from jvu.fields import make_field
+from jvu.fields import field_from_name
 from jvu.freealg import FreePoly, GeneratorSet
 from jvu.ideals import outer_ideal_component, outer_ideal_is_closed
 from jvu.jordan import jordan_closure_table, recipe_str
@@ -28,8 +28,8 @@ from jvu.linalg import Subspace, to_vector
 
 from conftest import rand_poly, rand_scalar
 
-QQ = make_field("rationals")
-GF2 = make_field("prime-field", 2)
+QQ = field_from_name("q")
+GF2 = field_from_name("gf2")
 
 G3 = GeneratorSet(("x", "y", "z"))
 G4 = GeneratorSet(("x", "y", "z", "t"))

@@ -6,25 +6,37 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_nonzero_scalar, rand_scalar
-from jvu.fields import FieldError, field_from_name, make_field
+from jvu.fields import FieldError, field_from_name
 
-QQ = make_field("rationals")
-GF2 = make_field("prime-field", 2)
-GF5 = make_field("prime-field", 5)
-
-
-def test_make_field_construction():
-    assert make_field("prime-field", 2).characteristic == 2
-    assert make_field("rationals").characteristic == 0
+QQ = field_from_name("q")
+GF2 = field_from_name("gf2")
+GF5 = field_from_name("gf5")
 
 
-def test_make_field_rejects_nonprime():
+def test_field_name_construction():
+    assert field_from_name("gf2").characteristic == 2
+    assert field_from_name("q").characteristic == 0
+
+
+def test_field_name_rejects_nonprime():
+    with pytest.raises(FieldError, match=r"^prime-field modulus must be prime, got 4$"):
+        field_from_name("gf4")
+    with pytest.raises(FieldError, match=r"^prime-field modulus must be prime, got 1$"):
+        field_from_name("gf1")
     with pytest.raises(FieldError):
-        make_field("prime-field", 4)
-    with pytest.raises(FieldError):
-        make_field("prime-field", 1)
-    with pytest.raises(FieldError):
-        make_field("bogus")
+        field_from_name("bogus")
+
+
+def test_field_from_name_refusals():
+    """field_from_name is the one constructor: it refuses a modulus of 2^31
+    or more and takes 2^31 - 1; the words "rationals" and "prime-field" are
+    not field names."""
+    with pytest.raises(FieldError, match=r"^modulus too large: 2147483648$"):
+        field_from_name("gf2147483648")
+    assert field_from_name("gf2147483647").characteristic == 2**31 - 1
+    for name in ("rationals", "prime-field"):
+        with pytest.raises(FieldError, match="bad field name"):
+            field_from_name(name)
 
 
 def test_field_from_name():

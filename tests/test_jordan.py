@@ -11,7 +11,7 @@ import pytest
 from conftest import rand_poly
 from jvu import expr
 from jvu.expr import parse_expr
-from jvu.fields import make_field
+from jvu.fields import field_from_name
 from jvu.freealg import FreePoly, GeneratorSet
 from jvu.jordan import (
     COMMUTATOR_WITNESS,
@@ -38,10 +38,10 @@ from jvu.jordan import (
 from jvu.ideals import outer_ideal_component
 from jvu.linalg import ComponentBasis, Subspace, coordinates, to_vector, words_of_multidegree
 
-QQ = make_field("rationals")
-GF2 = make_field("prime-field", 2)
-GF3 = make_field("prime-field", 3)
-GF5 = make_field("prime-field", 5)
+QQ = field_from_name("q")
+GF2 = field_from_name("gf2")
+GF3 = field_from_name("gf3")
+GF5 = field_from_name("gf5")
 
 G1 = GeneratorSet(("x",))
 G3 = GeneratorSet(("x", "y", "z"))
@@ -264,6 +264,28 @@ def test_recipes_evaluate_and_render():
         assert parse_expr(recipe_str(elem.recipe), G4, GF2) == elem.value
 
 
+@pytest.mark.parametrize("field, mode", [(QQ, "linear"), (GF2, "quadratic")], ids=["q-linear", "gf2-quadratic"])
+def test_recipes_are_grammar_text(field, mode):
+    """A recipe leaf is its own grammar text and an operation node is a tuple
+    headed by the ``CALLS`` name it renders as, in the closure and outer-ideal
+    tables at (2,2,1); a node with any other head is refused."""
+
+    def is_grammar_text(r):
+        if isinstance(r, str):
+            return r in G3.names or r == "one"
+        return type(r) is tuple and r[0] in expr.CALLS and all(map(is_grammar_text, r[1:]))
+
+    for table in _closure_and_ideal_tables(field, mode, (2, 2, 1)):
+        inserted = [e for d in table.multidegrees() for e in table.inserted(d)]
+        assert inserted and all(is_grammar_text(e.recipe) for e in inserted)
+    x = JordanElement.generator(G3, field, "x")
+    assert x.recipe == "x" and JordanElement.unit(G3, field).recipe == "one"
+    assert je_square(x).recipe == ("sq", "x")
+    assert recipe_str(("U", ("sq", "x"), "one")) == "U(sq(x); one)"
+    with pytest.raises(ValueError, match="unknown recipe node"):
+        recipe_str(("bogus", "x"))
+
+
 def test_square_polarizes_to_circ():
     rng = random.Random(16)
     for _ in range(50):
@@ -285,7 +307,7 @@ def _reference_candidates(reps, old_ids, mode, limit):
 
     for i, v in enumerate(reps):
         if mode == "quadratic" and not all_old(v) and fits(v, v):
-            yield ("square", v.recipe)
+            yield ("sq", v.recipe)
         for w in reps[i:]:
             if not all_old(v, w) and fits(v, w):
                 yield ("circ", v.recipe, w.recipe)
@@ -395,8 +417,8 @@ def test_jordan_element_refuses_a_value_not_fixed_by_reversal(field):
     constructor refuses x*y whatever its recipe, and takes x*y*x."""
     x, y = gen(G3, field, "x"), gen(G3, field, "y")
     with pytest.raises(ValueError, match="symmetric under reversal"):
-        JordanElement(x * y, ("circ", ("gen", "x"), ("gen", "y")))
-    assert JordanElement(x * y * x, ("U", ("gen", "x"), ("gen", "y"))).multidegree == (2, 1, 0)
+        JordanElement(x * y, ("circ", "x", "y"))
+    assert JordanElement(x * y * x, ("U", "x", "y")).multidegree == (2, 1, 0)
 
 
 def test_span_table_contains_agrees_with_insert():

@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 from conftest import rand_nonzero_scalar, rand_scalar
-from jvu.fields import FieldError, make_field
+from jvu.fields import FieldError, field_from_name
 from jvu.freealg import FreePoly, GeneratorSet
 from jvu.ideals import outer_ideal_component
 from jvu.jordan import JordanElement, circ, je_circ, jordan_closure_table, u_apply
@@ -22,9 +22,9 @@ from jvu.linalg import (
     words_of_multidegree,
 )
 
-QQ = make_field("rationals")
-GF2 = make_field("prime-field", 2)
-GF5 = make_field("prime-field", 5)
+QQ = field_from_name("q")
+GF2 = field_from_name("gf2")
+GF5 = field_from_name("gf5")
 
 G2 = GeneratorSet(("x", "y"))
 G3 = GeneratorSet(("x", "y", "z"))
@@ -48,7 +48,7 @@ def test_to_vector_read_off():
     p = x * y + (y * x).scale(QQ.from_int(2))
     cb = ComponentBasis(G2, (1, 1))
     assert to_vector(p, cb) == [Fraction(1), Fraction(2)]
-    assert to_vector(FreePoly.zero(G2, QQ), cb) == [Fraction(0), Fraction(0)]
+    assert to_vector(FreePoly(G2, QQ), cb) == [Fraction(0), Fraction(0)]
 
 
 def test_to_vector_rejects_inhomogeneous():
@@ -252,12 +252,12 @@ def test_solution_substitutes_back():
         targets, rhs = _ansatz(field)
         cb = ComponentBasis(G3, (2, 2, 1))
         sol = solve_combination(targets, rhs, cb)
-        combo = FreePoly.zero(G3, field)
+        combo = FreePoly(G3, field)
         for c, t in zip(sol.particular, targets):
             combo = combo + t.scale(c)
         assert combo == rhs
         for h in sol.homogeneous:
-            combo = FreePoly.zero(G3, field)
+            combo = FreePoly(G3, field)
             for c, t in zip(h, targets):
                 combo = combo + t.scale(c)
             assert combo.is_zero()
@@ -468,14 +468,14 @@ def _reference_affine_solve(columns, rhs, f):
 
 
 # Q with int entries, Q with large coprime denominators, and the prime fields
-# from GF(2) up to the largest modulus make_field accepts.
+# from GF(2) up to the largest modulus field_from_name accepts.
 _LARGE_DENOMINATORS = (10**9 + 7, 10**9 + 9, 998244353, 2**31 - 1, 1000003 * 1000033)
 _KERNEL_CASES = {
     "q-int": (QQ, lambda rng: rng.choice((0, 0, 1, -1, rng.randint(-40, 40)))),
     "q-fraction": (QQ, lambda rng: rng.choice((0, Fraction(rng.randint(-10**6, 10**6), rng.choice(_LARGE_DENOMINATORS))))),
     "gf2": (GF2, lambda rng: rng.randrange(2)),
-    "gf3": (make_field("prime-field", 3), lambda rng: rng.randrange(3)),
-    "gf2147483647": (make_field("prime-field", 2**31 - 1), lambda rng: rng.choice((0, rng.randrange(2**31 - 1)))),
+    "gf3": (field_from_name("gf3"), lambda rng: rng.randrange(3)),
+    "gf2147483647": (field_from_name("gf2147483647"), lambda rng: rng.choice((0, rng.randrange(2**31 - 1)))),
 }
 
 
@@ -520,7 +520,7 @@ def test_span_kernel_matches_plain_gauss_jordan(case):
 _SUPPORT_CASES = {
     "q": (QQ, lambda rng: rng.choice((0, 0, 0, 1, -1, Fraction(rng.randint(-9, 9), rng.randint(1, 9))))),
     "gf2": (GF2, lambda rng: rng.choice((0, 0, 1))),
-    "gf3": (make_field("prime-field", 3), lambda rng: rng.choice((0, 0, rng.randrange(3)))),
+    "gf3": (field_from_name("gf3"), lambda rng: rng.choice((0, 0, rng.randrange(3)))),
     "gf5": (GF5, lambda rng: rng.choice((0, 0, rng.randrange(5)))),
 }
 
@@ -549,7 +549,7 @@ def test_support_index_is_each_rows_nonzero_columns(case):
                 assert row.keys() & s._rows.keys() == {q}
 
 
-@pytest.mark.parametrize("field", [QQ, GF2, make_field("prime-field", 3), GF5], ids=["q", "gf2", "gf3", "gf5"])
+@pytest.mark.parametrize("field", [QQ, GF2, field_from_name("gf3"), GF5], ids=["q", "gf2", "gf3", "gf5"])
 def test_callers_lists_do_not_alias_the_span(field):
     """Rows are updated in place, so no list a caller holds may be one the
     span keeps: mutating an inserted vector, or an "outside" residual that
@@ -596,7 +596,7 @@ def test_solve_combination_refuses_mixed_fields():
     assert solve_combination([xy_2], xy_2, cb).particular == [1]
 
 
-_GF3 = make_field("prime-field", 3)
+_GF3 = field_from_name("gf3")
 _ENCODE_VALUES = [
     0.5, 1.0, 0.0, float("nan"), Fraction(1, 2), Fraction(1), True, False,
     -1, 2, 3, 5, 32, 43, 45, 95, 256, 2**70, "1", None,
@@ -667,7 +667,7 @@ def _random_component_poly(rng, field, cb, done):
     scalars, or (a third of the time, once there is something to combine) a
     random combination of earlier ones, which lands inside their span."""
     if done and rng.random() < 1 / 3:
-        out = FreePoly.zero(cb.gens, field)
+        out = FreePoly(cb.gens, field)
         for p in rng.sample(done, min(len(done), 3)):
             out = out + p.scale(rand_scalar(rng, field))
         return out
@@ -693,13 +693,13 @@ def test_coordinates_and_dense_lists_agree(field, seed):
         assert (sparse.rows, sparse.pivots, sparse.dim, sparse.n_inserted) == (
             dense.rows, dense.pivots, dense.dim, dense.n_inserted
         )
-        for q in (_random_component_poly(rng, field, cb, done), p, FreePoly.zero(G3, field)):
+        for q in (_random_component_poly(rng, field, cb, done), p, FreePoly(G3, field)):
             c, v = coordinates(q, cb), to_vector(q, cb)
             assert sparse.contains(c) == dense.contains(v) == sparse.contains(v) == dense.contains(c)
             verdict = sparse.membership(c)
             assert verdict == dense.membership(v) == sparse.membership(v) == dense.membership(c)
             if verdict[0] == "inside":
-                total = FreePoly.zero(G3, field)
+                total = FreePoly(G3, field)
                 for i, coeff in verdict[1].items():
                     total = total + done[i].scale(coeff)
                 assert total == q
