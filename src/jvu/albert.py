@@ -52,11 +52,11 @@ from __future__ import annotations
 import functools
 import random
 import struct
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import chain
 from math import gcd
 from operator import mul
+from typing import NamedTuple
 
 from .fields import field_from_name
 from .linalg import affine_solve
@@ -440,8 +440,7 @@ def zero_pair_operator_collapse(ra: AlbertOperator, rb_sq: AlbertOperator, rb2_r
     return rb_sq @ ra + ra @ rb_sq == rb2_ra
 
 
-@dataclass
-class ZeroPairChecks:
+class ZeroPairChecks(NamedTuple):
     """Exact operator facts for one pair with a.b = 0, including the
     dichotomy witness: s(a,b) = 0 or a^2 b = 0 (at least one always holds)."""
 
@@ -456,7 +455,7 @@ class ZeroPairChecks:
 
 #: The ZeroPairChecks fields that must hold on every pair, in report order:
 #: all but the two dichotomy witnesses, which come last.
-OPERATOR_CHECKS = tuple(f.name for f in fields(ZeroPairChecks)[:-2])
+OPERATOR_CHECKS = ZeroPairChecks._fields[:-2]
 
 
 def check_zero_pair(a: AlbertElement, b: AlbertElement) -> ZeroPairChecks:

@@ -18,8 +18,8 @@ be special.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field as dc_field
 from itertools import product
+from typing import NamedTuple
 
 from .expr import format_linear_combination, format_poly
 from .fields import Field
@@ -49,6 +49,7 @@ def _sub_multidegrees(limit: MultiDegree) -> list[MultiDegree]:
 class _SpanComponent:
     """Dimension, membership and certificate text of an ideal component's
     ``span``; a subclass renders its i-th inserted element as ``_term_expr(i)``."""
+    __slots__ = ()  # no instance __dict__: a component's fields are all it holds
 
     @property
     def dim(self) -> int:
@@ -67,19 +68,21 @@ class _SpanComponent:
         return format_linear_combination([(c, self._term_expr(i)) for i, c in sorted(cert.items())], self.field)
 
 
-@dataclass
-class OuterIdealComponent(_SpanComponent):
-    """The multidegree-d slice of the Jordan outer ideal generated by f,
-    with a generation certificate per inserted vector and a closure that has
-    been run to a fixed point.  ``field``, ``component_basis``, ``span`` and
-    ``inserted`` read ``table`` at ``multidegree``."""
-
+class _OuterFields(NamedTuple):
     generator: JordanElement
     multidegree: MultiDegree
     mode: str
     rounds_to_fixpoint: int  # rounds that added at least one new span vector
-    table: GradedSpanTable = dc_field(repr=False)  # the ideal's spans at every multidegree <= d
-    hull: GradedSpanTable = dc_field(repr=False)  # the Jordan closure the ideal multiplies by, to d - deg f
+    table: GradedSpanTable  # the ideal's spans at every multidegree <= d
+    hull: GradedSpanTable  # the Jordan closure the ideal multiplies by, to d - deg f
+
+
+class OuterIdealComponent(_OuterFields, _SpanComponent):
+    """The multidegree-d slice of the Jordan outer ideal generated by f,
+    with a generation certificate per inserted vector and a closure that has
+    been run to a fixed point.  ``field``, ``component_basis``, ``span`` and
+    ``inserted`` read ``table`` at ``multidegree``."""
+    __slots__ = ()
 
     @property
     def field(self) -> Field:
@@ -169,9 +172,7 @@ def outer_ideal_component(f: JordanElement, d: MultiDegree, mode: str, field: Fi
             seeds.extend(je_u(f, u) for u in hull.reps(e))
 
     rounds = table.close(seeds, _outer_products(hull, d, mode))
-    return OuterIdealComponent(
-        generator=f, multidegree=d, mode=mode, rounds_to_fixpoint=rounds, table=table, hull=hull
-    )
+    return OuterIdealComponent(f, d, mode, rounds, table, hull)
 
 
 def outer_ideal_is_closed(comp: OuterIdealComponent) -> bool:
@@ -180,17 +181,19 @@ def outer_ideal_is_closed(comp: OuterIdealComponent) -> bool:
     return comp.table.is_closed(_outer_products(comp.hull, comp.multidegree, comp.mode))
 
 
-@dataclass
-class AssocIdealComponent(_SpanComponent):
-    """The multidegree-d slice of the two-sided associative ideal generated
-    by f: the span of all w1 f w2 over complementary word pairs."""
-
+class _AssocFields(NamedTuple):
     generator: FreePoly
     multidegree: MultiDegree
     field: Field
     component_basis: ComponentBasis
     span: Subspace
     products: list[tuple]  # (w1, w2) pairs aligned with span insert indices
+
+
+class AssocIdealComponent(_AssocFields, _SpanComponent):
+    """The multidegree-d slice of the two-sided associative ideal generated
+    by f: the span of all w1 f w2 over complementary word pairs."""
+    __slots__ = ()
 
     def _term_expr(self, i: int) -> str:
         """w1*(f)*w2, omitting an empty word."""
@@ -223,8 +226,7 @@ def assoc_ideal_component(f: FreePoly, d: MultiDegree) -> AssocIdealComponent:
     return AssocIdealComponent(f, d, field, cb, span, products)
 
 
-@dataclass
-class GapWitnessReport:
+class GapWitnessReport(NamedTuple):
     """Membership of one homogeneous symmetric element on both sides of the
     Cohn criterion at a single multidegree."""
 

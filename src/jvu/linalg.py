@@ -11,7 +11,6 @@ of the row they eliminate with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, NamedTuple
@@ -284,8 +283,7 @@ class Subspace:
         return "inside", {idx: c for (idx, _), c in zip(self._grew, coeffs) if c}
 
 
-@dataclass
-class AffineSolution:
+class AffineSolution(NamedTuple):
     """The full solution set {x : A x = b}: one particular solution (or None
     when infeasible) plus a basis of the homogeneous solution space."""
 

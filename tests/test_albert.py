@@ -443,6 +443,13 @@ def test_orthogonal_idempotents_pair():
     assert u_op(E22) @ u_op(E11) == u_op(E11) @ u_op(E22)
 
 
+def test_zero_pair_checks_are_read_only():
+    checks = check_zero_pair(E22, E11)
+    with pytest.raises(AttributeError):
+        checks.u_commutator_zero = False
+    assert checks.u_commutator_zero
+
+
 def test_zero_pair_precondition_enforced():
     rng = random.Random(39)
     a, b = find_noncommuting_pair(rng)

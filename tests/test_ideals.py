@@ -1,6 +1,5 @@
 """Graded ideal components on both sides of the Cohn criterion."""
 
-import dataclasses
 import hashlib
 import sys
 import time
@@ -100,7 +99,7 @@ def test_outer_reverifier_rejects_unclosed_table(field):
     comp = outer_ideal_component(f, D, mode_for(field), field)
     bare = GradedSpanTable(G3, field, D)
     bare.insert(f)
-    assert not outer_ideal_is_closed(dataclasses.replace(comp, table=bare))
+    assert not outer_ideal_is_closed(comp._replace(table=bare))
 
 
 @pytest.mark.parametrize("field", [GF2, QQ], ids=["gf2-quadratic", "q-linear"])
@@ -259,6 +258,20 @@ def test_gap_witness_seed_element_no_gap():
     report = cohn_gap_witness(f, s, D, "linear", QQ)
     assert report.g_in_assoc and report.g_in_outer
     assert not report.gap
+
+
+def test_ideal_records_are_read_only():
+    """No field of a gap report or of its components can be rebound after the
+    check, and a component takes no new attribute: the table that
+    ``outer_ideal_is_closed`` verified is the one the component keeps."""
+    *_, f = setup_elems(QQ)
+    report = cohn_gap_witness(f, parse_expr(COMMUTATOR_WITNESS, G3, QQ), D, "linear", QQ)
+    for record, name in [(report, "g_in_outer"), (report.outer, "table"), (report.assoc, "span")]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    for comp in (report.outer, report.assoc):
+        with pytest.raises(AttributeError):
+            comp.note = None
 
 
 def test_gap_witness_validates_input():

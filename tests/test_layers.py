@@ -53,3 +53,26 @@ def test_each_layer_loads_alone(name):
     assert proc.returncode == 0, proc.stderr
     allowed = {"jvu", *(f"jvu.{m}" for m in ORDER[: ORDER.index(name) + 1])}
     assert set(proc.stdout.split()) - allowed == set()
+
+
+#: stdlib modules no layer needs: ``dataclasses`` and the source-inspection
+#: stack that ``dataclasses`` loads through ``inspect``
+STARTUP_EXCLUDED = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def _loaded_modules(code):
+    """The modules a fresh interpreter holds after running code."""
+    script = f"{code}; import sys; print(*sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=SUBPROCESS_ENV, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_cli_startup_loads_no_introspection():
+    """``import jvu.cli`` adds none of STARTUP_EXCLUDED to what a bare
+    interpreter in the same environment loads, whatever ``site`` preloads."""
+    added = _loaded_modules("import jvu.cli") - _loaded_modules("pass")
+    assert "jvu.cli" in added
+    assert added & STARTUP_EXCLUDED == set()

@@ -204,6 +204,13 @@ def test_affine_solve_infeasible():
     assert not sol.feasible
 
 
+def test_affine_solution_is_read_only():
+    sol = affine_solve([[QQ.one]], [QQ.one], QQ)
+    with pytest.raises(AttributeError):
+        sol.particular = None
+    assert sol.particular == [QQ.one]
+
+
 def _ansatz(field):
     x, y, z = (gen(G3, field, n) for n in "xyz")
     t = circ(x, y)
