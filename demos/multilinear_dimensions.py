@@ -13,7 +13,7 @@ from jvu.expr import format_poly
 from jvu.fields import field_from_name
 from jvu.freealg import FreePoly, GeneratorSet
 from jvu.jordan import jordan_closure_table, recipe_str, symmetric_component_dim
-from jvu.linalg import to_vector
+from jvu.linalg import coordinates
 
 gens = GeneratorSet(("x", "y", "z", "t"))
 d = (1, 1, 1, 1)
@@ -28,7 +28,7 @@ for name, field in (("GF(2)", field_from_name("gf2")), ("rationals", field_from_
     print(f"  Jordan multilinear dimension:    {table.dim(d)}")
 
     tetrad = FreePoly.from_word(gens, field, (3, 2, 0, 1)).symmetrize()
-    verdict, _ = table.subspace(d).membership(to_vector(tetrad, table.component_basis(d)))
+    verdict, _ = table.subspace(d).membership(coordinates(tetrad, table.component_basis(d)))
     print(f"  tetrad {format_poly(tetrad)}: {verdict} the Jordan span")
     print()
 

@@ -42,9 +42,12 @@ conventions are pinned by requiring the cubic characteristic identity
 a^3 = t(a) a^2 - s(a) a + n(a) 1 to vanish identically, which the test suite
 re-checks against all sign variants.
 
-Zero-product pairs come from the Peirce decomposition of an idempotent e:
-the 0- and 1-spaces are the U-images J_0(e) = U_{1-e}(J) and J_1(e) = U_e(J),
-and J_0(e) J_1(e) = 0.
+Zero-product pairs come from the Peirce decomposition of an idempotent e.
+Subscripts are eigenvalues of L_e, multiplication by e: the 0- and 1-spaces
+are the U-images J_0(e) = U_{1-e}(J) and J_1(e) = U_e(J), and
+J_0(e) J_1(e) = 0.  McCrimmon indexes by the eigenvalues of V_e = 2 L_e, so
+J_1(e) here is his J_2(e).  For a rank-one e, as the sampler draws, this
+space is F e, so every sampled b is a multiple of e.
 """
 
 from __future__ import annotations
@@ -511,9 +514,10 @@ def sample_zero_pair(rng: random.Random) -> tuple[AlbertElement, AlbertElement]:
     c^2 = t(c) c, then e = c / t(c) is idempotent and a = U_{t(c) 1 - c}(r1),
     b = U_c(r2) for random integer r1, r2 are t(c)^2 times points of the
     Peirce spaces J_0(e) = U_{1-e}(J) and J_1(e) = U_e(J), whose product is
-    zero.  Content is divided out, and the result is re-verified exactly
-    before returning.  Retries on degenerate draws and aborts after 100
-    attempts.
+    zero (subscripts are eigenvalues of L_e: J_1(e) is McCrimmon's J_2(e)).
+    As e has rank one, J_1(e) = F e, so b is always a multiple of e.
+    Content is divided out, and the result is re-verified exactly before
+    returning.  Retries on degenerate draws and aborts after 100 attempts.
     """
     e11 = AlbertElement.basis(0)
     unit = AlbertElement.unit()

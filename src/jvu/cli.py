@@ -42,7 +42,7 @@ from .jordan import (
     symmetric_component_dim,
     commutator_identity_residual,
 )
-from .linalg import ComponentBasis, coordinates, solve_combination
+from .linalg import ComponentBasis, affine_solve, coordinates
 
 SCHEMA_VERSION = 1
 #: Default of ``--degree-bound``, a guard of the command line only: the
@@ -278,7 +278,7 @@ def _run_coefficients(args):
     field = _field(args)
     gens, targets, rhs = coefficient_targets(field)
     cb = ComponentBasis(gens, (2, 2, 1))
-    sol = solve_combination(targets, rhs, cb)
+    sol = affine_solve([coordinates(t, cb).dense() for t in targets], coordinates(rhs, cb).dense(), field)
     inputs = {"field": args.field, "ansatz": list(ANSATZ_EXPRS), "goal": f"{GOAL_EXPR} with t = {CIRC_XY}"}
     if not sol.feasible:
         return "refuted", inputs, {"feasible": False}, {}

@@ -63,10 +63,6 @@ class GeneratorSet:
         return tuple(counts)
 
 
-def deglex_key(word: Word):
-    return (len(word), word)
-
-
 class FreePoly:
     """A sparse noncommutative polynomial: word -> nonzero scalar.
 
@@ -239,7 +235,7 @@ class FreePoly:
 
     def sorted_terms(self):
         """Terms in deglex order (degree, then lexicographic in generator indices)."""
-        return sorted(self.terms.items(), key=lambda t: deglex_key(t[0]))
+        return sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
 
     def word_str(self, word: Word) -> str:
         if not word:

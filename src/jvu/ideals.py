@@ -37,7 +37,7 @@ from .jordan import (
     jordan_closure_table,
     recipe_str,
 )
-from .linalg import ComponentBasis, Subspace, coordinates, from_vector, words_of_multidegree
+from .linalg import ComponentBasis, Subspace, coordinates, words_of_multidegree
 
 
 def _sub_multidegrees(limit: MultiDegree) -> list[MultiDegree]:
@@ -57,10 +57,11 @@ class _SpanComponent:
 
     def membership(self, p: FreePoly):
         """("inside", {insert index -> coeff}) or ("outside", residual FreePoly)."""
-        verdict, data = self.span.membership(coordinates(p, self.component_basis))
+        cb = self.component_basis
+        verdict, data = self.span.membership(coordinates(p, cb))
         if verdict == "inside":
             return verdict, data
-        return verdict, from_vector(data, self.component_basis, self.field)
+        return verdict, FreePoly(cb.gens, self.field, dict(zip(cb.words, data)))
 
     def certificate_expr(self, cert: dict) -> str:
         """Render an "inside" certificate {insert index -> coeff} in the

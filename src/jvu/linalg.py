@@ -2,11 +2,11 @@
 
 Homogeneous polynomials are vectorized against the complete deglex-ordered
 word list of one multidegree: ``coordinates`` re-keys a polynomial's sparse
-int store to columns, and ``to_vector`` is its dense view.  Subspaces are kept
-in reduced row-echelon form, and a membership test that finds a vector inside
-solves an explicit coefficient certificate over the vectors that were
-inserted, not just a verdict.  Row operations touch only the nonzero columns
-of the row they eliminate with.
+int store to columns, and ``Coordinates.dense`` is its one dense view.
+Subspaces are kept in reduced row-echelon form, and a membership test that
+finds a vector inside solves an explicit coefficient certificate over the
+vectors that were inserted, not just a verdict.  Row operations touch only
+the nonzero columns of the row they eliminate with.
 """
 
 from __future__ import annotations
@@ -74,7 +74,8 @@ class Coordinates(NamedTuple):
     field: Field
 
     def dense(self) -> list:
-        """The vector as a list of exact field scalars: its ints when den is 1."""
+        """The one dense view of a polynomial's coordinates: a list of exact
+        field scalars, the ints of the store when den is 1."""
         vec = [self.field.zero] * self.dim
         for j, c in zip(self.cols, self.vals):
             vec[j] = c if self.den == 1 else Fraction(c, self.den)
@@ -91,18 +92,6 @@ def coordinates(p: FreePoly, cb: ComponentBasis) -> Coordinates:
     except KeyError:
         raise ValueError(f"polynomial is not homogeneous of multidegree {cb.multidegree}") from None
     return tuple.__new__(Coordinates, (cols, p.num.values(), p.den, len(cb.words), p.field))  # no Python-level __new__
-
-
-def to_vector(p: FreePoly, cb: ComponentBasis) -> list:
-    """The dense view of ``coordinates(p, cb)``: exact scalars, the ints of
-    the store when its denominator is 1."""
-    return coordinates(p, cb).dense()
-
-
-def from_vector(vec, cb: ComponentBasis, field: Field) -> FreePoly:
-    if len(vec) != len(cb.words):
-        raise ValueError(f"vector has {len(vec)} entries for {cb!r}")
-    return FreePoly(cb.gens, field, dict(zip(cb.words, vec)))
 
 
 _ASCII_BITS = bytes.maketrans(b"\0\1", b"01")  # GF(2) entries as the digits of a base-2 literal
@@ -180,7 +169,7 @@ class Subspace:
             if p == 2:
                 return int(bytes(v)[::-1].translate(_ASCII_BITS) or b"0", 2), 1
             return {j: c for j, c in enumerate(v) if c}, 1
-        zero = self.field.zero  # to_vector fills with this object: skip it without a method call
+        zero = self.field.zero  # Coordinates.dense fills with this object: skip it without a method call
         entries = [(j, c) for j, c in enumerate(v) if c is not zero]
         self.field.require_exact([c for _, c in entries])
         s = lcm(*[c.denominator for _, c in entries])
@@ -331,13 +320,3 @@ def affine_solve(columns: list[list], rhs: list, field: Field) -> AffineSolution
         raise ValueError("column length mismatch")
     return AffineSolution(*_solve(columns, rhs, field))
 
-
-def solve_combination(
-    targets: list[FreePoly], rhs: FreePoly, cb: ComponentBasis
-) -> AffineSolution:
-    """All coefficient vectors c with sum(c_i * targets[i]) = rhs in cb's component."""
-    for t in targets:
-        if (t.field, t.gens) != (rhs.field, rhs.gens):
-            raise ValueError(f"a target is over {t.field!r}, {t.gens!r}, but rhs is over {rhs.field!r}, {rhs.gens!r}")
-    cols = [to_vector(t, cb) for t in targets]
-    return affine_solve(cols, to_vector(rhs, cb), rhs.field)

@@ -24,7 +24,7 @@ from jvu.fields import field_from_name
 from jvu.freealg import FreePoly, GeneratorSet
 from jvu.ideals import outer_ideal_component, outer_ideal_is_closed
 from jvu.jordan import jordan_closure_table, recipe_str
-from jvu.linalg import Subspace, to_vector
+from jvu.linalg import Subspace, coordinates
 
 from conftest import rand_poly, rand_scalar
 
@@ -84,7 +84,7 @@ def test_criterion_3_tetrad_outside_jordan_span():
     tetrad = FreePoly.from_word(
         G4, GF2, (G4.index("t"), G4.index("z"), G4.index("x"), G4.index("y"))
     ).symmetrize()
-    verdict, residual = table.subspace(d).membership(to_vector(tetrad, table.component_basis(d)))
+    verdict, residual = table.subspace(d).membership(coordinates(tetrad, table.component_basis(d)).dense())
     elapsed = time.perf_counter() - t0
     ok = verdict == "outside" and any(residual) and elapsed < 10.0
     _report(3, "tetrad sym(t*z*x*y) outside the Jordan span over gf2", ok, f"{elapsed:.2f}s")
@@ -225,7 +225,7 @@ def test_criterion_8_property_suites():
         for d in comp.table.multidegrees():
             cb = comp.table.component_basis(d)
             span = comp.table.subspace(d)
-            vecs = [to_vector(e.value, cb) for e in comp.table.inserted(d)]
+            vecs = [coordinates(e.value, cb).dense() for e in comp.table.inserted(d)]
             for e in comp.table.inserted(d):
                 replay_ok = replay_ok and parse_expr(recipe_str(e.recipe), G3, field) == e.value
                 replay_count += 1

@@ -1,7 +1,6 @@
 """Graded ideal components on both sides of the Cohn criterion."""
 
 import hashlib
-import sys
 import time
 
 import pytest
@@ -33,7 +32,7 @@ from jvu.ideals import (
     outer_ideal_component,
     outer_ideal_is_closed,
 )
-from jvu.linalg import from_vector, to_vector
+from jvu.linalg import coordinates
 
 QQ = field_from_name("q")
 GF2 = field_from_name("gf2")
@@ -136,7 +135,7 @@ def test_outer_certificates_replay():
     for field in (QQ, GF2):
         *_, f = setup_elems(field)
         comp = outer_ideal_component(f, D, mode_for(field), field)
-        vecs = [to_vector(e.value, comp.component_basis) for e in comp.inserted]
+        vecs = [coordinates(e.value, comp.component_basis).dense() for e in comp.inserted]
         for e, vec in zip(comp.inserted, vecs):
             assert parse_expr(recipe_str(e.recipe), G3, field) == e.value
         for row in comp.span.rows:
@@ -157,7 +156,7 @@ def test_certificate_expr_replays(field, mode):
     *_, f = setup_elems(field)
     comp = outer_ideal_component(f, D, mode, field)
     for row in comp.span.rows:
-        p = from_vector(row, comp.component_basis, field)
+        p = FreePoly(G3, field, dict(zip(comp.component_basis.words, row)))
         verdict, cert = comp.membership(p)
         assert verdict == "inside"
         assert parse_expr(comp.certificate_expr(cert), G3, field) == p
@@ -427,27 +426,42 @@ def test_limit_of_wrong_length_refused_before_any_closure():
 
 @pytest.mark.parametrize("field,mode", [(GF2, "quadratic"), (QQ, "linear")], ids=["gf2-quadratic", "q-linear"])
 def test_gap_checks_never_build_dense_vectors(monkeypatch, field, mode):
-    """A gap check and its fixed-point re-verification hand every ideal
-    product and witness to the spans as coordinates: with every binding of
-    ``to_vector`` raising, they still give the pinned dimensions."""
+    """The table builds of a gap check, its fixed-point re-verification and
+    the outer "outside" membership hand every vector to the spans as
+    coordinates: with ``Coordinates.dense`` raising (the class attribute is
+    its only binding) and every span refusing a list, they still give the
+    pinned dimensions.  The one step of a gap check that densifies is the
+    associative "inside" certificate solve at (2,2,1): it reads the witness
+    and each insert that grew the span on the pivot columns, and the whole
+    gap check makes no other dense call."""
+    dense, encode = linalg.Coordinates.dense, linalg.Subspace._encode
+    calls = []
 
-    def refuse(*args):
-        raise AssertionError("to_vector called on the gap-check path")
+    def refuse(coords):
+        raise AssertionError("Coordinates.dense called on the gap-check path")
 
-    dense = linalg.to_vector
-    bindings = [
-        (module, name)
-        for module in list(sys.modules.values())
-        if module.__name__.startswith("jvu")
-        for name, value in list(vars(module).items())
-        if value is dense
-    ]
-    assert (linalg, "to_vector") in bindings
-    for module, name in bindings:
-        monkeypatch.setattr(module, name, refuse)
+    def sparse_only(span, v):
+        assert isinstance(v, linalg.Coordinates), "a dense list handed to a span on the gap-check path"
+        return encode(span, v)
+
+    def counted(coords):
+        calls.append(coords)
+        return dense(coords)
+
     x, y, z, f = setup_elems(field)
     witnesses = {(2, 2, 1): parse_expr(COMMUTATOR_WITNESS, G3, field), (3, 2, 1): (x * x * y * z * y * x).symmetrize()}
     for d, g in witnesses.items():
-        report = cohn_gap_witness(f, g, d, mode, field)
-        assert outer_ideal_is_closed(report.outer)
-        assert (report.outer.dim, report.assoc.dim) == LADDER_DIMS[d]
+        with monkeypatch.context() as m:
+            m.setattr(linalg.Coordinates, "dense", refuse)
+            m.setattr(linalg.Subspace, "_encode", sparse_only)
+            assoc, outer = assoc_ideal_component(f.value, d), outer_ideal_component(f, d, mode, field)
+            assert outer_ideal_is_closed(outer)
+            assert outer.membership(g)[0] == "outside"
+        assert (outer.dim, assoc.dim) == LADDER_DIMS[d]
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(linalg.Coordinates, "dense", counted)
+            report = cohn_gap_witness(f, g, d, mode, field)
+        inside = d == (2, 2, 1)
+        assert (report.g_in_assoc, report.g_in_outer) == (inside, False)
+        assert len(calls) == (assoc.dim + 1 if inside else 0)

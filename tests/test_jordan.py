@@ -36,7 +36,7 @@ from jvu.jordan import (
     commutator_identity_residual,
 )
 from jvu.ideals import outer_ideal_component
-from jvu.linalg import ComponentBasis, Subspace, coordinates, to_vector, words_of_multidegree
+from jvu.linalg import ComponentBasis, Subspace, coordinates, words_of_multidegree
 
 QQ = field_from_name("q")
 GF2 = field_from_name("gf2")
@@ -144,7 +144,7 @@ def _closure(gens, d, mode, field):
 
 
 def _in_span(table, d, p):
-    return table.subspace(d).contains(to_vector(p, table.component_basis(d)))
+    return table.subspace(d).contains(coordinates(p, table.component_basis(d)).dense())
 
 
 def test_spanning_multilinear_three_gens_linear():

@@ -1,5 +1,6 @@
 """Vectorization, echelonized subspaces with certificates, affine solving."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -16,9 +17,6 @@ from jvu.linalg import (
     Subspace,
     affine_solve,
     coordinates,
-    from_vector,
-    solve_combination,
-    to_vector,
     words_of_multidegree,
 )
 
@@ -36,33 +34,37 @@ def gen(gens, field, name):
 
 
 def test_words_of_multidegree_complete_and_ordered():
-    words = words_of_multidegree(G3, (2, 2, 1))
-    assert len(words) == 30  # 5!/(2!2!1!)
-    assert len(set(words)) == 30
-    assert words == sorted(words)
-    assert words_of_multidegree(G3, (0, 0, 0)) == [()]
+    """Every word of multidegree d once, each of multidegree d, in deglex
+    order: the distinct permutations of one such word, sorted."""
+    for gens, d, count in ((G3, (2, 2, 1), 30), (G4, (1, 1, 1, 1), 24)):  # 5!/(2!2!1!) and 4!
+        words = words_of_multidegree(gens, d)
+        assert len(words) == count
+        assert all(gens.word_multidegree(w) == d for w in words)
+        first = tuple(i for i, c in enumerate(d) for _ in range(c))
+        assert words == sorted(set(itertools.permutations(first)))
+        assert words_of_multidegree(gens, (0,) * len(gens)) == [()]
 
 
 def test_to_vector_read_off():
     x, y = gen(G2, QQ, "x"), gen(G2, QQ, "y")
     p = x * y + (y * x).scale(QQ.from_int(2))
     cb = ComponentBasis(G2, (1, 1))
-    assert to_vector(p, cb) == [Fraction(1), Fraction(2)]
-    assert to_vector(FreePoly(G2, QQ), cb) == [Fraction(0), Fraction(0)]
+    assert coordinates(p, cb).dense() == [Fraction(1), Fraction(2)]
+    assert coordinates(FreePoly(G2, QQ), cb).dense() == [Fraction(0), Fraction(0)]
 
 
 def test_to_vector_rejects_inhomogeneous():
     x, y = gen(G2, QQ, "x"), gen(G2, QQ, "y")
     cb = ComponentBasis(G2, (1, 1))
     with pytest.raises(ValueError):
-        to_vector(x * y + x, cb)
+        coordinates(x * y + x, cb)
 
 
 def test_commutator_vector_over_gf2():
     """y x z x y - x y z y x reduces mod 2 to exactly two unit coordinates."""
     x, y, z = (gen(G3, GF2, n) for n in "xyz")
     cb = ComponentBasis(G3, (2, 2, 1))
-    vec = to_vector(y * x * z * x * y - x * y * z * y * x, cb)
+    vec = coordinates(y * x * z * x * y - x * y * z * y * x, cb).dense()
     support = [i for i, c in enumerate(vec) if c]
     assert [cb.words[i] for i in support] == sorted([(1, 0, 2, 0, 1), (0, 1, 2, 1, 0)])
     assert all(vec[i] == 1 for i in support)
@@ -81,7 +83,7 @@ def test_insert_twelve_symmetrized_words_gf2():
     cb = ComponentBasis(G4, (1, 1, 1, 1))
     s = Subspace(GF2, len(cb))
     for w in cb.words:
-        s.insert(to_vector(FreePoly.from_word(G4, GF2, w).symmetrize(), cb))
+        s.insert(coordinates(FreePoly.from_word(G4, GF2, w).symmetrize(), cb).dense())
     assert s.dim == 12
 
 
@@ -182,9 +184,9 @@ def test_symmetric_plus_skew_dimension_count():
             sp = p.symmetrize()
             kp = p - p.reverse()
             if not sp.is_zero():
-                sym.insert(to_vector(sp, cb))
+                sym.insert(coordinates(sp, cb).dense())
             if not kp.is_zero():
-                skew.insert(to_vector(kp, cb))
+                skew.insert(coordinates(kp, cb).dense())
         assert sym.dim + skew.dim == len(cb)
 
 
@@ -192,7 +194,7 @@ def test_affine_solve_trivial_scaling():
     x = gen(G2, QQ, "x")
     p = x * gen(G2, QQ, "y")
     cb = ComponentBasis(G2, (1, 1))
-    sol = solve_combination([p], p.scale(QQ.from_int(2)), cb)
+    sol = affine_solve([coordinates(p, cb).dense()], coordinates(p.scale(QQ.from_int(2)), cb).dense(), QQ)
     assert sol.particular == [Fraction(2)]
     assert sol.homogeneous == []
 
@@ -200,7 +202,7 @@ def test_affine_solve_trivial_scaling():
 def test_affine_solve_infeasible():
     cb = ComponentBasis(G2, (1, 1))
     x, y = gen(G2, QQ, "x"), gen(G2, QQ, "y")
-    sol = solve_combination([x * y], y * x, cb)
+    sol = affine_solve([coordinates(x * y, cb).dense()], coordinates(y * x, cb).dense(), QQ)
     assert not sol.feasible
 
 
@@ -212,6 +214,8 @@ def test_affine_solution_is_read_only():
 
 
 def _ansatz(field):
+    """The seven ansatz targets and the right-hand side at (2,2,1), and the
+    solution of the system on their dense coordinates."""
     x, y, z = (gen(G3, field, n) for n in "xyz")
     t = circ(x, y)
     targets = [
@@ -223,15 +227,15 @@ def _ansatz(field):
         (y * z * x * t).symmetrize(),
         u_apply(t, z),
     ]
-    return targets, (t * z * x * y).symmetrize()
+    rhs = (t * z * x * y).symmetrize()
+    cb = ComponentBasis(G3, (2, 2, 1))
+    return targets, rhs, affine_solve([coordinates(p, cb).dense() for p in targets], coordinates(rhs, cb).dense(), field)
 
 
 def test_seven_term_system_over_q():
     """One free parameter; normalized to the slot-4 coordinate it reads
     (0, 0, 1+L, L, 0, 0, -2L)."""
-    targets, rhs = _ansatz(QQ)
-    cb = ComponentBasis(G3, (2, 2, 1))
-    sol = solve_combination(targets, rhs, cb)
+    _, _, sol = _ansatz(QQ)
     assert sol.feasible and len(sol.homogeneous) == 1
     h = sol.homogeneous[0]
     scale = 1 / h[3]
@@ -243,9 +247,7 @@ def test_seven_term_system_over_q():
 
 def test_seven_term_system_over_gf2_kills_alpha7():
     """In characteristic 2 the -2L slot collapses: alpha7 = 0 for the family."""
-    targets, rhs = _ansatz(GF2)
-    cb = ComponentBasis(G3, (2, 2, 1))
-    sol = solve_combination(targets, rhs, cb)
+    _, _, sol = _ansatz(GF2)
     assert sol.feasible
     assert sol.particular[6] == 0
     assert all(h[6] == 0 for h in sol.homogeneous)
@@ -256,9 +258,7 @@ def test_seven_term_system_over_gf2_kills_alpha7():
 def test_solution_substitutes_back():
     """Particular reproduces the rhs; homogeneous vectors map to zero."""
     for field in (QQ, GF2):
-        targets, rhs = _ansatz(field)
-        cb = ComponentBasis(G3, (2, 2, 1))
-        sol = solve_combination(targets, rhs, cb)
+        targets, rhs, sol = _ansatz(field)
         combo = FreePoly(G3, field)
         for c, t in zip(sol.particular, targets):
             combo = combo + t.scale(c)
@@ -268,14 +268,6 @@ def test_solution_substitutes_back():
             for c, t in zip(h, targets):
                 combo = combo + t.scale(c)
             assert combo.is_zero()
-
-
-def test_from_vector_round_trip():
-    rng = random.Random(11)
-    cb = ComponentBasis(G3, (1, 1, 1))
-    for field in (QQ, GF2):
-        vec = [rand_scalar(rng, field) for _ in range(len(cb))]
-        assert to_vector(from_vector(vec, cb, field), cb) == [field.add(c, field.zero) for c in vec]
 
 
 def _apply(columns, x, m, field):
@@ -347,8 +339,8 @@ def test_int_scalars_over_q_stay_exact():
     p = FreePoly(G2, QQ, {(0, 1): 3, (1, 0): 1})
     cb = ComponentBasis(G2, (1, 1))
     span = Subspace(QQ, len(cb))
-    span.insert(to_vector(p, cb))
-    verdict, cert = span.membership(to_vector(p + p, cb))
+    span.insert(coordinates(p, cb).dense())
+    verdict, cert = span.membership(coordinates(p + p, cb).dense())
     assert (verdict, cert) == ("inside", {0: 2}) and exact(cert.values())
 
 
@@ -579,30 +571,6 @@ def test_callers_lists_do_not_alias_the_span(field):
     assert s.membership(both) == certificate
 
 
-def test_from_vector_refuses_wrong_length():
-    """A vector must have one entry per basis word: none is padded with zero
-    or dropped."""
-    cb = ComponentBasis(G2, (1, 1))
-    for bad in ([1], [1, 0, 1], []):
-        with pytest.raises(ValueError, match="entries"):
-            from_vector(bad, cb, QQ)
-    assert from_vector([1, 0], cb, QQ) == gen(G2, QQ, "x") * gen(G2, QQ, "y")
-
-
-def test_solve_combination_refuses_mixed_fields():
-    """Targets over GF(2) against a right-hand side over Q are an error naming
-    both fields, not a solve over the right-hand side's field."""
-    cb = ComponentBasis(G2, (1, 1))
-    xy_q = gen(G2, QQ, "x") * gen(G2, QQ, "y")
-    xy_2 = gen(G2, GF2, "x") * gen(G2, GF2, "y")
-    with pytest.raises(ValueError, match=r"Field\(GF\(2\)\).*Field\(Q\)"):
-        solve_combination([xy_2, xy_2], xy_q, cb)
-    xy_3gens = gen(G3, QQ, "x") * gen(G3, QQ, "y")
-    with pytest.raises(ValueError, match=r"GeneratorSet\(x, y, z\).*GeneratorSet\(x, y\)"):
-        solve_combination([xy_3gens], xy_q, cb)
-    assert solve_combination([xy_2], xy_2, cb).particular == [1]
-
-
 _GF3 = field_from_name("gf3")
 _ENCODE_VALUES = [
     0.5, 1.0, 0.0, float("nan"), Fraction(1, 2), Fraction(1), True, False,
@@ -685,7 +653,7 @@ def _random_component_poly(rng, field, cb, done):
 @pytest.mark.parametrize("field", [QQ, GF2, _GF3, GF5], ids=["q", "gf2", "gf3", "gf5"])
 @pytest.mark.parametrize("seed", range(4))
 def test_coordinates_and_dense_lists_agree(field, seed):
-    """One span fed ``coordinates`` and a twin fed ``to_vector`` lists of the
+    """One span fed ``coordinates`` and a twin fed their ``dense`` lists of the
     same polynomials agree on rows, pivots, dim, insert count, contains and
     membership (verdicts, certificates, residuals) after every step.  Over Q
     the random scalars have denominators up to 9."""
@@ -695,13 +663,14 @@ def test_coordinates_and_dense_lists_agree(field, seed):
     done = []
     for _ in range(12):
         p = _random_component_poly(rng, field, cb, done)
-        assert sparse.insert(coordinates(p, cb)) == dense.insert(to_vector(p, cb))
+        assert sparse.insert(coordinates(p, cb)) == dense.insert(coordinates(p, cb).dense())
         done.append(p)
         assert (sparse.rows, sparse.pivots, sparse.dim, sparse.n_inserted) == (
             dense.rows, dense.pivots, dense.dim, dense.n_inserted
         )
         for q in (_random_component_poly(rng, field, cb, done), p, FreePoly(G3, field)):
-            c, v = coordinates(q, cb), to_vector(q, cb)
+            c = coordinates(q, cb)
+            v = c.dense()
             assert sparse.contains(c) == dense.contains(v) == sparse.contains(v) == dense.contains(c)
             verdict = sparse.membership(c)
             assert verdict == dense.membership(v) == sparse.membership(v) == dense.membership(c)
@@ -722,22 +691,24 @@ def _refusal(call):
 
 @pytest.mark.parametrize("field", [QQ, GF2, _GF3, GF5], ids=["q", "gf2", "gf3", "gf5"])
 def test_coordinates_refuse_what_to_vector_refuses(field):
-    """An inhomogeneous polynomial, one over another generator set, and a
-    component of the wrong size are refused with the errors the dense route
-    gives, and the span is left as it was; coordinates over another field are
-    a FieldError."""
+    """An inhomogeneous polynomial and one over another generator set are
+    refused by ``coordinates``; a component of the wrong size is refused by
+    every entry point, as coordinates and as their dense list, and the span
+    is left as it was; coordinates over another field are a FieldError."""
     cb = ComponentBasis(G3, (1, 1, 0))
     x, y = gen(G3, field, "x"), gen(G3, field, "y")
-    for bad in (x * y + x, gen(G2, field, "x") * gen(G2, field, "y")):
-        expected = _refusal(lambda: to_vector(bad, cb))
-        assert expected is not None and _refusal(lambda: coordinates(bad, cb)) == expected
-    wrong = ComponentBasis(G3, (1, 1, 1))
+    assert _refusal(lambda: coordinates(x * y + x, cb)) == (
+        ValueError, "polynomial is not homogeneous of multidegree (1, 1, 0)"
+    )
+    assert _refusal(lambda: coordinates(gen(G2, field, "x") * gen(G2, field, "y"), cb)) == (
+        ValueError, "mismatched generator sets"
+    )
+    wrong = coordinates(x * y * gen(G3, field, "z"), ComponentBasis(G3, (1, 1, 1)))
     for entry in ("insert", "contains", "membership"):
         span = Subspace(field, len(cb))
         span.insert(coordinates(x * y, cb))
-        expected = _refusal(lambda: getattr(span, entry)(to_vector(x * y * gen(G3, field, "z"), wrong)))
-        assert expected == (ValueError, "ambient dimension mismatch")
-        assert _refusal(lambda: getattr(span, entry)(coordinates(x * y * gen(G3, field, "z"), wrong))) == expected
+        for v in (wrong, wrong.dense()):
+            assert _refusal(lambda: getattr(span, entry)(v)) == (ValueError, "ambient dimension mismatch")
         other = QQ if field.characteristic else GF5
         xy = gen(G3, other, "x") * gen(G3, other, "y")
         with pytest.raises(FieldError):
@@ -772,7 +743,8 @@ def test_support_reduction_matches_full_scan(field, seed):
         done.append(p)
         assert (fast.rows, fast.pivots, fast._rows) == (full.rows, full.pivots, full._rows)
         for q in (_random_component_poly(rng, field, cb, done), p):
-            for v in (coordinates(q, cb), to_vector(q, cb)):
+            c = coordinates(q, cb)
+            for v in (c, c.dense()):
                 assert fast.membership(v) == full.membership(v)
                 assert fast.contains(v) == full.contains(v)
 
@@ -789,7 +761,7 @@ def _stream_tables(field, mode):
 )
 def test_spans_match_plain_gauss_jordan_on_jordan_insert_streams(field, mode):
     """Every component's insert stream of two real tables, fed to a fresh
-    span as ``coordinates`` and to the plain Gauss-Jordan as ``to_vector``
+    span as ``coordinates`` and to the plain Gauss-Jordan as their ``dense``
     lists, gets the same verdict at each insert and the same pivots after
     it, and ends in the same RREF rows as the reference and the table."""
     inserts = 0
@@ -798,7 +770,7 @@ def test_spans_match_plain_gauss_jordan_on_jordan_insert_streams(field, mode):
             cb = table.component_basis(d)
             span, ref = Subspace(field, len(cb)), _ReferenceSpan(field)
             for e in table.inserted(d):
-                assert span.insert(coordinates(e.value, cb)) == ref.insert(to_vector(e.value, cb))
+                assert span.insert(coordinates(e.value, cb)) == ref.insert(coordinates(e.value, cb).dense())
                 assert span.pivots == ref.pivots
                 inserts += 1
             assert span.rows == ref.rows == table.subspace(d).rows
