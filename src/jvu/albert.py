@@ -62,7 +62,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .fields import field_from_name
-from .linalg import affine_solve
+from .linalg import Coordinates, affine_solve
 
 DIM = 27
 
@@ -495,9 +495,9 @@ def random_element(rng: random.Random) -> AlbertElement:
 
 def left_kernel(op: AlbertOperator) -> list[list[Fraction]]:
     """Basis of {v : v op = 0} (row vectors), exact over the rationals."""
-    cols = [[Fraction(x, op.den) for x in row] for row in op.num]
-    zero = [Fraction(0)] * DIM
-    return affine_solve(cols, zero, _QQ).homogeneous
+    cols = [Coordinates(tuple(j for j, x in enumerate(row) if x), tuple(filter(None, row)), op.den, DIM, _QQ)
+            for row in op.num]
+    return affine_solve(cols, Coordinates((), (), 1, DIM, _QQ)).homogeneous
 
 
 def _integral(x: AlbertElement) -> AlbertElement:

@@ -278,7 +278,7 @@ def _run_coefficients(args):
     field = _field(args)
     gens, targets, rhs = coefficient_targets(field)
     cb = ComponentBasis(gens, (2, 2, 1))
-    sol = affine_solve([coordinates(t, cb).dense() for t in targets], coordinates(rhs, cb).dense(), field)
+    sol = affine_solve([coordinates(t, cb) for t in targets], coordinates(rhs, cb))
     inputs = {"field": args.field, "ansatz": list(ANSATZ_EXPRS), "goal": f"{GOAL_EXPR} with t = {CIRC_XY}"}
     if not sol.feasible:
         return "refuted", inputs, {"feasible": False}, {}

@@ -225,14 +225,15 @@ class GradedSpanTable:
 
     def contains(self, elem: JordanElement) -> bool:
         """True iff elem is zero or lies in the span of its multidegree; a
-        component with no span answers False and is left without one."""
+        component with no span answers False, and no basis is built for it."""
         if elem.value.is_zero():
             return True
         d = elem.multidegree
         if d is None:
             raise ValueError("span table takes homogeneous elements only")
-        vec = coordinates(elem.value, self.component_basis(d))
-        return d in self._spans and self._spans[d].contains(vec)
+        if elem.value.gens is not self.gens and elem.value.gens != self.gens:
+            raise ValueError("mismatched generator sets")
+        return d in self._spans and self._spans[d].contains(coordinates(elem.value, self._bases[d]))
 
     def close(self, seeds, products) -> int:
         """Insert the seeds, then ``products(new)`` round after round, where

@@ -2,11 +2,11 @@
 
 Homogeneous polynomials are vectorized against the complete deglex-ordered
 word list of one multidegree: ``coordinates`` re-keys a polynomial's sparse
-int store to columns, and ``Coordinates.dense`` is its one dense view.
-Subspaces are kept in reduced row-echelon form, and a membership test that
-finds a vector inside solves an explicit coefficient certificate over the
-vectors that were inserted, not just a verdict.  Row operations touch only
-the nonzero columns of the row they eliminate with.
+int store to columns.  ``Coordinates`` is the one vector form that spans and
+``affine_solve`` take.  Subspaces are kept in reduced row-echelon form, and a
+membership test that finds a vector inside solves an explicit coefficient
+certificate over the vectors that were inserted, not just a verdict.  Row
+operations touch only the nonzero columns of the row they eliminate with.
 """
 
 from __future__ import annotations
@@ -73,14 +73,6 @@ class Coordinates(NamedTuple):
     dim: int
     field: Field
 
-    def dense(self) -> list:
-        """The one dense view of a polynomial's coordinates: a list of exact
-        field scalars, the ints of the store when den is 1."""
-        vec = [self.field.zero] * self.dim
-        for j, c in zip(self.cols, self.vals):
-            vec[j] = c if self.den == 1 else Fraction(c, self.den)
-        return vec
-
 
 def coordinates(p: FreePoly, cb: ComponentBasis) -> Coordinates:
     """p's store re-keyed to the columns of cb's word list; refuses another
@@ -94,22 +86,18 @@ def coordinates(p: FreePoly, cb: ComponentBasis) -> Coordinates:
     return tuple.__new__(Coordinates, (cols, p.num.values(), p.den, len(cb.words), p.field))  # no Python-level __new__
 
 
-_ASCII_BITS = bytes.maketrans(b"\0\1", b"01")  # GF(2) entries as the digits of a base-2 literal
-
-
 class Subspace:
     """An echelonized subspace with pivot bookkeeping and certificates on demand.
 
-    ``insert``, ``contains`` and ``membership`` take ``Coordinates`` over the
-    field, whose ints the row store takes as they are, or a list of
-    ``ambient_dim`` scalars that ``Field.require_exact`` checks.  Over GF(2)
-    a row is an int bitset, bit j for column j; otherwise it is a dict from
-    each nonzero column to its int, so its keys are its support.  Over Q a
-    row is primitive with a positive pivot entry, and a row operation is
-    ``a*x - c*y`` with ``gcd(a, c)`` cancelled (fraction-free elimination,
-    Bareiss 1968); over GF(p), p odd, a row holds residues, pivot entry 1.
-    One dict maps each pivot column to its row, and a row operation updates
-    the row in place on the eliminating row's keys.
+    ``insert``, ``contains`` and ``membership`` take ``Coordinates`` of length
+    ``ambient_dim`` over the field, whose ints the row store takes as they
+    are.  Over GF(2) a row is an int bitset, bit j for column j; otherwise it
+    is a dict from each nonzero column to its int, so its keys are its
+    support.  Over Q a row is primitive with a positive pivot entry, and a
+    row operation is ``a*x - c*y`` with ``gcd(a, c)`` cancelled
+    (fraction-free elimination, Bareiss 1968); over GF(p), p odd, a row holds
+    residues, pivot entry 1.  One dict maps each pivot column to its row, and
+    a row operation updates the row in place on the eliminating row's keys.
 
     Rows are in reduced row-echelon form.  ``rows`` and ``pivots`` are views
     built when read, in pivot order: ``rows`` is the unique RREF basis in
@@ -125,7 +113,7 @@ class Subspace:
         self._p = field.characteristic
         self._rows: dict = {}  # pivot -> bitset (GF(2)), or dict from column to nonzero int
         self._mask = 0  # GF(2): the pivot columns as a bitset
-        self._grew: list[tuple] = []  # (insert index, list or Coordinates) per independent insert
+        self._grew: list[tuple] = []  # (insert index, Coordinates) per independent insert
 
     @property
     def dim(self) -> int:
@@ -146,39 +134,20 @@ class Subspace:
             return row >> j & 1
         return row.get(j, 0) if self._p else Fraction(row.get(j, 0), row[q])
 
-    def _encode(self, v):
+    def _encode(self, v: Coordinates):
         """Convert v to the store, (x, s) with v = x / s, x a bitset over
-        GF(2) and otherwise a dict from column to nonzero int: Coordinates
-        as they are, a list refused exactly as ``Field.require_exact``
-        refuses it (FieldError)."""
-        sparse, p = isinstance(v, Coordinates), self._p
-        if (v.dim if sparse else len(v)) != self.ambient_dim:
+        GF(2) and otherwise a dict from column to nonzero int."""
+        cols, vals, s, dim, field = v
+        if dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        if sparse:
-            cols, vals, s, _, field = v
-            if field.characteristic != p:
-                raise FieldError(f"coordinates over {field!r} for a span over {self.field!r}")
-            if p == 2:
-                x = 0
-                for j in cols:
-                    x |= 1 << j
-                return x, 1
-            return dict(zip(cols, vals)), s
-        if p:
-            self.field.require_exact(v)
-            if p == 2:
-                return int(bytes(v)[::-1].translate(_ASCII_BITS) or b"0", 2), 1
-            return {j: c for j, c in enumerate(v) if c}, 1
-        zero = self.field.zero  # Coordinates.dense fills with this object: skip it without a method call
-        entries = [(j, c) for j, c in enumerate(v) if c is not zero]
-        self.field.require_exact([c for _, c in entries])
-        s = lcm(*[c.denominator for _, c in entries])
-        return {j: c.numerator * (s // c.denominator) for j, c in entries if c}, s
-
-    def _entries(self, v, cols) -> list:
-        """The field scalars of a list or Coordinates v on the columns cols."""
-        v = v.dense() if isinstance(v, Coordinates) else v
-        return [v[j] for j in cols]
+        if field.characteristic != self._p:
+            raise FieldError(f"coordinates over {field!r} for a span over {self.field!r}")
+        if self._p == 2:
+            x = 0
+            for j in cols:
+                x |= 1 << j
+            return x, 1
+        return dict(zip(cols, vals)), s
 
     def _eliminate(self, x: dict, row: dict, q: int) -> int:
         """Clear the entry q of the dict x in place with ``row``, whose pivot
@@ -215,7 +184,7 @@ class Subspace:
             s *= self._eliminate(x, rows[q], q)
         return x, s
 
-    def insert(self, v) -> bool:
+    def insert(self, v: Coordinates) -> bool:
         """Insert a vector; returns True iff it enlarged the span."""
         x, _ = self._encode(v)
         self.n_inserted += 1
@@ -245,13 +214,13 @@ class Subspace:
                         for j in row:
                             row[j] //= g
         self._rows[pivot] = x
-        self._grew.append((self.n_inserted - 1, v if isinstance(v, Coordinates) else list(v)))
+        self._grew.append((self.n_inserted - 1, v))
         return True
 
-    def contains(self, v) -> bool:
+    def contains(self, v: Coordinates) -> bool:
         return not self._reduce(*self._encode(v))[0]
 
-    def membership(self, v):
+    def membership(self, v: Coordinates):
         """Return ("inside", certificate) or ("outside", exact RREF residual).
 
         The certificate maps insert indices to nonzero coefficients such that
@@ -267,8 +236,7 @@ class Subspace:
             if self._p == 2:
                 return "outside", [x >> j & 1 for j in every]
             return "outside", [x.get(j, 0) if self._p else Fraction(x.get(j, 0), s) for j in every]
-        pivots = self.pivots
-        coeffs, _ = _solve([self._entries(b, pivots) for _, b in self._grew], self._entries(v, pivots), self.field)
+        coeffs, _ = _solve([b for _, b in self._grew], v, self.pivots)
         return "inside", {idx: c for (idx, _), c in zip(self._grew, coeffs) if c}
 
 
@@ -284,20 +252,31 @@ class AffineSolution(NamedTuple):
         return self.particular is not None
 
 
-def _solve(columns: list[list], rhs: list, f: Field):
-    """Solve sum(x_j * columns[j]) = rhs on the RREF of the augmented rows [A | b].
+def _solve(columns: list[Coordinates], rhs: Coordinates, rows: Iterable[int]):
+    """Solve sum(x_j * columns[j]) = rhs on the equations ``rows``, on the
+    RREF of the augmented rows [A | b].
 
-    Returns (None, []) when a pivot lands on the b column, and otherwise
-    (particular, homogeneous): the particular solution reads the b column on
-    the pivot columns, and each free column j gives e_j - sum_i row_i[j] * e_{p_i}.
-    The pivot columns are exactly the columns that are not combinations of
-    earlier ones, so this is the reduced normal form: zero on every free
-    column, and one homogeneous vector per free column.
+    Each equation is scaled by the lcm of the dens to ints, and one that is
+    zero is not built.  Returns (None, []) when a pivot lands on the b
+    column, and otherwise (particular, homogeneous): the particular solution
+    reads the b column on the pivot columns, and each free column j gives
+    e_j - sum_i row_i[j] * e_{p_i}.  The pivot columns are exactly the
+    columns that are not combinations of earlier ones, so this is the reduced
+    normal form: zero on every free column, and one homogeneous vector per
+    free column.
     """
-    n = len(columns)
+    n, f = len(columns), rhs.field
+    scale = lcm(rhs.den, *[c.den for c in columns])
+    equations = {i: {} for i in rows}
+    for j, (cols, vals, den, _, _) in enumerate([*columns, rhs]):
+        m = scale // den
+        for i, c in zip(cols, vals):
+            if i in equations:
+                equations[i][j] = c * m
     system = Subspace(f, n + 1)
-    for i, b in enumerate(rhs):
-        system.insert([col[i] for col in columns] + [b])
+    for eq in equations.values():
+        if eq:
+            system.insert(Coordinates(tuple(eq), tuple(eq.values()), 1, n + 1, f))
     pivots = system.pivots
     if n in pivots:
         return None, []
@@ -314,9 +293,12 @@ def _solve(columns: list[list], rhs: list, f: Field):
     return particular, homogeneous
 
 
-def affine_solve(columns: list[list], rhs: list, field: Field) -> AffineSolution:
-    """Solve sum(x_j * columns[j]) = rhs exactly, in reduced normal form."""
-    if any(len(c) != len(rhs) for c in columns):
-        raise ValueError("column length mismatch")
-    return AffineSolution(*_solve(columns, rhs, field))
-
+def affine_solve(columns: list[Coordinates], rhs: Coordinates) -> AffineSolution:
+    """Solve sum(x_j * columns[j]) = rhs exactly, in reduced normal form,
+    over the field of rhs."""
+    for c in columns:
+        if c.field != rhs.field:
+            raise FieldError(f"a column over {c.field!r} for a right-hand side over {rhs.field!r}")
+        if c.dim != rhs.dim:
+            raise ValueError("column length mismatch")
+    return AffineSolution(*_solve(columns, rhs, range(rhs.dim)))

@@ -26,7 +26,7 @@ from jvu.ideals import outer_ideal_component, outer_ideal_is_closed
 from jvu.jordan import jordan_closure_table, recipe_str
 from jvu.linalg import Subspace, coordinates
 
-from conftest import rand_poly, rand_scalar
+from conftest import dense, rand_poly, rand_scalar, vec
 
 QQ = field_from_name("q")
 GF2 = field_from_name("gf2")
@@ -84,7 +84,7 @@ def test_criterion_3_tetrad_outside_jordan_span():
     tetrad = FreePoly.from_word(
         G4, GF2, (G4.index("t"), G4.index("z"), G4.index("x"), G4.index("y"))
     ).symmetrize()
-    verdict, residual = table.subspace(d).membership(coordinates(tetrad, table.component_basis(d)).dense())
+    verdict, residual = table.subspace(d).membership(coordinates(tetrad, table.component_basis(d)))
     elapsed = time.perf_counter() - t0
     ok = verdict == "outside" and any(residual) and elapsed < 10.0
     _report(3, "tetrad sym(t*z*x*y) outside the Jordan span over gf2", ok, f"{elapsed:.2f}s")
@@ -205,7 +205,7 @@ def test_criterion_8_property_suites():
             rng.shuffle(order)
             s = Subspace(field, 6)
             for k in order:
-                s.insert(list(vecs[k]))
+                s.insert(vec(field, vecs[k]))
             if baseline is None:
                 baseline = (s.rows, s.pivots)
             det = det and (s.rows, s.pivots) == baseline
@@ -225,12 +225,12 @@ def test_criterion_8_property_suites():
         for d in comp.table.multidegrees():
             cb = comp.table.component_basis(d)
             span = comp.table.subspace(d)
-            vecs = [coordinates(e.value, cb).dense() for e in comp.table.inserted(d)]
+            vecs = [dense(coordinates(e.value, cb)) for e in comp.table.inserted(d)]
             for e in comp.table.inserted(d):
                 replay_ok = replay_ok and parse_expr(recipe_str(e.recipe), G3, field) == e.value
                 replay_count += 1
             for row in span.rows:
-                rep = span.membership(row)[1]
+                rep = span.membership(vec(field, row))[1]
                 combo = [field.zero] * len(cb)
                 for idx, c in rep.items():
                     combo = [field.add(t, field.mul(c, v)) for t, v in zip(combo, vecs[idx])]

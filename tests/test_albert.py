@@ -502,15 +502,30 @@ def test_element_products_apply_no_operator(monkeypatch):
 
 def test_peirce_dimensions_of_primitive_idempotent():
     """The Peirce spaces of E11 by two routes: eigenspaces of R_e, and the
-    U-images J_0 = U_{1-e}(J), J_1 = U_e(J) that the sampler draws from."""
+    U-images J_0 = U_{1-e}(J), J_1 = U_e(J) that the sampler draws from.
+    Every kernel vector is annihilated by its operator.  For the first five
+    seed-42 zero pairs (a, b), the kernel of R_a is the line through b."""
+
+    def kernel(op):
+        vecs = left_kernel(op)
+        assert all(op.apply(from_coords(v)).is_zero() for v in vecs)
+        return vecs
+
     re = r_op(E11)
-    assert len(left_kernel(re)) == 10
-    assert len(left_kernel(u_op(UNIT - E11))) == 17  # image of dimension 10
-    assert len(left_kernel(re - AlbertOperator.identity())) == 1
-    assert len(left_kernel(u_op(E11))) == 26  # image of dimension 1
+    assert len(kernel(re)) == 10
+    assert len(kernel(u_op(UNIT - E11))) == 17  # image of dimension 10
+    assert len(kernel(re - AlbertOperator.identity())) == 1
+    assert len(kernel(u_op(E11))) == 26  # image of dimension 1
     # the half eigenspace fills the rest of the 27 dimensions
     half_identity = AlbertOperator([[1 if i == j else 0 for j in range(27)] for i in range(27)], 2)
-    assert len(left_kernel(re - half_identity)) == 16
+    assert len(kernel(re - half_identity)) == 16
+    pairs = random.Random(42)
+    for _ in range(5):
+        a, b = sample_zero_pair(pairs)
+        (v,) = kernel(r_op(a))
+        b = b.coords()
+        k = next(i for i, c in enumerate(b) if c)
+        assert [v[k] / b[k] * c for c in b] == v
     rng = random.Random(42)
     for _ in range(5):
         x = random_element(rng)

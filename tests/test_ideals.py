@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from conftest import dense, vec
 from jvu import linalg
 from jvu.expr import parse_expr
 from jvu.fields import field_from_name
@@ -135,11 +136,11 @@ def test_outer_certificates_replay():
     for field in (QQ, GF2):
         *_, f = setup_elems(field)
         comp = outer_ideal_component(f, D, mode_for(field), field)
-        vecs = [coordinates(e.value, comp.component_basis).dense() for e in comp.inserted]
-        for e, vec in zip(comp.inserted, vecs):
+        vecs = [dense(coordinates(e.value, comp.component_basis)) for e in comp.inserted]
+        for e in comp.inserted:
             assert parse_expr(recipe_str(e.recipe), G3, field) == e.value
         for row in comp.span.rows:
-            rep = comp.span.membership(row)[1]
+            rep = comp.span.membership(vec(field, row))[1]
             recombined = [field.zero] * len(comp.component_basis)
             for idx, c in rep.items():
                 recombined = [
@@ -426,42 +427,38 @@ def test_limit_of_wrong_length_refused_before_any_closure():
 
 @pytest.mark.parametrize("field,mode", [(GF2, "quadratic"), (QQ, "linear")], ids=["gf2-quadratic", "q-linear"])
 def test_gap_checks_never_build_dense_vectors(monkeypatch, field, mode):
-    """The table builds of a gap check, its fixed-point re-verification and
-    the outer "outside" membership hand every vector to the spans as
-    coordinates: with ``Coordinates.dense`` raising (the class attribute is
-    its only binding) and every span refusing a list, they still give the
-    pinned dimensions.  The one step of a gap check that densifies is the
-    associative "inside" certificate solve at (2,2,1): it reads the witness
-    and each insert that grew the span on the pivot columns, and the whole
-    gap check makes no other dense call."""
-    dense, encode = linalg.Coordinates.dense, linalg.Subspace._encode
-    calls = []
+    """A gap check reads its certificate off the pivots, not off the ambient
+    words: each "inside" certificate solve builds exactly one equation per
+    pivot of the span it queries, and an "outside" query builds none.  The
+    equations are the inserts made during a membership call.  The table
+    builds, the fixed-point re-verification and the outer "outside"
+    membership give the pinned dimensions."""
+    insert, membership = linalg.Subspace.insert, linalg.Subspace.membership
+    inserts, queries = [0], []
 
-    def refuse(coords):
-        raise AssertionError("Coordinates.dense called on the gap-check path")
+    def counted_insert(span, v):
+        inserts[0] += 1
+        return insert(span, v)
 
-    def sparse_only(span, v):
-        assert isinstance(v, linalg.Coordinates), "a dense list handed to a span on the gap-check path"
-        return encode(span, v)
-
-    def counted(coords):
-        calls.append(coords)
-        return dense(coords)
+    def counted_membership(span, v):
+        before = inserts[0]
+        verdict, data = membership(span, v)
+        queries.append((verdict, inserts[0] - before, span.dim))
+        return verdict, data
 
     x, y, z, f = setup_elems(field)
     witnesses = {(2, 2, 1): parse_expr(COMMUTATOR_WITNESS, G3, field), (3, 2, 1): (x * x * y * z * y * x).symmetrize()}
     for d, g in witnesses.items():
-        with monkeypatch.context() as m:
-            m.setattr(linalg.Coordinates, "dense", refuse)
-            m.setattr(linalg.Subspace, "_encode", sparse_only)
-            assoc, outer = assoc_ideal_component(f.value, d), outer_ideal_component(f, d, mode, field)
-            assert outer_ideal_is_closed(outer)
-            assert outer.membership(g)[0] == "outside"
+        assoc, outer = assoc_ideal_component(f.value, d), outer_ideal_component(f, d, mode, field)
+        assert outer_ideal_is_closed(outer)
+        assert outer.membership(g)[0] == "outside"
         assert (outer.dim, assoc.dim) == LADDER_DIMS[d]
-        calls.clear()
+        queries.clear()
         with monkeypatch.context() as m:
-            m.setattr(linalg.Coordinates, "dense", counted)
+            m.setattr(linalg.Subspace, "insert", counted_insert)
+            m.setattr(linalg.Subspace, "membership", counted_membership)
             report = cohn_gap_witness(f, g, d, mode, field)
         inside = d == (2, 2, 1)
         assert (report.g_in_assoc, report.g_in_outer) == (inside, False)
-        assert len(calls) == (assoc.dim + 1 if inside else 0)
+        assoc_query = ("inside", assoc.dim, assoc.dim) if inside else ("outside", 0, assoc.dim)
+        assert queries == [assoc_query, ("outside", 0, outer.dim)]

@@ -144,7 +144,7 @@ def _closure(gens, d, mode, field):
 
 
 def _in_span(table, d, p):
-    return table.subspace(d).contains(coordinates(p, table.component_basis(d)).dense())
+    return table.subspace(d).contains(coordinates(p, table.component_basis(d)))
 
 
 def test_spanning_multilinear_three_gens_linear():
@@ -440,6 +440,18 @@ def test_span_table_contains_agrees_with_insert():
     for foreign in (je_circ(a, b), je_u(a, a)):
         with pytest.raises(ValueError, match="mismatched generator sets"):
             table.contains(foreign)
+
+
+def test_span_table_contains_builds_no_basis_without_a_span():
+    """A query at a multidegree above the limit, where no span is, answers
+    False and builds no ComponentBasis, so it enumerates no word there."""
+    table = jordan_closure_table(G3, (2, 1, 1), "quadratic", False, GF2)
+    bases = dict(table._bases)
+    x = JordanElement.generator(G3, GF2, "x")
+    x8 = je_square(je_square(je_square(x)))
+    assert x8.multidegree == (8, 0, 0) and not x8.value.is_zero()
+    assert not table.contains(x8)
+    assert table._bases == bases and (8, 0, 0) not in table._bases
 
 
 @pytest.mark.parametrize("limit", _SYMMETRIC_LIMITS, ids=lambda d: "".join(map(str, d)))
