@@ -9,33 +9,44 @@ product a.b = (AB + BA)/2, form the exceptional Jordan algebra.
 Elements (27 numerators) and right-multiplication operators (a 27x27
 numerator matrix) have one exact store: integer tuples ``num`` over one
 positive ``den``, put in lowest terms by the constructor, so equal values have
-equal, immutable stores and each operator verdict is one ``==`` or ``!=`` of
-them (terms move across the equation; none is subtracted).  All arithmetic is
-on integers, and a scalar read off the store (a coordinate, t(a), n(a)) is an
-int when its reduced denominator is 1 and a Fraction otherwise.
+equal, immutable stores.  All arithmetic is on integers, and a scalar read
+off the store (a coordinate, t(a), n(a)) is an int when its reduced
+denominator is 1 and a Fraction otherwise.
 
-Operators multiply by Kronecker substitution (cf. Harvey 2009): each row of
-the right factor is packed into one int of 27 signed 64-bit words, and each
-row of the product is one sum of 27 big-int multiples of those packed rows,
-read back as 27 words.  Every product entry c has |c| <= 27 max|a| max|b|,
-each max scanned once per operator; while that bound and the right factor's
-entries fit signed words, no carry crosses a word.  A row packs by one
-``struct`` pack and one ``int.from_bytes``, a product row reads back by one
-``to_bytes`` and one unpack, and XOR with 2^63 in each word turns
-two's-complement words into offset ones and back.  Entries past a word take
-the plain exact product of the stores instead; no verb reaches it.  The
-structure constants of ``r_op`` are read off ``_product2`` by the same word
-reader: numerator k of 2(e_i . P), for the plain probe tuple P with entry j
-equal to 2^(64j), is sum_j T[i][j][k] 2^(64j) with T[i][j] = 2(e_i . e_j),
-whose entries lie in [-2, 2], so 27 products fill the table.  Results the
-operators compute skip the constructor's shape check, and its gcd when den
-is 1.
+Operators multiply by the plain exact product of their stores.  The
+structure constants of ``r_op`` are read off ``_product2`` by a word reader:
+numerator k of 2(e_i . P), for the plain probe tuple P with entry j equal to
+2^(64j), is sum_j T[i][j][k] 2^(64j) with T[i][j] = 2(e_i . e_j), whose
+entries lie in [-2, 2], so 27 products fill the table, and ``_words`` reads
+the 27 signed 64-bit words back.  Results the operators compute skip the
+constructor's shape check, and its gcd when den is 1.
+
+The checks build no operator.  They read every operator word
+R_{y_1} ... R_{y_n} they compare off one packed probe P (Kronecker
+substitution, cf. Harvey 2009): coordinate i of P is 2^(W i), so P R_y is one
+``_product2(P, y)``, a word's image is n such products, and int j of it packs
+column j of the word, entry (i, j) in slot i.  Each verdict is one ``==`` of two packed sides,
+each side an integer combination of word images.
+
+- Homogeneity.  The letters y are numerator sequences: a, b and, made from
+  them by ``_product2``, A = 2 a^2, B = 2 b^2, c = 2 ab and d = 4 (ab)b.
+  Every term of a compared side carries the same number of products (a word
+  step is one) and the same degrees in a and in b: 16 and (2, 2) in
+  [U_a, U_b] = [R_{a^2}, R_{b^2}], 8 and (1, 2) in the operator identity.
+  So the denominators of a and b and the powers of 2 cancel, and the sides
+  are compared on integers.
+- Width.  A step by y maps a slot's column vector of max-norm m to one of
+  max-norm at most K m max|y|, where K = max_j sum_{i,k} |T[i][k][j]| = 18.
+  So every slot of a side sum_t c_t w_t is at most
+  B = sum_t |c_t| K^len(w_t) prod_{y in w_t} max|y|, and the probe takes
+  W = bit_length(2B) for the largest B among the sides it serves, so
+  2^W > 2B: two packed sides are equal exactly when every slot is.
 
 Each level has one product definition, a plain integer formula with no class
 around it: ``zorn_mul`` (with ``zorn_conj`` and ``zorn_norm``) on split
 octonions as 8-tuples, and ``_product2`` on Hermitian elements, the 27
 numerators of 2(a.b) = AB + BA from two numerator sequences.  ``jordan_mul``
-builds its element from them once; the ``r_op`` table reads them.
+builds its element from them once; the ``r_op`` table and the probe read them.
 
 The cubic form data t, s, n is the Freudenthal determinant package; the sign
 conventions are pinned by requiring the cubic characteristic identity
@@ -57,7 +68,7 @@ import random
 import struct
 from fractions import Fraction
 from itertools import chain
-from math import gcd
+from math import gcd, prod
 from operator import mul
 from typing import NamedTuple
 
@@ -220,7 +231,7 @@ def jordan_mul(a: AlbertElement, b: AlbertElement) -> AlbertElement:
 # Exact operators
 
 
-#: DIM signed 64-bit words, and the 64-bit bias 2^63 in each of them
+#: DIM signed 64-bit words, and the 64-bit bias 2^63 in each of them, for the structure table
 _WORDS = struct.Struct(f"<{DIM}q")
 _TOPS = int.from_bytes(_WORDS.pack(*[-(1 << 63)] * DIM), "little")
 
@@ -235,7 +246,7 @@ class AlbertOperator:
     vectors from the right: (x op)[j] = sum_i x[i] num[i][j] / den, with 27
     integer row tuples ``num`` over one positive ``den`` in lowest terms."""
 
-    __slots__ = ("num", "den", "_peak")
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den: int = 1):
         rows = tuple(map(tuple, num))
@@ -252,30 +263,16 @@ class AlbertOperator:
 
     def _store(self, rows: tuple, den: int, g: int):
         self.num = rows if g == 1 else tuple(tuple([x // g for x in row]) for row in rows)
-        self.den, self._peak = den // g, None
-
-    def _max_abs(self) -> int:
-        """The largest |entry| of ``num``, scanned on first use only."""
-        if self._peak is None:
-            self._peak = max(map(abs, chain.from_iterable(self.num)))
-        return self._peak
+        self.den = den // g
 
     @classmethod
     def identity(cls):
         return cls([[1 if i == j else 0 for j in range(DIM)] for i in range(DIM)])
 
     def __matmul__(self, other: "AlbertOperator") -> "AlbertOperator":
-        """The exact product by Kronecker substitution (see the module
-        docstring): row i is read off sum_k self.num[i][k] * packed[k], where
-        packed[k] is row k of ``other.num`` in 64-bit words.  Entries past a
-        word take the plain product of the stores."""
-        w = (DIM * self._max_abs() * other._max_abs()).bit_length() + 1
-        if w <= 64 and other._max_abs() < 1 << 63:
-            packed = [(int.from_bytes(_WORDS.pack(*row), "little") ^ _TOPS) - _TOPS for row in other.num]
-            num = tuple([_words(sum(map(mul, row, packed))) for row in self.num])
-        else:
-            cols = list(zip(*other.num))
-            num = tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in self.num])
+        """The exact product of the stores: x (self @ other) = (x self) other."""
+        cols = list(zip(*other.num))
+        num = tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in self.num])
         return AlbertOperator._computed(num, self.den * other.den)
 
     def __add__(self, other: "AlbertOperator") -> "AlbertOperator":
@@ -360,6 +357,64 @@ def _u_image(x: AlbertElement, y: AlbertElement) -> AlbertElement:
 
 
 # ---------------------------------------------------------------------------
+# Operator words on one packed probe
+
+
+#: K = max_j sum_{i,k} |T[i][k][j]| over the structure table: a step by a
+#: letter y multiplies a slot's max-norm by at most K max|y|
+_STEP_GAIN = 18
+
+
+def _letters(an, bn) -> dict:
+    """The letters a, b, A = 2 a^2 and B = 2 b^2 from the numerators of a and b."""
+    return {"a": an, "b": bn, "A": _product2(an, an), "B": _product2(bn, bn)}
+
+
+class _Probe:
+    """Packed images of operator words on one probe P (module docstring).
+    ``letters`` maps a one-character letter to a numerator sequence, and the
+    word "ab" is R_a R_b.  A fact is a pair (lhs, rhs) of sides, each a tuple
+    of (coefficient, word) terms; P's width fits every side of ``facts``, whose
+    slots are all within ``bound``.  Each word prefix is one ``_product2``,
+    made once."""
+
+    __slots__ = ("letters", "bound", "_images")
+
+    def __init__(self, letters: dict, facts):
+        norms = {y: max(map(abs, v)) for y, v in letters.items()}
+        self.letters = letters
+        self.bound = max(
+            sum(abs(c) * _STEP_GAIN ** len(w) * prod([norms[y] for y in w]) for c, w in side)
+            for fact in facts
+            for side in fact
+        )
+        width = (2 * self.bound).bit_length()
+        self._images = {"": [1 << (width * i) for i in range(DIM)]}
+
+    def image(self, word: str) -> list:
+        """P R_{word[0]} ... R_{word[-1]}: int j packs column j of the word."""
+        img = self._images.get(word)
+        if img is None:
+            img = self._images[word] = _product2(self.image(word[:-1]), self.letters[word[-1]])
+        return img
+
+    def side(self, terms) -> list:
+        """The packed image of sum c w over the (c, w) in terms."""
+        images = [(c, self.image(w)) for c, w in terms]
+        return [sum([c * img[j] for c, img in images]) for j in range(DIM)]
+
+    def holds(self, fact) -> bool:
+        lhs, rhs = fact
+        return self.side(lhs) == self.side(rhs)
+
+
+#: U_a U_b = (2 R_a^2 - R_{a^2}) (2 R_b^2 - R_{b^2}) and U_b U_a, on letters a, b, A, B
+_U_AB = ((4, "aabb"), (-2, "aaB"), (-2, "Abb"), (1, "AB"))
+_U_BA = ((4, "bbaa"), (-2, "bbA"), (-2, "Baa"), (1, "BA"))
+_U_COMMUTE = (_U_AB, _U_BA)
+
+
+# ---------------------------------------------------------------------------
 # Cubic form data
 
 
@@ -429,18 +484,27 @@ def check_eq1(a: AlbertElement, b: AlbertElement) -> AlbertElement:
     return lhs - rhs
 
 
+#: R_b^2 R_a + R_a R_b^2 + R_{(ab)b} = 2 R_{ab} R_b + R_{b^2} R_a, on letters a, b, B, c, d
+_OPERATOR_IDENTITY = (((1, "bba"), (1, "abb"), (1, "d")), ((2, "cb"), (1, "Ba")))
+
+
 def check_operator_identity(a: AlbertElement, b: AlbertElement) -> bool:
-    """R_b^2 R_a + R_a R_b^2 = -R_{(ba)b} + 2 R_{ab} R_b + R_{b^2} R_a, exactly."""
-    ra, rb = r_op(a), r_op(b)
-    rb2 = rb @ rb
-    ab = jordan_mul(a, b)  # and (ba)b = (ab)b, as ba = ab
-    return rb2 @ ra + ra @ rb2 + r_op(jordan_mul(ab, b)) == (r_op(ab) @ rb).scale_int(2) + r_op(jordan_mul(b, b)) @ ra
+    """R_b^2 R_a + R_a R_b^2 = -R_{(ba)b} + 2 R_{ab} R_b + R_{b^2} R_a, exactly,
+    read off one probe."""
+    an, bn = a.num, b.num
+    ab = _product2(an, bn)  # and (ba)b = (ab)b, as ba = ab
+    letters = {"a": an, "b": bn, "B": _product2(bn, bn), "c": ab, "d": _product2(ab, bn)}
+    return _Probe(letters, (_OPERATOR_IDENTITY,)).holds(_OPERATOR_IDENTITY)
 
 
-def zero_pair_operator_collapse(ra: AlbertOperator, rb_sq: AlbertOperator, rb2_ra: AlbertOperator) -> bool:
-    """When ab = 0 the operator identity degenerates to
-    R_b^2 R_a + R_a R_b^2 = R_{b^2} R_a; takes R_a, R_b^2 and R_{b^2} R_a."""
-    return rb_sq @ ra + ra @ rb_sq == rb2_ra
+#: When ab = 0 the operator identity degenerates to R_b^2 R_a + R_a R_b^2 = R_{b^2} R_a
+_COLLAPSE = (((1, "bba"), (1, "abb")), ((1, "Ba"),))
+
+
+def zero_pair_operator_collapse(probe: _Probe) -> bool:
+    """R_b^2 R_a + R_a R_b^2 = R_{b^2} R_a, read off a probe over the letters
+    a, b, B whose width fits ``_COLLAPSE``."""
+    return probe.holds(_COLLAPSE)
 
 
 class ZeroPairChecks(NamedTuple):
@@ -461,26 +525,28 @@ class ZeroPairChecks(NamedTuple):
 OPERATOR_CHECKS = ZeroPairChecks._fields[:-2]
 
 
+#: The ZeroPairChecks operator facts but the collapse, on letters a, b, A, B
+_ZERO_PAIR_FACTS = {
+    "r_a2_b_commute": (((1, "Ab"),), ((1, "bA"),)),
+    "r_a_b2_commute": (((1, "aB"),), ((1, "Ba"),)),
+    "commutators_match": (_U_AB + ((1, "BA"),), _U_BA + ((1, "AB"),)),
+    "u_commutator_zero": _U_COMMUTE,
+}
+
+
 def check_zero_pair(a: AlbertElement, b: AlbertElement) -> ZeroPairChecks:
-    """All the zero-product consequences at once, from one set of operators
-    R_a, R_b, R_{a^2}, R_{b^2}, R_a^2, R_b^2; see ZeroPairChecks.  Once a.b = 0
+    """All the zero-product consequences at once, every operator fact read off
+    one probe over the letters a, b, A, B; see ZeroPairChecks.  Once a.b = 0
     is checked, s(a, b) = t(a) t(b) - t(a.b) is t(a) t(b)."""
-    if not jordan_mul(a, b).is_zero():
+    if any(_product2(a.num, b.num)):
         raise ValueError("precondition a.b = 0 violated")
-    ra, rb = r_op(a), r_op(b)
-    a2, b2 = jordan_mul(a, a), jordan_mul(b, b)
-    ra2, rb2 = r_op(a2), r_op(b2)
-    ra_sq, rb_sq, rb2_ra = ra @ ra, rb @ rb, rb2 @ ra
-    ua, ub = ra_sq.scale_int(2) - ra2, rb_sq.scale_int(2) - rb2
-    ua_ub, ub_ua = ua @ ub, ub @ ua
+    letters = _letters(a.num, b.num)
+    probe = _Probe(letters, (*_ZERO_PAIR_FACTS.values(), _COLLAPSE))
     return ZeroPairChecks(
-        r_a2_b_commute=ra2 @ rb == rb @ ra2,
-        r_a_b2_commute=ra @ rb2 == rb2_ra,
-        commutators_match=ua_ub + rb2 @ ra2 == ub_ua + ra2 @ rb2,
-        u_commutator_zero=ua_ub == ub_ua,
-        operator_collapse=zero_pair_operator_collapse(ra, rb_sq, rb2_ra),
+        **{k: probe.holds(fact) for k, fact in _ZERO_PAIR_FACTS.items()},
+        operator_collapse=zero_pair_operator_collapse(probe),
         s_ab_zero=trace_form(a) * trace_form(b) == 0,
-        a2b_zero=jordan_mul(a2, b).is_zero(),
+        a2b_zero=not any(_product2(letters["A"], b.num)),
     )
 
 
@@ -545,9 +611,8 @@ def find_noncommuting_pair(rng: random.Random):
     """A pair with a.b != 0 and [U_a, U_b] != 0 (shows the checks are not vacuous)."""
     for _ in range(NONCOMMUTING_ATTEMPTS):
         a, b = random_element(rng), random_element(rng)
-        if jordan_mul(a, b).is_zero():
+        if not any(_product2(a.num, b.num)):
             continue
-        ua, ub = u_op(a), u_op(b)
-        if ua @ ub != ub @ ua:
+        if not _Probe(_letters(a.num, b.num), (_U_COMMUTE,)).holds(_U_COMMUTE):
             return a, b
     raise RuntimeError("no noncommuting pair found")
