@@ -8,18 +8,14 @@ product a.b = (AB + BA)/2, form the exceptional Jordan algebra.
 
 Elements (27 numerators) and right-multiplication operators (a 27x27
 numerator matrix) have one exact store: integer tuples ``num`` over one
-positive ``den``, put in lowest terms by the constructor, so equal values have
+positive ``den``, put in lowest terms by ``__init__``, so equal values have
 equal, immutable stores.  All arithmetic is on integers, and a scalar read
 off the store (a coordinate, t(a), n(a)) is an int when its reduced
 denominator is 1 and a Fraction otherwise.
 
-Operators multiply by the plain exact product of their stores.  The
-structure constants of ``r_op`` are read off ``_product2`` by a word reader:
-numerator k of 2(e_i . P), for the plain probe tuple P with entry j equal to
-2^(64j), is sum_j T[i][j][k] 2^(64j) with T[i][j] = 2(e_i . e_j), whose
-entries lie in [-2, 2], so 27 products fill the table, and ``_words`` reads
-the 27 signed 64-bit words back.  Results the operators compute skip the
-constructor's shape check, and its gcd when den is 1.
+The operators are the probe's matrix reference: row i of ``r_op(a)`` is
+``_product2(e_i, a)`` over 2 a.den, and operators multiply by the plain exact
+product of their stores.
 
 The checks build no operator.  They read every operator word
 R_{y_1} ... R_{y_n} they compare off one packed probe P (Kronecker
@@ -36,7 +32,8 @@ each side an integer combination of word images.
   So the denominators of a and b and the powers of 2 cancel, and the sides
   are compared on integers.
 - Width.  A step by y maps a slot's column vector of max-norm m to one of
-  max-norm at most K m max|y|, where K = max_j sum_{i,k} |T[i][k][j]| = 18.
+  max-norm at most K m max|y|, where K = 18 is the largest sum over i, k of
+  |c_j| for the numerators c of the basis products 2(e_i . e_k).
   So every slot of a side sum_t c_t w_t is at most
   B = sum_t |c_t| K^len(w_t) prod_{y in w_t} max|y|, and the probe takes
   W = bit_length(2B) for the largest B among the sides it serves, so
@@ -46,7 +43,7 @@ Each level has one product definition, a plain integer formula with no class
 around it: ``zorn_mul`` (with ``zorn_conj`` and ``zorn_norm``) on split
 octonions as 8-tuples, and ``_product2`` on Hermitian elements, the 27
 numerators of 2(a.b) = AB + BA from two numerator sequences.  ``jordan_mul``
-builds its element from them once; the ``r_op`` table and the probe read them.
+builds its element from them once; the rows of ``r_op`` and the probe read them.
 
 The cubic form data t, s, n is the Freudenthal determinant package; the sign
 conventions are pinned by requiring the cubic characteristic identity
@@ -63,9 +60,7 @@ space is F e, so every sampled b is a multiple of e.
 
 from __future__ import annotations
 
-import functools
 import random
-import struct
 from fractions import Fraction
 from itertools import chain
 from math import gcd, prod
@@ -231,16 +226,6 @@ def jordan_mul(a: AlbertElement, b: AlbertElement) -> AlbertElement:
 # Exact operators
 
 
-#: DIM signed 64-bit words, and the 64-bit bias 2^63 in each of them, for the structure table
-_WORDS = struct.Struct(f"<{DIM}q")
-_TOPS = int.from_bytes(_WORDS.pack(*[-(1 << 63)] * DIM), "little")
-
-
-def _words(acc: int) -> tuple:
-    """(c_0, ..., c_26) read off acc = sum_j c_j 2^(64j), every c_j a signed 64-bit word."""
-    return _WORDS.unpack(((acc + _TOPS) ^ _TOPS).to_bytes(_WORDS.size, "little"))
-
-
 class AlbertOperator:
     """An exact linear operator on Albert elements, acting on coordinate row
     vectors from the right: (x op)[j] = sum_i x[i] num[i][j] / den, with 27
@@ -252,16 +237,7 @@ class AlbertOperator:
         rows = tuple(map(tuple, num))
         if len(rows) != DIM or any(len(row) != DIM for row in rows):
             raise ValueError("Albert operators are 27x27")
-        self._store(rows, den, _content(den, chain.from_iterable(rows)))
-
-    @classmethod
-    def _computed(cls, rows: tuple, den: int) -> "AlbertOperator":
-        """27 int row tuples computed here, over den > 0: no shape check, and a gcd only if den != 1."""
-        op = cls.__new__(cls)
-        op._store(rows, den, 1 if den == 1 else gcd(den, *chain.from_iterable(rows)))
-        return op
-
-    def _store(self, rows: tuple, den: int, g: int):
+        g = _content(den, chain.from_iterable(rows))
         self.num = rows if g == 1 else tuple(tuple([x // g for x in row]) for row in rows)
         self.den = den // g
 
@@ -272,18 +248,15 @@ class AlbertOperator:
     def __matmul__(self, other: "AlbertOperator") -> "AlbertOperator":
         """The exact product of the stores: x (self @ other) = (x self) other."""
         cols = list(zip(*other.num))
-        num = tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in self.num])
-        return AlbertOperator._computed(num, self.den * other.den)
+        return AlbertOperator([[sum(map(mul, row, col)) for col in cols] for row in self.num], self.den * other.den)
 
     def __add__(self, other: "AlbertOperator") -> "AlbertOperator":
         da, db = self.den, other.den
-        num = tuple(tuple([db * x + da * y for x, y in zip(ra, rb)]) for ra, rb in zip(self.num, other.num))
-        return AlbertOperator._computed(num, da * db)
+        num = [[db * x + da * y for x, y in zip(ra, rb)] for ra, rb in zip(self.num, other.num)]
+        return AlbertOperator(num, da * db)
 
     def __sub__(self, other: "AlbertOperator") -> "AlbertOperator":
-        da, db = self.den, other.den
-        num = tuple(tuple([db * x - da * y for x, y in zip(ra, rb)]) for ra, rb in zip(self.num, other.num))
-        return AlbertOperator._computed(num, da * db)
+        return self + (-other)
 
     def __neg__(self):
         return self.scale_int(-1)
@@ -291,7 +264,7 @@ class AlbertOperator:
     def scale_int(self, k: int) -> "AlbertOperator":
         if not isinstance(k, int):
             raise TypeError(f"expected an int, got {type(k).__name__} {k!r}")
-        return AlbertOperator._computed(tuple(tuple([k * x for x in row]) for row in self.num), self.den)
+        return AlbertOperator([[k * x for x in row] for row in self.num], self.den)
 
     def is_zero(self) -> bool:
         return all(not x for row in self.num for x in row)
@@ -311,37 +284,10 @@ class AlbertOperator:
         return AlbertElement(out, elem.den * self.den)
 
 
-@functools.cache
-def _structure_constants() -> tuple:
-    """Sparse rows of T[i][j] = 2(basis_i . basis_j), each a tuple of
-    (k, coefficient) pairs, built on first use from one ``_product2`` of
-    basis_i's numerators and a probe tuple, read by ``_words`` (module docstring)."""
-    probe = tuple([1 << (64 * j) for j in range(DIM)])
-    table = []
-    for i in range(DIM):
-        rows = [[] for _ in range(DIM)]
-        for k, v in enumerate(_product2(AlbertElement.basis(i).num, probe)):
-            if v:
-                for row, c in zip(rows, _words(v)):
-                    if c:
-                        row.append((k, c))
-        table.append(tuple(map(tuple, rows)))
-    return tuple(table)
-
-
 def r_op(a: AlbertElement) -> AlbertOperator:
-    """The right multiplication operator x -> x.a as an exact matrix."""
-    sc = _structure_constants()
-    num = []
-    for i in range(DIM):
-        row = [0] * DIM
-        sci = sc[i]
-        for k, v in enumerate(a.num):
-            if v:
-                for j, c in sci[k]:
-                    row[j] += v * c
-        num.append(tuple(row))
-    return AlbertOperator._computed(tuple(num), 2 * a.den)
+    """The right multiplication operator x -> x.a as an exact matrix: row i
+    is ``_product2`` of basis_i and a, over 2 a.den."""
+    return AlbertOperator([_product2(AlbertElement.basis(i).num, a.num) for i in range(DIM)], 2 * a.den)
 
 
 def u_op(a: AlbertElement) -> AlbertOperator:
@@ -360,8 +306,8 @@ def _u_image(x: AlbertElement, y: AlbertElement) -> AlbertElement:
 # Operator words on one packed probe
 
 
-#: K = max_j sum_{i,k} |T[i][k][j]| over the structure table: a step by a
-#: letter y multiplies a slot's max-norm by at most K max|y|
+#: K = max_j sum_{i,k} |c_j| over the numerators c of the basis products
+#: 2(e_i . e_k): a step by a letter y multiplies a slot's max-norm by at most K max|y|
 _STEP_GAIN = 18
 
 

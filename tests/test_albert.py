@@ -211,39 +211,22 @@ def test_jordan_mul_matches_hermitian_matrix_product():
             assert doubled_on_integers(a, b)
 
 
+def basis_products():
+    """The table of sparse rows ((k, c), ...) of the numerators of
+    2(e_i . e_j) = _product2(e_i, e_j), for all i, j."""
+    basis = [AlbertElement.basis(k).num for k in range(27)]
+    return tuple(
+        tuple(tuple((k, c) for k, c in enumerate(_product2(ei, ej)) if c) for ej in basis) for ei in basis
+    )
+
+
 def test_structure_constants_pinned():
-    """The r_op table is exact integer data: any change to how it is built
-    must leave it entry-for-entry the same."""
-    digest = hashlib.sha256(repr(albert._structure_constants()).encode()).hexdigest()
+    """The basis products are exact integer data in [-2, 2]: any change to
+    the product formula must leave them entry-for-entry the same."""
+    table = basis_products()
+    digest = hashlib.sha256(repr(table).encode()).hexdigest()
     assert digest == "2cf9784edc962763580996071c48cb5965178dbd2e6bae5ef493f7e9822d5105"
-
-
-def test_structure_constants_from_27_packed_products(monkeypatch):
-    """The table read off one packed _product2 per basis element equals, entry
-    for entry, the table of all 378 basis pairs multiplied one at a time, and
-    one build makes exactly 27 _product2 calls."""
-    basis = [AlbertElement.basis(k) for k in range(27)]
-    reference = [[()] * 27 for _ in range(27)]
-    for i in range(27):
-        for j in range(i, 27):
-            row = tuple((k, c) for k, c in enumerate(_product2(basis[i].num, basis[j].num)) if c)
-            reference[i][j] = reference[j][i] = row
-    assert sum(1 for i in range(27) for j in range(i, 27)) == 378
-    calls = []
-
-    def counted(a, b):
-        calls.append(1)
-        return _product2(a, b)
-
-    monkeypatch.setattr(albert, "_product2", counted)
-    albert._structure_constants.cache_clear()
-    try:
-        table = albert._structure_constants()
-    finally:
-        albert._structure_constants.cache_clear()
-    assert len(calls) == 27
-    assert table == tuple(map(tuple, reference))
-    assert all(-2 <= c <= 2 for row in reference for entry in row for _, c in entry)
+    assert all(-2 <= c <= 2 for row in table for entry in row for _, c in entry)
 
 
 # -- operators ---------------------------------------------------------------
@@ -254,10 +237,13 @@ def test_r_op_of_unit_is_identity_matrix():
 
 
 def test_r_op_reproduces_multiplication():
+    """r_op(a).apply(x) == x.a on integer, fractional, basis and 2^70-scaled a."""
     rng = random.Random(28)
-    for _ in range(10):
-        a, x = random_element(rng), random_element(rng)
-        assert r_op(a).apply(x) == jordan_mul(x, a)
+    inputs = [random_element(rng) for _ in range(10)] + [frac_element(rng) for _ in range(5)]
+    inputs += [AlbertElement.basis(k) for k in (0, 5, 26)] + [random_element(rng).scale(2**70)]
+    for a in inputs:
+        for x in (random_element(rng), frac_element(rng)):
+            assert r_op(a).apply(x) == jordan_mul(x, a)
 
 
 def test_u_op_peirce_orthogonality():
@@ -590,8 +576,8 @@ def count_calls(monkeypatch, owner, name):
 
 def test_jordan_mul_builds_one_element(monkeypatch):
     """jordan_mul runs the AlbertElement constructor once per product, on
-    integer and fractional pairs, and a structure-table build runs it only for
-    the 27 basis elements, none around the probe or the packed products."""
+    integer and fractional pairs, and r_op runs it only for the 27 basis
+    elements its rows are products with."""
     rng = random.Random(48)
     pairs = [(random_element(rng), random_element(rng)), (frac_element(rng), frac_element(rng))]
     expected = [jordan_mul(a, b) for a, b in pairs]
@@ -601,11 +587,7 @@ def test_jordan_mul_builds_one_element(monkeypatch):
         assert jordan_mul(a, b) == p
         assert len(inits) == 1
     del inits[:]
-    albert._structure_constants.cache_clear()
-    try:
-        albert._structure_constants()
-    finally:
-        albert._structure_constants.cache_clear()
+    r_op(pairs[1][0])
     assert len(inits) == 27
 
 
@@ -805,7 +787,6 @@ def test_products_build_no_fraction(monkeypatch):
     """jordan_mul, _product2, r_op and apply run on the integer store alone."""
     rng = random.Random(47)
     a, b = frac_element(rng), frac_element(rng)
-    albert._structure_constants()
 
     def refuse(*args):
         raise AssertionError("Fraction built")
@@ -968,10 +949,10 @@ def test_probe_checks_agree_with_matrix_route():
 
 
 def test_step_gain_read_off_the_table():
-    """The step gain K the probe width is built from is max_j sum_{i,k}
-    |T[i][k][j]| over the structure table, 18."""
+    """The step gain K the probe width is built from is max_j sum_{i,k} |c_j|
+    over the numerators c of the basis products 2(e_i . e_k), 18."""
     columns = [0] * 27
-    for row in albert._structure_constants():
+    for row in basis_products():
         for entry in row:
             for j, c in entry:
                 columns[j] += abs(c)
@@ -1006,7 +987,6 @@ def test_albert_verb_builds_no_operator(monkeypatch):
         raise AssertionError("AlbertOperator built")
 
     monkeypatch.setattr(AlbertOperator, "__init__", refuse)
-    monkeypatch.setattr(AlbertOperator, "_computed", refuse)
     for seed in ("1", "42"):
         code, report = run_command(["albert", "--samples", "20", "--seed", seed])
         assert code == 0 and report["verdict"] == "confirmed"
