@@ -37,7 +37,7 @@ from .jordan import (
     jordan_closure_table,
     recipe_str,
 )
-from .linalg import ComponentBasis, Subspace, coordinates, words_of_multidegree
+from .linalg import ComponentBasis, OrbitSpan, Subspace, coordinates, words_of_multidegree
 
 
 def _sub_multidegrees(limit: MultiDegree) -> list[MultiDegree]:
@@ -56,7 +56,8 @@ class _SpanComponent:
         return self.span.dim
 
     def membership(self, p: FreePoly):
-        """("inside", {insert index -> coeff}) or ("outside", residual FreePoly)."""
+        """("inside", {insert index -> coeff}) or ("outside", residual FreePoly).
+        The outer component's span refuses a p that reversal does not fix."""
         cb = self.component_basis
         verdict, data = self.span.membership(coordinates(p, cb))
         if verdict == "inside":
@@ -94,7 +95,7 @@ class OuterIdealComponent(_OuterFields, _SpanComponent):
         return self.table.component_basis(self.multidegree)
 
     @property
-    def span(self) -> Subspace:
+    def span(self) -> OrbitSpan:
         return self.table.subspace(self.multidegree)
 
     @property

@@ -13,6 +13,11 @@ chosen mode:
 
 Every element carries a *recipe*, an expression tree over these operations,
 so membership certificates elsewhere stay human-readable.
+
+Every element is reversal-fixed, so a span table eliminates on one column
+per reversal orbit of words.  A circle or linearized-U product keeps only
+its unsymmetrized half H; the table folds the orbit coordinates of {H} off H,
+so a product that is only tested against a span is never symmetrized.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from functools import cache
 from .expr import CALLS, circ, format_call, parse_expr, square, u_apply, u_lin  # circ, u_lin: re-exported
 from .fields import Field
 from .freealg import FreePoly, GeneratorSet, MultiDegree
-from .linalg import ComponentBasis, Subspace, coordinates, words_of_multidegree
+from .linalg import ComponentBasis, Coordinates, OrbitBasis, OrbitSpan
 
 LINEAR = "linear"
 QUADRATIC = "quadratic"
@@ -66,6 +71,11 @@ class JordanElement:
     ``je_ulin`` rely on it, so ``JordanElement(value, recipe)`` refuses any
     other value; the products skip that check, as their factors hold it.
 
+    ``je_circ`` and ``je_ulin`` keep only the unsymmetrized half H of their
+    value {H} = H + H*; ``value`` symmetrizes it when first read and keeps
+    the result.  A span table reads {H}'s orbit coordinates off H itself, so
+    a product that is only tested is never symmetrized.
+
     A recipe is grammar text: a leaf is its own text, a generator name or
     ``"one"``, and an operation node is a tuple headed by its ``expr.CALLS``
     name: ("sq", r), ("circ", r, r), ("U", b, a) for a U_b, ("Ulin", b, c, a).
@@ -73,14 +83,24 @@ class JordanElement:
     is how certificates replay.
     """
 
-    __slots__ = ("value", "recipe", "multidegree")
+    __slots__ = ("_value", "_half", "_degree", "recipe")
 
     def __init__(self, value: FreePoly, recipe):
         if value.reverse() != value:
             raise ValueError("a Jordan element's value must be symmetric under reversal")
-        self.value = value
+        self._value, self._half, self._degree = value, None, value.multidegree()
         self.recipe = recipe
-        self.multidegree = value.multidegree()
+
+    @property
+    def value(self) -> FreePoly:
+        if self._value is None:
+            self._value, self._half = self._half.symmetrize(), None
+        return self._value
+
+    @property
+    def multidegree(self) -> MultiDegree | None:
+        """The common multidegree of the value's terms; None if it is zero or mixed."""
+        return self._degree if self.value.num else None
 
     def __repr__(self):
         return f"JordanElement({recipe_str(self.recipe)})"
@@ -94,38 +114,36 @@ class JordanElement:
         return cls(FreePoly.one(gens, field), "one")
 
 
-def _product(value: FreePoly, recipe, *factors: JordanElement) -> JordanElement:
-    """The element ``value`` that ``recipe`` builds from ``factors``, one per
-    occurrence (b twice in a U_b).  A nonzero product of homogeneous factors
-    has the sum of their multidegrees, so no term of it is counted."""
+def _product(recipe, factors, value: FreePoly | None, half: FreePoly | None = None) -> JordanElement:
+    """The element that ``recipe`` builds from ``factors``, one per
+    occurrence (b twice in a U_b): ``value``, or {half} when value is None.
+    A product of homogeneous factors that is not zero has the sum of their
+    multidegrees, so no term of it is counted."""
     out = JordanElement.__new__(JordanElement)
-    out.value, out.recipe = value, recipe
-    degrees = [v.multidegree for v in factors]
-    if value.is_zero() or None in degrees:
-        out.multidegree = value.multidegree()
-    else:
-        out.multidegree = tuple(map(sum, zip(*degrees)))
+    out._value, out._half, out.recipe = value, half, recipe
+    degrees = [v._degree for v in factors]  # a zero factor makes a zero product, whatever its degree
+    out._degree = out.value.multidegree() if None in degrees else tuple(map(sum, zip(*degrees)))
     return out
 
 
 def je_circ(v: JordanElement, w: JordanElement) -> JordanElement:
     """v o w = vw + wv = {vw}: on reversal-fixed factors wv = (vw)*, so one
-    associative product is symmetrized."""
-    return _product((v.value * w.value).symmetrize(), ("circ", v.recipe, w.recipe), v, w)
+    associative product is kept, and symmetrized only when read."""
+    return _product(("circ", v.recipe, w.recipe), (v, w), None, v.value * w.value)
 
 
 def je_square(v: JordanElement) -> JordanElement:
-    return _product(square(v.value), ("sq", v.recipe), v, v)
+    return _product(("sq", v.recipe), (v, v), square(v.value))
 
 
 def je_u(b: JordanElement, a: JordanElement) -> JordanElement:
-    return _product(u_apply(b.value, a.value), ("U", b.recipe, a.recipe), b, b, a)
+    return _product(("U", b.recipe, a.recipe), (b, b, a), u_apply(b.value, a.value))
 
 
 def je_ulin(b: JordanElement, c: JordanElement, a: JordanElement) -> JordanElement:
     """b a c + c a b = {bac}: on reversal-fixed factors cab = (bac)*, so one
-    product chain is symmetrized."""
-    return _product((b.value * a.value * c.value).symmetrize(), ("Ulin", b.recipe, c.recipe, a.recipe), b, c, a)
+    product chain is kept, and symmetrized only when read."""
+    return _product(("Ulin", b.recipe, c.recipe, a.recipe), (b, c, a), None, b.value * a.value * c.value)
 
 
 def recipe_str(recipe) -> str:
@@ -159,6 +177,13 @@ class GradedSpanTable:
     representatives to the candidates they generate.  A limit without one
     entry per generator, or of total degree above ``MAX_DEGREE_BOUND``, is
     refused before any work.
+
+    Every element is reversal-fixed, so each span is eliminated on one
+    column per reversal orbit (``linalg.OrbitBasis``): an element's orbit
+    coordinates are folded off the unsymmetrized half of a circle or
+    linearized-U product, and read off the value of any other element.
+    ``component_basis(d)`` is the word basis, and ``subspace(d)`` is the
+    span read in word columns (``linalg.OrbitSpan``).
     """
 
     def __init__(self, gens: GeneratorSet, field: Field, limit: MultiDegree):
@@ -170,7 +195,7 @@ class GradedSpanTable:
         self.field = field
         self.limit = tuple(limit)
         self._bases: dict[MultiDegree, ComponentBasis] = {}
-        self._spans: dict[MultiDegree, Subspace] = {}
+        self._spans: dict[MultiDegree, OrbitSpan] = {}
         self._reps: dict[MultiDegree, list[JordanElement]] = {}
         self._inserted: dict[MultiDegree, list[JordanElement]] = {}
 
@@ -179,23 +204,35 @@ class GradedSpanTable:
             self._bases[d] = ComponentBasis(self.gens, d)
         return self._bases[d]
 
-    def subspace(self, d: MultiDegree) -> Subspace:
+    def subspace(self, d: MultiDegree) -> OrbitSpan:
         if d not in self._spans:
-            self._spans[d] = Subspace(self.field, len(self.component_basis(d)))
+            self._spans[d] = OrbitSpan(self.field, OrbitBasis(self.component_basis(d)))
         return self._spans[d]
+
+    @staticmethod
+    def _degree_of(elem: JordanElement) -> MultiDegree | None:
+        """elem's multidegree, read without symmetrizing; None only for an element that is zero."""
+        if elem._degree is None and not elem.value.is_zero():
+            raise ValueError("span table takes homogeneous elements only")
+        return elem._degree
+
+    @staticmethod
+    def _orbit_vector(elem: JordanElement, span: OrbitSpan) -> Coordinates:
+        """elem's orbit coordinates in span: folded off its half, or read off its value."""
+        half = elem._half
+        return span.orbits.fold(half) if half is not None else span.orbits.pick(elem._value)
 
     def insert(self, elem: JordanElement) -> bool:
         """Insert an element into its component; True iff the span grew."""
-        if elem.value.is_zero():
+        d = self._degree_of(elem)
+        if d is None or not dominated(d, self.limit):
             return False
-        d = elem.multidegree
-        if d is None:
-            raise ValueError("span table takes homogeneous elements only")
-        if not dominated(d, self.limit):
+        span = self.subspace(d)
+        vec = self._orbit_vector(elem, span)
+        if not vec.cols:
             return False
-        vec = coordinates(elem.value, self.component_basis(d))
         self._inserted.setdefault(d, []).append(elem)
-        if self.subspace(d).insert(vec):
+        if span.orbit_span.insert(vec):
             self._reps.setdefault(d, []).append(elem)
             return True
         return False
@@ -225,15 +262,19 @@ class GradedSpanTable:
 
     def contains(self, elem: JordanElement) -> bool:
         """True iff elem is zero or lies in the span of its multidegree; a
-        component with no span answers False, and no basis is built for it."""
-        if elem.value.is_zero():
-            return True
-        d = elem.multidegree
+        component with no span answers False unless elem is zero, and no
+        basis is built for it."""
+        d = self._degree_of(elem)
         if d is None:
-            raise ValueError("span table takes homogeneous elements only")
-        if elem.value.gens is not self.gens and elem.value.gens != self.gens:
+            return True
+        gens = (elem._value if elem._half is None else elem._half).gens
+        if gens is not self.gens and gens != self.gens:
             raise ValueError("mismatched generator sets")
-        return d in self._spans and self._spans[d].contains(coordinates(elem.value, self._bases[d]))
+        if d not in self._spans:
+            return elem.value.is_zero()
+        span = self._spans[d]
+        vec = self._orbit_vector(elem, span)
+        return not vec.cols or span.orbit_span.contains(vec)
 
     def close(self, seeds, products) -> int:
         """Insert the seeds, then ``products(new)`` round after round, where
@@ -353,8 +394,7 @@ def spanning_is_fixed_point(table: GradedSpanTable, mode: str) -> bool:
 def symmetric_component_dim(gens: GeneratorSet, d: MultiDegree, field: Field) -> int:
     """Dimension of span{ {w} : w a word of multidegree d }: one per reversal
     orbit, as the sums {w} = w + rev(w) of distinct orbits have disjoint
-    supports, less the palindromes, whose {w} = 2w, in characteristic 2."""
-    words = words_of_multidegree(gens, d)
-    palindromes = sum(w == w[::-1] for w in words)
-    orbits = (len(words) + palindromes) // 2
-    return orbits - palindromes if field.characteristic == 2 else orbits
+    supports, less the palindromes, whose {w} = 2w, in characteristic 2.
+    The orbits are the span tables' columns."""
+    orbits = OrbitBasis(ComponentBasis(gens, d))
+    return len(orbits) - len(orbits.palindromes) if field.characteristic == 2 else len(orbits)

@@ -7,11 +7,18 @@ int store to columns.  ``Coordinates`` is the one vector form that spans and
 membership test that finds a vector inside solves an explicit coefficient
 certificate over the vectors that were inserted, not just a verdict.  Row
 operations touch only the nonzero columns of the row they eliminate with.
+
+A span of reversal-fixed vectors, such as every Jordan span, needs only one
+column per reversal orbit {w, rev w} (``OrbitBasis``): ``fold`` reads the
+orbit coordinates of {p} = p + rev(p) straight off p, and ``OrbitSpan`` runs
+the same ``Subspace`` on orbit columns while it is read and queried in word
+columns, with the pivots, rows and certificates of a word-column span.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice, product
 from math import gcd, lcm
 from typing import Iterable, NamedTuple
 
@@ -20,30 +27,32 @@ from .freealg import FreePoly, GeneratorSet, MultiDegree, Word
 
 
 def words_of_multidegree(gens: GeneratorSet, d: MultiDegree) -> list[Word]:
-    """All words with exactly d_i occurrences of generator i, in deglex order."""
+    """All words with exactly d_i occurrences of generator i, in deglex order.
+
+    The words of a count vector c are, for each generator i in turn, i
+    followed by the words of c - e_i.  Each c <= d is built once per call, in
+    the order of its mixed-radix index, so c - e_i, whose index is smaller by
+    the place value of entry i, is always built before c."""
     d = tuple(d)
     if len(d) != len(gens):
         raise ValueError("multidegree length does not match generator count")
     if any(c < 0 for c in d):
         raise ValueError("multidegree entries must be nonnegative")
-    out: list[Word] = []
-    counts = list(d)
-    prefix: list[int] = []
-
-    def rec():
-        if not any(counts):
-            out.append(tuple(prefix))
-            return
-        for i, c in enumerate(counts):
-            if c:
-                counts[i] -= 1
-                prefix.append(i)
-                rec()
-                prefix.pop()
-                counts[i] += 1
-
-    rec()
-    return out  # generated in lexicographic order; equal length makes it deglex
+    places, place = [], 1
+    for k in reversed(d):
+        places.append(place)
+        place *= k + 1
+    places.reverse()
+    built: list[list[Word]] = [[()]]
+    for c in islice(product(*[range(k + 1) for k in d]), 1, None):  # the zero vector is built
+        out: list[Word] = []
+        n = len(built)
+        for i, k in enumerate(c):
+            if k:
+                head = (i,)
+                out += [head + w for w in built[n - places[i]]]
+        built.append(out)
+    return built[-1]  # lexicographic order; equal length makes it deglex
 
 
 class ComponentBasis:
@@ -74,16 +83,104 @@ class Coordinates(NamedTuple):
     field: Field
 
 
+def _require_gens(p: FreePoly, cb: ComponentBasis):
+    if p.gens is not cb.gens and p.gens != cb.gens:
+        raise ValueError("mismatched generator sets")
+
+
+def _off_degree(cb: ComponentBasis) -> ValueError:
+    return ValueError(f"polynomial is not homogeneous of multidegree {cb.multidegree}")
+
+
 def coordinates(p: FreePoly, cb: ComponentBasis) -> Coordinates:
     """p's store re-keyed to the columns of cb's word list; refuses another
     generator set or a word outside cb's multidegree."""
-    if p.gens is not cb.gens and p.gens != cb.gens:
-        raise ValueError("mismatched generator sets")
+    _require_gens(p, cb)
     try:  # cb holds exactly the words of its multidegree
         cols = tuple(map(cb._index.__getitem__, p.num))
     except KeyError:
-        raise ValueError(f"polynomial is not homogeneous of multidegree {cb.multidegree}") from None
+        raise _off_degree(cb) from None
     return tuple.__new__(Coordinates, (cols, p.num.values(), p.den, len(cb.words), p.field))  # no Python-level __new__
+
+
+class OrbitBasis:
+    """The reversal orbits {w, rev w} of one component's words, one column
+    per orbit, in the order of its lex-smaller word, the representative.
+
+    A reversal-fixed vector has one entry per orbit, and the representatives
+    lie in the same order among the word columns, so a span of such vectors
+    has the same pivots, RREF rows and certificates on orbit columns as on
+    word columns.  ``rep_cols`` holds the word column of each orbit's
+    representative, ``column`` maps every word to its orbit, and
+    ``palindromes`` holds the orbits of one word, whose {w} = 2w.
+    """
+
+    __slots__ = ("basis", "rep_cols", "column", "palindromes")
+
+    def __init__(self, cb: ComponentBasis):
+        column, rep_cols, palindromes = {}, [], []
+        for j, w in enumerate(cb.words):
+            r = w[::-1]
+            if w <= r:
+                column[w] = column[r] = len(rep_cols)
+                if w == r:
+                    palindromes.append(len(rep_cols))
+                rep_cols.append(j)
+        self.basis, self.column = cb, column
+        self.rep_cols, self.palindromes = tuple(rep_cols), tuple(palindromes)
+
+    def __len__(self):
+        return len(self.rep_cols)
+
+    def _vector(self, num: dict, p: FreePoly) -> Coordinates:
+        return tuple.__new__(Coordinates, (tuple(num), num.values(), p.den, len(self.rep_cols), p.field))
+
+    def fold(self, half: FreePoly) -> Coordinates:
+        """The orbit coordinates of {half} = half + rev(half), read off half in
+        one pass: half[w] + half[rev w] at the orbit of w, and 2 half[w] at a
+        palindrome, reduced mod p.  Nothing is symmetrized."""
+        _require_gens(half, self.basis)
+        column, acc = self.column, {}
+        get = acc.get
+        try:
+            for w, n in half.num.items():
+                o = column[w]
+                acc[o] = get(o, 0) + n
+        except KeyError:
+            raise _off_degree(self.basis) from None
+        for o in self.palindromes:
+            if o in acc:
+                acc[o] *= 2
+        if p := half.field.characteristic:
+            acc = {o: r for o, n in acc.items() if (r := n % p)}
+        elif 0 in acc.values():  # over Q only the two words of an orbit can cancel
+            acc = {o: n for o, n in acc.items() if n}
+        return self._vector(acc, half)
+
+    def pick(self, sym: FreePoly) -> Coordinates:
+        """The orbit coordinates of a reversal-fixed sym: the entry of each
+        word is its orbit's.  The symmetry is trusted, not checked."""
+        _require_gens(sym, self.basis)
+        try:  # the two words of an orbit write the same entry
+            return self._vector(dict(zip(map(self.column.__getitem__, sym.num), sym.num.values())), sym)
+        except KeyError:
+            raise _off_degree(self.basis) from None
+
+    def restrict(self, v: Coordinates) -> Coordinates:
+        """Word coordinates v as orbit coordinates; refuses a v of another
+        length, or one that reversal does not fix."""
+        words, index = self.basis.words, self.basis._index
+        if v.dim != len(words):
+            raise ValueError("ambient dimension mismatch")
+        entries = dict(zip(v.cols, v.vals))
+        if any(entries.get(index[words[j][::-1]]) != c for j, c in entries.items()):
+            raise ValueError("coordinates are not symmetric under reversal")
+        num = {self.column[words[j]]: c for j, c in entries.items()}
+        return Coordinates(tuple(num), tuple(num.values()), v.den, len(self.rep_cols), v.field)
+
+    def expand(self, row: list) -> list:
+        """An orbit vector as its word vector: each word takes its orbit's entry."""
+        return [row[self.column[w]] for w in self.basis.words]
 
 
 class Subspace:
@@ -152,10 +249,10 @@ class Subspace:
     def _eliminate(self, x: dict, row: dict, q: int) -> int:
         """Clear the entry q of the dict x in place with ``row``, whose pivot
         is q, deleting every entry that becomes zero.  Over Q, x is first
-        scaled when the gcd-reduced pivot entry is not 1.  Returns that
-        positive factor."""
+        scaled when the gcd-reduced pivot entry is not 1 (no gcd is taken
+        when the pivot entry is 1).  Returns that positive factor."""
         p, c, a = self._p, x[q], 1
-        if not p:
+        if not p and row[q] != 1:
             g = gcd(row[q], c)
             a, c = row[q] // g, c // g
             if a != 1:
@@ -238,6 +335,43 @@ class Subspace:
             return "outside", [x.get(j, 0) if self._p else Fraction(x.get(j, 0), s) for j in every]
         coeffs, _ = _solve([b for _, b in self._grew], v, self.pivots)
         return "inside", {idx: c for (idx, _), c in zip(self._grew, coeffs) if c}
+
+
+class OrbitSpan:
+    """A span of reversal-fixed vectors of one component, eliminated on the
+    orbit columns of ``orbits`` by ``orbit_span``, a ``Subspace`` that takes
+    orbit ``Coordinates``; this view reads it in word columns.
+
+    ``contains`` and ``membership`` take word ``Coordinates`` and refuse one
+    of another length or not fixed by reversal; ``rows``, ``pivots`` and an
+    "outside" residual are word vectors, and a certificate maps the orbit
+    span's insert indices to coefficients, as ``Subspace.membership`` does.
+    """
+
+    __slots__ = ("orbits", "orbit_span")
+
+    def __init__(self, field: Field, orbits: OrbitBasis):
+        self.orbits = orbits
+        self.orbit_span = Subspace(field, len(orbits))
+
+    @property
+    def dim(self) -> int:
+        return self.orbit_span.dim
+
+    @property
+    def pivots(self) -> list[int]:
+        return [self.orbits.rep_cols[q] for q in self.orbit_span.pivots]
+
+    @property
+    def rows(self) -> list[list]:
+        return [self.orbits.expand(row) for row in self.orbit_span.rows]
+
+    def contains(self, v: Coordinates) -> bool:
+        return self.orbit_span.contains(self.orbits.restrict(v))
+
+    def membership(self, v: Coordinates):
+        verdict, data = self.orbit_span.membership(self.orbits.restrict(v))
+        return verdict, self.orbits.expand(data) if verdict == "outside" else data
 
 
 class AffineSolution(NamedTuple):

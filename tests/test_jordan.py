@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_poly
+from conftest import dense, rand_poly
 from jvu import expr
 from jvu.expr import parse_expr
 from jvu.fields import field_from_name
@@ -36,7 +36,7 @@ from jvu.jordan import (
     commutator_identity_residual,
 )
 from jvu.ideals import outer_ideal_component
-from jvu.linalg import ComponentBasis, Subspace, coordinates, words_of_multidegree
+from jvu.linalg import ComponentBasis, OrbitBasis, Subspace, coordinates, words_of_multidegree
 
 QQ = field_from_name("q")
 GF2 = field_from_name("gf2")
@@ -506,3 +506,115 @@ def test_closure_meets_cohn_reversibility(field, mode, limit):
     table = jordan_closure_table(G3, limit, mode, False, field)
     every = [e for e in itertools.product(*(range(c + 1) for c in limit)) if any(e)]
     assert [table.dim(e) for e in every] == [_reversible_dim(G3, e) for e in every]
+
+
+_ORBIT_CASES = [(QQ, "linear"), (GF2, "quadratic"), (GF3, "linear")]
+_ORBIT_IDS = ["q-linear", "gf2-quadratic", "gf3-linear"]
+
+
+@pytest.mark.parametrize("limit", [(2, 2, 1), (3, 2, 1), (2, 2, 2), (3, 2, 2)], ids=lambda d: "".join(map(str, d)))
+@pytest.mark.parametrize("field, mode", _ORBIT_CASES, ids=_ORBIT_IDS)
+def test_orbit_spans_match_word_spans(field, mode, limit):
+    """Every component of a closure table and of an outer-ideal table,
+    eliminated on reversal-orbit columns, equals a word-column ``Subspace``
+    fed the same insert stream: the same growth at each insert, the same
+    dimension, pivots and RREF rows, and the same verdicts, certificates and
+    residuals on seeded queries (rows of the span and symmetrized words)."""
+    rng = random.Random(f"orbits/{field!r}/{limit}")
+    closure, ideal, _ = _closure_and_ideal_tables(field, mode, limit)
+    for table in (closure, ideal):
+        for d in table.multidegrees():
+            cb, span = table.component_basis(d), table.subspace(d)
+            words = Subspace(field, len(cb))
+            reps = {id(e) for e in table.reps(d)}
+            assert [words.insert(coordinates(e.value, cb)) for e in table.inserted(d)] == [
+                id(e) in reps for e in table.inserted(d)
+            ]
+            assert span.dim == words.dim == table.dim(d)
+            assert (span.pivots, span.rows) == (words.pivots, words.rows)
+            rows = words.rows
+            queries = [FreePoly(G3, field, dict(zip(cb.words, rng.choice(rows)))) for _ in range(min(3, len(rows)))]
+            queries += [FreePoly.from_word(G3, field, rng.choice(cb.words)).symmetrize() for _ in range(3)]
+            for q in queries:
+                v = coordinates(q, cb)
+                assert span.membership(v) == words.membership(v)
+                assert span.contains(v) == words.contains(v)
+
+
+@pytest.mark.parametrize("field, mode", _ORBIT_CASES, ids=_ORBIT_IDS)
+def test_orbit_fold_of_a_half_product_is_its_symmetrization(field, mode):
+    """The orbit coordinates a table folds off the unsymmetrized half H of a
+    circle or linearized-U product, expanded to words, are the word
+    coordinates of {H}; the product's value is {H}, read once and kept."""
+    rng = random.Random(f"fold/{field!r}")
+    reps = [e for t in _closure_and_ideal_tables(field, mode, (2, 2, 2)) for e in t.all_reps() if any(e.multidegree)]
+    orbit_bases = {}
+
+    def fitting(k):
+        while True:
+            picked = rng.sample(reps, k)
+            if dominated(tuple(map(sum, zip(*(e.multidegree for e in picked)))), (2, 2, 2)):
+                return picked
+
+    for _ in range(40):
+        for k, make in ((2, je_circ), (3, je_ulin)):
+            product = make(*fitting(k))
+            half, d = product._half, product._degree
+            orbits = orbit_bases.setdefault(d, OrbitBasis(ComponentBasis(G3, d)))
+            folded = orbits.fold(half)
+            assert orbits.expand(dense(folded)) == dense(coordinates(half.symmetrize(), orbits.basis))
+            assert product._half is half  # folding does not symmetrize
+            assert product.value == half.symmetrize() and product.value is product.value
+            assert dense(orbits.pick(product.value)) == dense(folded)
+
+
+def test_orbit_views_refuse_asymmetric_and_off_degree_vectors():
+    """A table's span and an outer-ideal component take word coordinates of
+    reversal-fixed vectors only: an asymmetric vector is refused with
+    ValueError, and so is a vector of another component's length."""
+    x, y, z = (gen(G3, QQ, n) for n in "xyz")
+    f = je_circ(JordanElement.generator(G3, QQ, "x"), JordanElement.generator(G3, QQ, "y"))
+    comp = outer_ideal_component(f, (2, 2, 1), "linear", QQ)
+    cb, span = comp.component_basis, comp.span
+    asymmetric = x * y * z * x * y
+    for query in (span.contains, span.membership):
+        with pytest.raises(ValueError, match="not symmetric under reversal"):
+            query(coordinates(asymmetric, cb))
+        with pytest.raises(ValueError, match="ambient dimension mismatch"):
+            query(coordinates(x * y * z, ComponentBasis(G3, (1, 1, 1))))
+    with pytest.raises(ValueError, match="not symmetric under reversal"):
+        comp.membership(asymmetric)
+    with pytest.raises(ValueError, match="not homogeneous"):
+        comp.membership(x * y * z)
+    orbits = span.orbits
+    with pytest.raises(ValueError, match="not homogeneous"):
+        orbits.fold(x * y * z)
+    with pytest.raises(ValueError, match="mismatched generator sets"):
+        orbits.fold(FreePoly.generator(GeneratorSet(("x", "y")), QQ, "x"))
+    assert comp.membership(asymmetric + asymmetric.reverse())[0] == "outside"
+
+
+def test_half_product_where_no_span_is_builds_no_basis():
+    """A circle product queried at a multidegree with no span answers by its
+    value alone and builds no basis there: False when it is nonzero, True for
+    x o x = 2x^2, which is zero over GF(2) though its half x^2 is not."""
+    table = jordan_closure_table(G3, (1, 1, 1), "quadratic", False, GF2)
+    bases = dict(table._bases)
+    x, y = (JordanElement.generator(G3, GF2, n) for n in "xy")
+    xyx, xx = je_circ(je_circ(x, y), x), je_circ(x, x)
+    assert not xx._half.is_zero() and xx.value.is_zero() and xx.multidegree is None
+    assert not table.contains(xyx) and table.contains(je_circ(x, x))
+    assert table._bases == bases and (2, 1, 0) not in table._bases and (2, 0, 0) not in table._bases
+
+
+@pytest.mark.parametrize("field, mode", _ORBIT_CASES, ids=_ORBIT_IDS)
+def test_tested_products_are_never_symmetrized(monkeypatch, field, mode):
+    """After a closure, every representative has been read as a factor, so a
+    fixed-point re-verification symmetrizes nothing: each product it tests
+    is folded off its half."""
+    table = jordan_closure_table(G3, (2, 2, 1), mode, mode == "quadratic", field)
+    calls = []
+    symmetrize = FreePoly.symmetrize
+    monkeypatch.setattr(FreePoly, "symmetrize", lambda p: calls.append(1) or symmetrize(p))
+    assert spanning_is_fixed_point(table, mode)
+    assert not calls

@@ -46,6 +46,22 @@ def test_words_of_multidegree_complete_and_ordered():
         assert words_of_multidegree(gens, (0,) * len(gens)) == [()]
 
 
+@pytest.mark.parametrize(
+    "gens, d",
+    [
+        (G2, (4, 3)),
+        *((G3, d) for d in [(1, 0, 0), (2, 1, 0), (0, 2, 1), (3, 2, 1), (3, 2, 2), (3, 3, 2)]),
+        (G4, (2, 1, 1, 1)),
+    ],
+    ids=lambda v: "".join(map(str, v)) if isinstance(v, tuple) else f"{len(v)}gens",
+)
+def test_words_of_multidegree_order_pinned_on_a_ladder(gens, d):
+    """The memoized build lists the sorted distinct permutations of one word
+    of multidegree d, zero entries included, on a ladder up to total degree 8."""
+    first = tuple(i for i, c in enumerate(d) for _ in range(c))
+    assert words_of_multidegree(gens, d) == sorted(set(itertools.permutations(first)))
+
+
 def test_to_vector_read_off():
     x, y = gen(G2, QQ, "x"), gen(G2, QQ, "y")
     p = x * y + (y * x).scale(QQ.from_int(2))
