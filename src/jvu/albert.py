@@ -40,10 +40,13 @@ each side an integer combination of word images.
   2^W > 2B: two packed sides are equal exactly when every slot is.
 
 Each level has one product definition, a plain integer formula with no class
-around it: ``zorn_mul`` (with ``zorn_conj`` and ``zorn_norm``) on split
-octonions as 8-tuples, and ``_product2`` on Hermitian elements, the 27
-numerators of 2(a.b) = AB + BA from two numerator sequences.  ``jordan_mul``
-builds its element from them once; the rows of ``r_op`` and the probe read them.
+around it: ``zorn_mul`` (with ``zorn_conj``, ``zorn_norm`` and its
+polarization ``zorn_bilinear``) on split octonions as 8-tuples, and
+``_product2`` on Hermitian elements, the 27 numerators of 2(a.b) = AB + BA
+from two numerator sequences.  Its diagonal entries take no octonion product:
+d_i = 2 a.d_i b.d_i + n(a.o_j, b.o_j) + n(a.o_k, b.o_k), with n the polarized
+norm.  ``jordan_mul`` builds its element from them once; the rows of ``r_op``
+and the probe read them.
 
 The cubic form data t, s, n is the Freudenthal determinant package; the sign
 conventions are pinned by requiring the cubic characteristic identity
@@ -82,31 +85,17 @@ _QQ = field_from_name("q")
 def zorn_mul(x, y):
     """Zorn vector-matrix product on raw 8-coordinate tuples
     (alpha, beta, a1, a2, a3, b1, b2, b3)."""
-    a1, b1 = x[0], x[1]
-    v1, w1 = x[2:5], x[5:8]
-    a2, b2 = y[0], y[1]
-    v2, w2 = y[2:5], y[5:8]
-    dot_vw = v1[0] * w2[0] + v1[1] * w2[1] + v1[2] * w2[2]
-    dot_wv = w1[0] * v2[0] + w1[1] * v2[1] + w1[2] * v2[2]
-    cross_ww = (
-        w1[1] * w2[2] - w1[2] * w2[1],
-        w1[2] * w2[0] - w1[0] * w2[2],
-        w1[0] * w2[1] - w1[1] * w2[0],
-    )
-    cross_vv = (
-        v1[1] * v2[2] - v1[2] * v2[1],
-        v1[2] * v2[0] - v1[0] * v2[2],
-        v1[0] * v2[1] - v1[1] * v2[0],
-    )
+    a1, b1, v1, v2, v3, w1, w2, w3 = x
+    a2, b2, p1, p2, p3, q1, q2, q3 = y
     return (
-        a1 * a2 + dot_vw,
-        b1 * b2 + dot_wv,
-        a1 * v2[0] + b2 * v1[0] - cross_ww[0],
-        a1 * v2[1] + b2 * v1[1] - cross_ww[1],
-        a1 * v2[2] + b2 * v1[2] - cross_ww[2],
-        a2 * w1[0] + b1 * w2[0] + cross_vv[0],
-        a2 * w1[1] + b1 * w2[1] + cross_vv[1],
-        a2 * w1[2] + b1 * w2[2] + cross_vv[2],
+        a1 * a2 + v1 * q1 + v2 * q2 + v3 * q3,
+        b1 * b2 + w1 * p1 + w2 * p2 + w3 * p3,
+        a1 * p1 + b2 * v1 - w2 * q3 + w3 * q2,
+        a1 * p2 + b2 * v2 - w3 * q1 + w1 * q3,
+        a1 * p3 + b2 * v3 - w1 * q2 + w2 * q1,
+        a2 * w1 + b1 * q1 + v2 * p3 - v3 * p2,
+        a2 * w2 + b1 * q2 + v3 * p1 - v1 * p3,
+        a2 * w3 + b1 * q3 + v1 * p2 - v2 * p1,
     )
 
 
@@ -118,6 +107,14 @@ def zorn_conj(x):
 def zorn_norm(x):
     """The norm alpha*beta - a.b of a raw 8-tuple."""
     return x[0] * x[1] - (x[2] * x[5] + x[3] * x[6] + x[4] * x[7])
+
+
+def zorn_bilinear(x, y):
+    """The polarized norm n(x, y) = zorn_norm(x + y) - zorn_norm(x) - zorn_norm(y),
+    which is the trace of x conj(y); n(x, x) = 2 zorn_norm(x)."""
+    return x[0] * y[1] + x[1] * y[0] - (
+        x[2] * y[5] + x[3] * y[6] + x[4] * y[7] + x[5] * y[2] + x[6] * y[3] + x[7] * y[4]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +198,17 @@ def _product2(an, bn) -> list:
     AlbertElement: integers in, integers out.  For each cyclic (i, j, k) of
     (0, 1, 2),
 
-        d_i = 2 a.d_i b.d_i + t(a.o_j conj b.o_j) + t(a.o_k conj b.o_k),
+        d_i = 2 a.d_i b.d_i + n(a.o_j, b.o_j) + n(a.o_k, b.o_k),
         o_i = (a.d_j + a.d_k) b.o_i + (b.d_j + b.d_k) a.o_i
-              + conj(b.o_j a.o_k + a.o_j b.o_k).
+              + conj(b.o_j a.o_k + a.o_j b.o_k),
+
+    where n(x, y) = t(x conj y) is ``zorn_bilinear``: six ``zorn_mul`` in all.
     """
     ao, bo = (an[3:11], an[11:19], an[19:27]), (bn[3:11], bn[11:19], bn[19:27])
+    n = [zorn_bilinear(x, y) for x, y in zip(ao, bo)]
     d, o = [], []
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        pj = zorn_mul(ao[j], zorn_conj(bo[j]))
-        pk = zorn_mul(ao[k], zorn_conj(bo[k]))
-        d.append(2 * an[i] * bn[i] + pj[0] + pj[1] + pk[0] + pk[1])
+        d.append(2 * an[i] * bn[i] + n[j] + n[k])
         sa, sb = an[j] + an[k], bn[j] + bn[k]
         cross = zorn_conj([x + y for x, y in zip(zorn_mul(bo[j], ao[k]), zorn_mul(ao[j], bo[k]))])
         o.extend(sa * y + sb * x + c for x, y, c in zip(ao[i], bo[i], cross))

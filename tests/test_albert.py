@@ -33,6 +33,7 @@ from jvu.albert import (
     trace_form,
     u_op,
     zero_pair_operator_collapse,
+    zorn_bilinear,
     zorn_conj,
     zorn_mul,
     zorn_norm,
@@ -129,6 +130,81 @@ def test_octonion_not_associative():
     lhs = zorn_mul(zorn_mul(e1, u1), u2)
     rhs = zorn_mul(e1, zorn_mul(u1, u2))
     assert lhs != rhs
+
+
+#: e_i e_j on the Zorn basis: row i, column j is +k or -k for +-e_k, or . for 0.
+#: Not symmetric (e_2 e_3 = e_7 = -e_3 e_2), so it tells x y from y x.
+ZORN_BASIS_PRODUCTS = (
+    "+0 .  +2 +3 +4 .  .  .",
+    ".  +1 .  .  .  +5 +6 +7",
+    ".  +2 .  +7 -6 +0 .  .",
+    ".  +3 -7 .  +5 .  +0 .",
+    ".  +4 +6 -5 .  .  .  +0",
+    "+5 .  +1 .  .  .  -4 +3",
+    "+6 .  .  +1 .  +4 .  -2",
+    "+7 .  .  .  +1 -3 +2 .",
+)
+
+
+def test_zorn_basis_products_pinned():
+    for i, row in enumerate(ZORN_BASIS_PRODUCTS):
+        for j, entry in enumerate(row.split()):
+            want = (0,) * 8 if entry == "." else oct_scale(int(entry[0] + "1"), OCT_BASIS[int(entry[1])])
+            assert zorn_mul(OCT_BASIS[i], OCT_BASIS[j]) == want, (i, j)
+
+
+def slice_cross_zorn_mul(x, y):
+    """The Zorn product written with slices, dot products and the two cross
+    products w1 x w2 and v1 x v2: the reference for the unrolled zorn_mul."""
+    a1, b1, v1, w1 = x[0], x[1], x[2:5], x[5:8]
+    a2, b2, v2, w2 = y[0], y[1], y[2:5], y[5:8]
+
+    def cross(p, q):
+        return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+
+    def dot(p, q):
+        return sum(s * t for s, t in zip(p, q))
+
+    cww, cvv = cross(w1, w2), cross(v1, v2)
+    return (
+        a1 * a2 + dot(v1, w2),
+        b1 * b2 + dot(w1, v2),
+        *(a1 * v2[m] + b2 * v1[m] - cww[m] for m in range(3)),
+        *(a2 * w1[m] + b1 * w2[m] + cvv[m] for m in range(3)),
+    )
+
+
+def big_oct(rng, bits):
+    return tuple(rng.randint(-(1 << bits), 1 << bits) for _ in range(8))
+
+
+def test_zorn_mul_matches_slice_cross_reference():
+    """On small ints, on ints of 1,000 bits and more, and on a mix of the two,
+    as a probe step multiplies a wide image by a small letter."""
+    rng = random.Random(25)
+    for _ in range(200):
+        u, v = rand_oct(rng), rand_oct(rng)
+        assert zorn_mul(u, v) == slice_cross_zorn_mul(u, v)
+    for bits in (1000, 2000):
+        for _ in range(50):
+            u, v = big_oct(rng, bits), big_oct(rng, bits)
+            for x, y in ((u, v), (u, rand_oct(rng)), (rand_oct(rng), v)):
+                assert zorn_mul(x, y) == slice_cross_zorn_mul(x, y)
+                assert zorn_mul(list(x), list(y)) == zorn_mul(x, y)  # _product2 passes list slices
+
+
+def test_zorn_bilinear_is_the_polarized_norm():
+    """n(x, y) = t(x conj y) = n(x + y) - n(x) - n(y) and n(x, x) = 2 n(x), on
+    small ints and on ints of packed-probe width (27 slots of 73 bits)."""
+    rng = random.Random(26)
+    for bits in (4, 27 * 73):
+        for _ in range(100):
+            x, y = big_oct(rng, bits), big_oct(rng, bits)
+            n = zorn_bilinear(x, y)
+            assert n == oct_trace(zorn_mul(x, zorn_conj(y)))
+            assert n == zorn_norm(tuple(s + t for s, t in zip(x, y))) - zorn_norm(x) - zorn_norm(y)
+            assert n == zorn_bilinear(y, x)
+            assert zorn_bilinear(x, x) == 2 * zorn_norm(x)
 
 
 # -- Hermitian elements ------------------------------------------------------
@@ -606,6 +682,17 @@ def test_zero_pair_and_operator_identity_product_counts(monkeypatch):
     del products[:]
     assert check_operator_identity(x, y)
     assert (len(calls), len(products)) == (0, 3 + 11)
+
+
+def test_product2_makes_six_octonion_products(monkeypatch):
+    """The diagonal of 2(a.b) reads three polarized norms and takes no
+    octonion product; each off-diagonal entry takes two."""
+    a, b = random_element(random.Random(36)), random_element(random.Random(37))
+    want = _product2(a.num, b.num)
+    muls = count_calls(monkeypatch, albert, "zorn_mul")
+    norms = count_calls(monkeypatch, albert, "zorn_bilinear")
+    assert _product2(a.num, b.num) == want
+    assert (len(muls), len(norms)) == (6, 3)
 
 
 def test_cubic_and_eq1_product_counts(monkeypatch):
