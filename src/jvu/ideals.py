@@ -37,7 +37,7 @@ from .jordan import (
     jordan_closure_table,
     recipe_str,
 )
-from .linalg import ComponentBasis, OrbitSpan, Subspace, coordinates, words_of_multidegree
+from .linalg import ComponentBasis, OrbitSpan, Subspace, coordinates, words_up_to
 
 
 def _sub_multidegrees(limit: MultiDegree) -> list[MultiDegree]:
@@ -112,7 +112,7 @@ def _ideal_products(v: JordanElement, multipliers, fits, d: MultiDegree, mode: s
     multidegree stays <= d.  ``fits`` filters the multiplier buckets by the
     residual d - deg(v).  Order: circle and U by bucket then rep, linearized
     U by bucket pair (e1 <= e2 in bucket order) then rep pair."""
-    rest = degree_residual(d, v.multidegree)
+    rest = degree_residual(d, v._degree)  # v is a representative, not zero: read without multiplying it out
     for p in fits(rest):
         for a in multipliers[p][1]:
             yield je_circ(v, a)
@@ -214,13 +214,14 @@ def assoc_ideal_component(f: FreePoly, d: MultiDegree) -> AssocIdealComponent:
     if any(c < 0 for c in rest):
         raise ValueError(f"generator multidegree {df} not below target {d}")
     gens, field = f.gens, f.field
-    cb = ComponentBasis(gens, d)
+    words = words_up_to(gens, d)  # every e1, e2 <= rest <= d
+    cb = ComponentBasis(gens, d, words[d])
     span = Subspace(field, len(cb))
     products: list[tuple] = []
     for e1 in _sub_multidegrees(rest):
         e2 = degree_residual(rest, e1)
-        rights = [(w2, FreePoly.from_word(gens, field, w2)) for w2 in words_of_multidegree(gens, e2)]
-        for w1 in words_of_multidegree(gens, e1):
+        rights = [(w2, FreePoly.from_word(gens, field, w2)) for w2 in words[e2]]
+        for w1 in words[e1]:
             left = FreePoly.from_word(gens, field, w1) * f
             for w2, right in rights:
                 products.append((w1, w2))

@@ -15,9 +15,10 @@ Every element carries a *recipe*, an expression tree over these operations,
 so membership certificates elsewhere stay human-readable.
 
 Every element is reversal-fixed, so a span table eliminates on one column
-per reversal orbit of words.  A circle or linearized-U product keeps only
-its unsymmetrized half H; the table folds the orbit coordinates of {H} off H,
-so a product that is only tested against a span is never symmetrized.
+per reversal orbit of words.  A circle or linearized-U product {H} keeps
+only the two factors of its unsymmetrized half H; the table folds the orbit
+coordinates of {H} off the factors, so a product that is only tested
+against a span is never multiplied out or symmetrized.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import cache
 from .expr import CALLS, circ, format_call, parse_expr, square, u_apply, u_lin  # circ, u_lin: re-exported
 from .fields import Field
 from .freealg import FreePoly, GeneratorSet, MultiDegree
-from .linalg import ComponentBasis, Coordinates, OrbitBasis, OrbitSpan
+from .linalg import ComponentBasis, Coordinates, OrbitBasis, OrbitSpan, words_up_to
 
 LINEAR = "linear"
 QUADRATIC = "quadratic"
@@ -71,10 +72,12 @@ class JordanElement:
     ``je_ulin`` rely on it, so ``JordanElement(value, recipe)`` refuses any
     other value; the products skip that check, as their factors hold it.
 
-    ``je_circ`` and ``je_ulin`` keep only the unsymmetrized half H of their
-    value {H} = H + H*; ``value`` symmetrizes it when first read and keeps
-    the result.  A span table reads {H}'s orbit coordinates off H itself, so
-    a product that is only tested is never symmetrized.
+    ``je_circ`` and ``je_ulin`` keep only two factors whose product is the
+    unsymmetrized half H of their value {H} = H + H*: (v, w) for v o w, and
+    (ba, c) for {bac}.  ``_half`` multiplies them out and ``value``
+    symmetrizes H, each when first read; the result is kept and the factors
+    are dropped.  A span table folds {H}'s orbit coordinates off the
+    factors, so a product that is only tested is never multiplied out.
 
     A recipe is grammar text: a leaf is its own text, a generator name or
     ``"one"``, and an operation node is a tuple headed by its ``expr.CALLS``
@@ -83,18 +86,30 @@ class JordanElement:
     is how certificates replay.
     """
 
-    __slots__ = ("_value", "_half", "_degree", "recipe")
+    __slots__ = ("_value", "_factors", "_degree", "recipe")
 
     def __init__(self, value: FreePoly, recipe):
         if value.reverse() != value:
             raise ValueError("a Jordan element's value must be symmetric under reversal")
-        self._value, self._half, self._degree = value, None, value.multidegree()
+        self._value, self._factors, self._degree = value, None, value.multidegree()
         self.recipe = recipe
+
+    @property
+    def _half(self) -> FreePoly | None:
+        """H, multiplied out when first read; None once the value is held.
+        ``_factors`` is (left, right), or (H, None) once H is."""
+        if self._factors is None:
+            return None
+        left, right = self._factors
+        if right is not None:
+            left = left * right
+            self._factors = (left, None)
+        return left
 
     @property
     def value(self) -> FreePoly:
         if self._value is None:
-            self._value, self._half = self._half.symmetrize(), None
+            self._value, self._factors = self._half.symmetrize(), None
         return self._value
 
     @property
@@ -114,22 +129,23 @@ class JordanElement:
         return cls(FreePoly.one(gens, field), "one")
 
 
-def _product(recipe, factors, value: FreePoly | None, half: FreePoly | None = None) -> JordanElement:
+def _product(recipe, factors, value: FreePoly | None, pair: tuple | None = None) -> JordanElement:
     """The element that ``recipe`` builds from ``factors``, one per
-    occurrence (b twice in a U_b): ``value``, or {half} when value is None.
-    A product of homogeneous factors that is not zero has the sum of their
-    multidegrees, so no term of it is counted."""
+    occurrence (b twice in a U_b): ``value``, or {left*right} for the
+    ``pair`` (left, right) when value is None.  A product of homogeneous
+    factors that is not zero has the sum of their multidegrees, so no term
+    of it is counted."""
     out = JordanElement.__new__(JordanElement)
-    out._value, out._half, out.recipe = value, half, recipe
+    out._value, out._factors, out.recipe = value, pair, recipe
     degrees = [v._degree for v in factors]  # a zero factor makes a zero product, whatever its degree
     out._degree = out.value.multidegree() if None in degrees else tuple(map(sum, zip(*degrees)))
     return out
 
 
 def je_circ(v: JordanElement, w: JordanElement) -> JordanElement:
-    """v o w = vw + wv = {vw}: on reversal-fixed factors wv = (vw)*, so one
-    associative product is kept, and symmetrized only when read."""
-    return _product(("circ", v.recipe, w.recipe), (v, w), None, v.value * w.value)
+    """v o w = vw + wv = {vw}: on reversal-fixed factors wv = (vw)*, so the
+    factors of vw are kept, and multiplied out only when read."""
+    return _product(("circ", v.recipe, w.recipe), (v, w), None, (v.value, w.value))
 
 
 def je_square(v: JordanElement) -> JordanElement:
@@ -141,9 +157,9 @@ def je_u(b: JordanElement, a: JordanElement) -> JordanElement:
 
 
 def je_ulin(b: JordanElement, c: JordanElement, a: JordanElement) -> JordanElement:
-    """b a c + c a b = {bac}: on reversal-fixed factors cab = (bac)*, so one
-    product chain is kept, and symmetrized only when read."""
-    return _product(("Ulin", b.recipe, c.recipe, a.recipe), (b, c, a), None, b.value * a.value * c.value)
+    """b a c + c a b = {bac}: on reversal-fixed factors cab = (bac)*, so the
+    factors ba and c of bac are kept, and multiplied out only when read."""
+    return _product(("Ulin", b.recipe, c.recipe, a.recipe), (b, c, a), None, (b.value * a.value, c.value))
 
 
 def recipe_str(recipe) -> str:
@@ -180,10 +196,11 @@ class GradedSpanTable:
 
     Every element is reversal-fixed, so each span is eliminated on one
     column per reversal orbit (``linalg.OrbitBasis``): an element's orbit
-    coordinates are folded off the unsymmetrized half of a circle or
-    linearized-U product, and read off the value of any other element.
-    ``component_basis(d)`` is the word basis, and ``subspace(d)`` is the
-    span read in word columns (``linalg.OrbitSpan``).
+    coordinates are folded off the factors of a circle or linearized-U
+    product, and read off the value of any other element.
+    ``component_basis(d)`` is the word basis, its words taken from one
+    ``words_up_to`` pass at the limit, and ``subspace(d)`` is the span read
+    in word columns (``linalg.OrbitSpan``).
     """
 
     def __init__(self, gens: GeneratorSet, field: Field, limit: MultiDegree):
@@ -194,6 +211,7 @@ class GradedSpanTable:
         self.gens = gens
         self.field = field
         self.limit = tuple(limit)
+        self._words: dict[MultiDegree, list] | None = None  # words_up_to(gens, limit), on first use
         self._bases: dict[MultiDegree, ComponentBasis] = {}
         self._spans: dict[MultiDegree, OrbitSpan] = {}
         self._reps: dict[MultiDegree, list[JordanElement]] = {}
@@ -201,7 +219,9 @@ class GradedSpanTable:
 
     def component_basis(self, d: MultiDegree) -> ComponentBasis:
         if d not in self._bases:
-            self._bases[d] = ComponentBasis(self.gens, d)
+            if self._words is None:
+                self._words = words_up_to(self.gens, self.limit)
+            self._bases[d] = ComponentBasis(self.gens, d, self._words.get(d))
         return self._bases[d]
 
     def subspace(self, d: MultiDegree) -> OrbitSpan:
@@ -218,9 +238,9 @@ class GradedSpanTable:
 
     @staticmethod
     def _orbit_vector(elem: JordanElement, span: OrbitSpan) -> Coordinates:
-        """elem's orbit coordinates in span: folded off its half, or read off its value."""
-        half = elem._half
-        return span.orbits.fold(half) if half is not None else span.orbits.pick(elem._value)
+        """elem's orbit coordinates in span: folded off its factors, or read off its value."""
+        factors = elem._factors
+        return span.orbits.fold(*factors) if factors is not None else span.orbits.pick(elem._value)
 
     def insert(self, elem: JordanElement) -> bool:
         """Insert an element into its component; True iff the span grew."""
@@ -267,7 +287,7 @@ class GradedSpanTable:
         d = self._degree_of(elem)
         if d is None:
             return True
-        gens = (elem._value if elem._half is None else elem._half).gens
+        gens = (elem._value if elem._factors is None else elem._factors[0]).gens
         if gens is not self.gens and gens != self.gens:
             raise ValueError("mismatched generator sets")
         if d not in self._spans:
@@ -322,7 +342,7 @@ def _spanning_candidates(reps, old_ids, mode, limit):
     <= limit, skipping those whose slots are all old (their products are
     already in the span).  Order: squares and circles by (i, j), U by (b, a),
     linearized U by (b, c, a), each slot ascending in reps."""
-    degs = [v.multidegree for v in reps]
+    degs = [v._degree for v in reps]  # a representative is not zero: read without multiplying it out
     old = [id(v) in old_ids for v in reps]
     rest = [degree_residual(limit, d) for d in degs]
     fits = fitting_indices(degs)

@@ -1,17 +1,20 @@
 """Exact linear algebra over a Field.
 
 Homogeneous polynomials are vectorized against the complete deglex-ordered
-word list of one multidegree: ``coordinates`` re-keys a polynomial's sparse
-int store to columns.  ``Coordinates`` is the one vector form that spans and
-``affine_solve`` take.  Subspaces are kept in reduced row-echelon form, and a
-membership test that finds a vector inside solves an explicit coefficient
-certificate over the vectors that were inserted, not just a verdict.  Row
-operations touch only the nonzero columns of the row they eliminate with.
+word list of one multidegree (``words_up_to`` builds the lists of every
+multidegree up to a limit in one pass): ``coordinates`` re-keys a
+polynomial's sparse int store to columns.  ``Coordinates`` is the one vector
+form that spans and ``affine_solve`` take.  Subspaces are kept in reduced
+row-echelon form, and a membership test that finds a vector inside solves an
+explicit coefficient certificate over the vectors that were inserted, not
+just a verdict.  Row operations touch only the nonzero columns of the row
+they eliminate with.
 
 A span of reversal-fixed vectors, such as every Jordan span, needs only one
 column per reversal orbit {w, rev w} (``OrbitBasis``): ``fold`` reads the
-orbit coordinates of {p} = p + rev(p) straight off p, and ``OrbitSpan`` runs
-the same ``Subspace`` on orbit columns while it is read and queried in word
+orbit coordinates of {H} = H + rev(H) straight off the two factors of
+H = left*right, which is never multiplied out, and ``OrbitSpan`` runs the
+same ``Subspace`` on orbit columns while it is read and queried in word
 columns, with the pivots, rows and certificates of a word-column span.
 """
 
@@ -26,33 +29,40 @@ from .fields import Field, FieldError
 from .freealg import FreePoly, GeneratorSet, MultiDegree, Word
 
 
-def words_of_multidegree(gens: GeneratorSet, d: MultiDegree) -> list[Word]:
-    """All words with exactly d_i occurrences of generator i, in deglex order.
+def words_up_to(gens: GeneratorSet, limit: MultiDegree) -> dict[MultiDegree, list[Word]]:
+    """The words of every multidegree c <= limit, each list in deglex order,
+    built in one pass.
 
     The words of a count vector c are, for each generator i in turn, i
-    followed by the words of c - e_i.  Each c <= d is built once per call, in
-    the order of its mixed-radix index, so c - e_i, whose index is smaller by
-    the place value of entry i, is always built before c."""
-    d = tuple(d)
-    if len(d) != len(gens):
+    followed by the words of c - e_i.  Each c is built in the order of its
+    mixed-radix index, so c - e_i, whose index is smaller by the place value
+    of entry i, is always built before c."""
+    limit = tuple(limit)
+    if len(limit) != len(gens):
         raise ValueError("multidegree length does not match generator count")
-    if any(c < 0 for c in d):
+    if any(c < 0 for c in limit):
         raise ValueError("multidegree entries must be nonnegative")
     places, place = [], 1
-    for k in reversed(d):
+    for k in reversed(limit):
         places.append(place)
         place *= k + 1
     places.reverse()
+    ranges = [range(k + 1) for k in limit]
     built: list[list[Word]] = [[()]]
-    for c in islice(product(*[range(k + 1) for k in d]), 1, None):  # the zero vector is built
+    for c in islice(product(*ranges), 1, None):  # the zero vector is built
         out: list[Word] = []
         n = len(built)
         for i, k in enumerate(c):
             if k:
                 head = (i,)
                 out += [head + w for w in built[n - places[i]]]
-        built.append(out)
-    return built[-1]  # lexicographic order; equal length makes it deglex
+        built.append(out)  # lexicographic order; equal length makes it deglex
+    return dict(zip(product(*ranges), built))
+
+
+def words_of_multidegree(gens: GeneratorSet, d: MultiDegree) -> list[Word]:
+    """All words with exactly d_i occurrences of generator i, in deglex order."""
+    return words_up_to(gens, d)[tuple(d)]
 
 
 class ComponentBasis:
@@ -60,10 +70,12 @@ class ComponentBasis:
 
     __slots__ = ("gens", "multidegree", "words", "_index")
 
-    def __init__(self, gens: GeneratorSet, d: MultiDegree):
+    def __init__(self, gens: GeneratorSet, d: MultiDegree, words: list[Word] | None = None):
+        """``words`` is d's list from ``words_up_to``, when the caller holds
+        one; otherwise it is built."""
         self.gens = gens
         self.multidegree = tuple(d)
-        self.words = tuple(words_of_multidegree(gens, d))
+        self.words = tuple(words_of_multidegree(gens, d) if words is None else words)
         self._index = {w: i for i, w in enumerate(self.words)}
 
     def __len__(self):
@@ -132,39 +144,48 @@ class OrbitBasis:
     def __len__(self):
         return len(self.rep_cols)
 
-    def _vector(self, num: dict, p: FreePoly) -> Coordinates:
-        return tuple.__new__(Coordinates, (tuple(num), num.values(), p.den, len(self.rep_cols), p.field))
+    def _vector(self, num: dict, den: int, field: Field) -> Coordinates:
+        return tuple.__new__(Coordinates, (tuple(num), num.values(), den, len(self.rep_cols), field))
 
-    def fold(self, half: FreePoly) -> Coordinates:
-        """The orbit coordinates of {half} = half + rev(half), read off half in
-        one pass: half[w] + half[rev w] at the orbit of w, and 2 half[w] at a
-        palindrome, reduced mod p.  Nothing is symmetrized."""
-        _require_gens(half, self.basis)
+    def fold(self, left: FreePoly, right: FreePoly | None = None) -> Coordinates:
+        """The orbit coordinates of {H} = H + rev(H), H = left*right, read off
+        the factors in one pass over their term pairs: H[w] + H[rev w] at the
+        orbit of w, and 2 H[w] at a palindrome, reduced mod p, over the
+        product of the dens.  ``fold(half)`` is the one-factor case H = half.
+        Nothing is multiplied out or symmetrized."""
+        if right is None:
+            terms, den = (((), 1),), left.den  # the unit word
+        else:
+            left._compat(right)
+            terms, den = right.num.items(), left.den * right.den
+        _require_gens(left, self.basis)
         column, acc = self.column, {}
         get = acc.get
         try:
-            for w, n in half.num.items():
-                o = column[w]
-                acc[o] = get(o, 0) + n
+            for w1, n1 in left.num.items():
+                for w2, n2 in terms:
+                    o = column[w1 + w2]
+                    acc[o] = get(o, 0) + n1 * n2
         except KeyError:
             raise _off_degree(self.basis) from None
         for o in self.palindromes:
             if o in acc:
                 acc[o] *= 2
-        if p := half.field.characteristic:
+        if p := left.field.characteristic:
             acc = {o: r for o, n in acc.items() if (r := n % p)}
         elif 0 in acc.values():  # over Q only the two words of an orbit can cancel
             acc = {o: n for o, n in acc.items() if n}
-        return self._vector(acc, half)
+        return self._vector(acc, den, left.field)
 
     def pick(self, sym: FreePoly) -> Coordinates:
         """The orbit coordinates of a reversal-fixed sym: the entry of each
         word is its orbit's.  The symmetry is trusted, not checked."""
         _require_gens(sym, self.basis)
         try:  # the two words of an orbit write the same entry
-            return self._vector(dict(zip(map(self.column.__getitem__, sym.num), sym.num.values())), sym)
+            num = dict(zip(map(self.column.__getitem__, sym.num), sym.num.values()))
         except KeyError:
             raise _off_degree(self.basis) from None
+        return self._vector(num, sym.den, sym.field)
 
     def restrict(self, v: Coordinates) -> Coordinates:
         """Word coordinates v as orbit coordinates; refuses a v of another

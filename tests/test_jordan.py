@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dense, rand_poly
+from conftest import dense, rand_nonzero_scalar, rand_poly
 from jvu import expr
 from jvu.expr import parse_expr
 from jvu.fields import field_from_name
@@ -35,7 +35,7 @@ from jvu.jordan import (
     u_lin,
     commutator_identity_residual,
 )
-from jvu.ideals import outer_ideal_component
+from jvu.ideals import outer_ideal_component, outer_ideal_is_closed
 from jvu.linalg import ComponentBasis, OrbitBasis, Subspace, coordinates, words_of_multidegree
 
 QQ = field_from_name("q")
@@ -477,15 +477,22 @@ def test_symmetric_products_match_the_grammar(field, mode, limit):
 
 
 def test_symmetric_products_make_one_product_chain(monkeypatch):
-    """je_circ makes one FreePoly product and je_ulin two."""
+    """Building je_circ makes no FreePoly product and je_ulin one (ba of
+    {bac}); the first ``value`` read of each makes one more, a second none."""
     calls = []
     mul = FreePoly.__mul__
     monkeypatch.setattr(FreePoly, "__mul__", lambda p, q: calls.append(1) or mul(p, q))
     x, y, z = (JordanElement.generator(G3, QQ, n) for n in "xyz")
     xy = je_circ(x, y)
+    assert len(calls) == 0
+    xy.value
+    xy.value
     assert len(calls) == 1
     calls.clear()
-    je_ulin(xy, z, x)
+    xyz = je_ulin(xy, z, x)
+    assert len(calls) == 1
+    xyz.value
+    xyz.value
     assert len(calls) == 2
 
 
@@ -618,3 +625,97 @@ def test_tested_products_are_never_symmetrized(monkeypatch, field, mode):
     monkeypatch.setattr(FreePoly, "symmetrize", lambda p: calls.append(1) or symmetrize(p))
     assert spanning_is_fixed_point(table, mode)
     assert not calls
+
+
+@pytest.mark.parametrize("limit", [(2, 2, 1), (3, 2, 1), (2, 2, 2), (3, 2, 2)], ids=lambda d: "".join(map(str, d)))
+@pytest.mark.parametrize("field, mode", _ORBIT_CASES, ids=_ORBIT_IDS)
+def test_two_factor_fold_is_the_fold_of_the_product(field, mode, limit):
+    """fold(left, right) reads the vector that fold(left*right) reads, on the
+    factor pairs (v, w) of circle and (ba, c) of linearized-U products of
+    seeded table representatives, each scaled by a seeded nonzero scalar.
+    The samples reach a palindrome orbit, Q factors with denominators, and
+    over GF(2) an orbit {w, rev w} whose two entries cancel."""
+    rng = random.Random(f"fold2/{field!r}/{limit}")
+    reps = [e for t in _closure_and_ideal_tables(field, mode, limit) for e in t.all_reps() if any(e.multidegree)]
+    orbit_bases, seen = {}, set()
+
+    def fitting(k):
+        while True:
+            picked = [rng.choice(reps) for _ in range(k)]
+            d = tuple(map(sum, zip(*(e.multidegree for e in picked))))
+            if dominated(d, limit):
+                return picked, d
+
+    for _ in range(60):
+        picked, d = fitting(rng.choice((2, 3)))
+        v = [e.value.scale(rand_nonzero_scalar(rng, field)) for e in picked]
+        left, right = (v[0], v[1]) if len(v) == 2 else (v[0] * v[2], v[1])
+        orbits = orbit_bases.setdefault(d, OrbitBasis(ComponentBasis(G3, d)))
+        folded = orbits.fold(left, right)
+        assert dense(folded) == dense(orbits.fold(left * right))
+        hit = {orbits.column[w1 + w2] for w1 in left.num for w2 in right.num}
+        if hit & set(orbits.palindromes):
+            seen.add("palindrome")
+        if folded.den != 1:
+            seen.add("denominator")
+        if hit - set(folded.cols) - set(orbits.palindromes):  # an orbit w, rev w whose terms cancel
+            seen.add("cancelled")
+    assert "palindrome" in seen
+    assert "denominator" in seen or field.characteristic
+    assert "cancelled" in seen or field.characteristic != 2
+
+
+def test_two_factor_fold_refuses_off_degree_and_mismatched_factors():
+    """fold(left, right) refuses a product outside the basis's multidegree,
+    a factor over another generator set and factors over two fields."""
+    x, y, z = (gen(G3, QQ, n) for n in "xyz")
+    orbits = OrbitBasis(ComponentBasis(G3, (2, 2, 1)))
+    assert dense(orbits.fold(x * y, z * y * x)) == dense(orbits.fold(x * y * z * y * x))
+    with pytest.raises(ValueError, match="not homogeneous"):
+        orbits.fold(x * y, z * x)
+    other = FreePoly.generator(GeneratorSet(("x", "y")), QQ, "x")
+    for left, right in ((x * y * z * y, other), (other, x * y * z * y), (other, other)):
+        with pytest.raises(ValueError, match="mismatched generator sets"):
+            orbits.fold(left, right)
+    with pytest.raises(ValueError, match="mismatched fields"):
+        orbits.fold(x * y * z * y, gen(G3, GF3, "x"))
+
+
+@pytest.mark.parametrize("limit", [(2, 2, 1), (3, 2, 2)], ids=lambda d: "".join(map(str, d)))
+@pytest.mark.parametrize("field", [QQ, GF3], ids=["q", "gf3"])
+def test_linear_reverifiers_multiply_nothing_out(monkeypatch, field, limit):
+    """In linear mode every product a re-verification tests is a circle
+    product of representatives that the closure already read as factors,
+    so ``spanning_is_fixed_point`` and ``outer_ideal_is_closed`` fold each
+    one off its factors and make no FreePoly product."""
+    closure = jordan_closure_table(G3, limit, "linear", False, field)
+    f = je_circ(JordanElement.generator(G3, field, "x"), JordanElement.generator(G3, field, "y"))
+    comp = outer_ideal_component(f, limit, "linear", field)
+    calls = []
+    mul = FreePoly.__mul__
+    monkeypatch.setattr(FreePoly, "__mul__", lambda p, q: calls.append(1) or mul(p, q))
+    assert spanning_is_fixed_point(closure, "linear") and outer_ideal_is_closed(comp)
+    assert not calls
+
+
+@pytest.mark.parametrize("field", [QQ, GF3], ids=["q", "gf3"])
+def test_non_growing_circle_products_hold_only_their_factors(monkeypatch, field):
+    """An inserted circle product that did not grow its span holds no
+    product polynomial: its factors are the values of two representatives,
+    the same objects.  Its first ``value`` read makes one product, keeps
+    {vw} and drops the factors."""
+    table = jordan_closure_table(G3, (2, 2, 1), "linear", False, field)
+    reps = table.all_reps()
+    rep_ids, rep_values = {id(e) for e in reps}, {id(e.value) for e in reps}
+    spare = [e for d in table.multidegrees() for e in table.inserted(d) if id(e) not in rep_ids]
+    assert len(spare) > 10
+    for e in spare:
+        assert e._value is None and len(e._factors) == 2 and {id(p) for p in e._factors} <= rep_values
+    calls = []
+    mul = FreePoly.__mul__
+    monkeypatch.setattr(FreePoly, "__mul__", lambda p, q: calls.append(1) or mul(p, q))
+    for e in spare:
+        left, right = e._factors
+        calls.clear()
+        assert e.value == circ(left, right) and len(calls) == 3  # one read, two in circ
+        assert e._factors is None and e.value is e.value
