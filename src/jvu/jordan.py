@@ -15,10 +15,10 @@ Every element carries a *recipe*, an expression tree over these operations,
 so membership certificates elsewhere stay human-readable.
 
 Every element is reversal-fixed, so a span table eliminates on one column
-per reversal orbit of words.  A circle or linearized-U product {H} keeps
-only the two factors of its unsymmetrized half H; the table folds the orbit
-coordinates of {H} off the factors, so a product that is only tested
-against a span is never multiplied out or symmetrized.
+per reversal orbit of words.  A circle or linearized-U product {H} holds
+the two factors of its unsymmetrized half H until its value is read; the
+table folds the orbit coordinates of {H} off the factors, so a product that
+is only tested against a span is never multiplied out or symmetrized.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from functools import cache
 
-from .expr import CALLS, circ, format_call, parse_expr, square, u_apply, u_lin  # circ, u_lin: re-exported
+from .expr import CALLS, circ, format_call, parse_expr, square, u_apply  # circ: re-exported
 from .fields import Field
 from .freealg import FreePoly, GeneratorSet, MultiDegree
 from .linalg import ComponentBasis, Coordinates, OrbitBasis, OrbitSpan, words_up_to
@@ -74,10 +74,11 @@ class JordanElement:
 
     ``je_circ`` and ``je_ulin`` keep only two factors whose product is the
     unsymmetrized half H of their value {H} = H + H*: (v, w) for v o w, and
-    (ba, c) for {bac}.  ``_half`` multiplies them out and ``value``
-    symmetrizes H, each when first read; the result is kept and the factors
-    are dropped.  A span table folds {H}'s orbit coordinates off the
-    factors, so a product that is only tested is never multiplied out.
+    (ba, c) for {bac}.  An element holds either its value or that pair:
+    ``value`` multiplies the pair out and symmetrizes H when first read,
+    keeps the result and drops the factors.  A span table folds {H}'s orbit
+    coordinates off the factors, so a product that is only tested is never
+    multiplied out.
 
     A recipe is grammar text: a leaf is its own text, a generator name or
     ``"one"``, and an operation node is a tuple headed by its ``expr.CALLS``
@@ -95,21 +96,10 @@ class JordanElement:
         self.recipe = recipe
 
     @property
-    def _half(self) -> FreePoly | None:
-        """H, multiplied out when first read; None once the value is held.
-        ``_factors`` is (left, right), or (H, None) once H is."""
-        if self._factors is None:
-            return None
-        left, right = self._factors
-        if right is not None:
-            left = left * right
-            self._factors = (left, None)
-        return left
-
-    @property
     def value(self) -> FreePoly:
         if self._value is None:
-            self._value, self._factors = self._half.symmetrize(), None
+            left, right = self._factors
+            self._value, self._factors = (left * right).symmetrize(), None
         return self._value
 
     @property

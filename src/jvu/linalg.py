@@ -147,20 +147,16 @@ class OrbitBasis:
     def _vector(self, num: dict, den: int, field: Field) -> Coordinates:
         return tuple.__new__(Coordinates, (tuple(num), num.values(), den, len(self.rep_cols), field))
 
-    def fold(self, left: FreePoly, right: FreePoly | None = None) -> Coordinates:
+    def fold(self, left: FreePoly, right: FreePoly) -> Coordinates:
         """The orbit coordinates of {H} = H + rev(H), H = left*right, read off
-        the factors in one pass over their term pairs: H[w] + H[rev w] at the
-        orbit of w, and 2 H[w] at a palindrome, reduced mod p, over the
-        product of the dens.  ``fold(half)`` is the one-factor case H = half.
-        Nothing is multiplied out or symmetrized."""
-        if right is None:
-            terms, den = (((), 1),), left.den  # the unit word
-        else:
-            left._compat(right)
-            terms, den = right.num.items(), left.den * right.den
+        the two factors in one pass over their term pairs: H[w] + H[rev w] at
+        the orbit of w, and 2 H[w] at a palindrome, reduced mod p, over the
+        product of the dens.  Nothing is multiplied out or symmetrized."""
+        left._compat(right)
         _require_gens(left, self.basis)
         column, acc = self.column, {}
         get = acc.get
+        terms = right.num.items()
         try:
             for w1, n1 in left.num.items():
                 for w2, n2 in terms:
@@ -175,7 +171,7 @@ class OrbitBasis:
             acc = {o: r for o, n in acc.items() if (r := n % p)}
         elif 0 in acc.values():  # over Q only the two words of an orbit can cancel
             acc = {o: n for o, n in acc.items() if n}
-        return self._vector(acc, den, left.field)
+        return self._vector(acc, left.den * right.den, left.field)
 
     def pick(self, sym: FreePoly) -> Coordinates:
         """The orbit coordinates of a reversal-fixed sym: the entry of each
@@ -197,7 +193,7 @@ class OrbitBasis:
         if any(entries.get(index[words[j][::-1]]) != c for j, c in entries.items()):
             raise ValueError("coordinates are not symmetric under reversal")
         num = {self.column[words[j]]: c for j, c in entries.items()}
-        return Coordinates(tuple(num), tuple(num.values()), v.den, len(self.rep_cols), v.field)
+        return self._vector(num, v.den, v.field)
 
     def expand(self, row: list) -> list:
         """An orbit vector as its word vector: each word takes its orbit's entry."""

@@ -77,3 +77,21 @@ def test_fewer_than_two_pairs_is_rejected_before_anything_runs(pairs, tmp_path, 
     with pytest.raises(SystemExit) as exit_info:
         bench_pairs.main(["--parent", "HEAD", "--workload", "albert-pairs", "--pairs", pairs, "--out", str(out)])
     assert exit_info.value.code == 2 and not out.exists()
+
+
+def test_each_workload_names_its_own_parent(tmp_path, monkeypatch):
+    """Two calls with different parents and workloads write one summary
+    each, each naming its own parent, and keep the file's other keys."""
+    monkeypatch.setattr(bench_pairs, "extract", lambda rev, dest: dest)
+    monkeypatch.setattr(bench_pairs, "run", lambda root, workload, seed, seconds:
+                        bench_pairs.result_line(run_output(0.02, 12.0)))
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"prose": "kept", "benchmark": {"micro": [1, 2]}}))
+    for parent, workload in (("abc1234", "free-gf2"), ("def5678", "albert-pairs")):
+        argv = ["--parent", parent, "--workload", workload, "--pairs", "2", "--seconds", "1", "--out", str(out)]
+        assert bench_pairs.main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert doc["prose"] == "kept" and doc["benchmark"]["micro"] == [1, 2]
+    workloads = doc["benchmark"]["workloads"]
+    assert {w: s["parent"] for w, s in workloads.items()} == {"free-gf2": "abc1234", "albert-pairs": "def5678"}
+    assert all((s["seed"], s["seconds"], s["pairs"]) == (1234, 1, 2) for s in workloads.values())

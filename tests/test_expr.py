@@ -15,10 +15,11 @@ from jvu.expr import (
     format_linear_combination,
     format_poly,
     parse_expr,
+    u_lin,
 )
 from jvu.fields import field_from_name
 from jvu.freealg import FreePoly, GeneratorSet
-from jvu.jordan import circ, u_apply, u_lin
+from jvu.jordan import circ, u_apply
 
 QQ = field_from_name("q")
 GF2 = field_from_name("gf2")

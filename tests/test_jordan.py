@@ -10,7 +10,7 @@ import pytest
 
 from conftest import dense, rand_nonzero_scalar, rand_poly
 from jvu import expr
-from jvu.expr import parse_expr
+from jvu.expr import parse_expr, u_lin
 from jvu.fields import field_from_name
 from jvu.freealg import FreePoly, GeneratorSet
 from jvu.jordan import (
@@ -32,7 +32,6 @@ from jvu.jordan import (
     square,
     symmetric_component_dim,
     u_apply,
-    u_lin,
     commutator_identity_residual,
 )
 from jvu.ideals import outer_ideal_component, outer_ideal_is_closed
@@ -550,9 +549,11 @@ def test_orbit_spans_match_word_spans(field, mode, limit):
 
 @pytest.mark.parametrize("field, mode", _ORBIT_CASES, ids=_ORBIT_IDS)
 def test_orbit_fold_of_a_half_product_is_its_symmetrization(field, mode):
-    """The orbit coordinates a table folds off the unsymmetrized half H of a
-    circle or linearized-U product, expanded to words, are the word
-    coordinates of {H}; the product's value is {H}, read once and kept."""
+    """The orbit coordinates a table folds off the two factors of the
+    unsymmetrized half H = left*right of a circle or linearized-U product,
+    expanded to words, are the word coordinates of {H}, multiplied out and
+    symmetrized here; folding leaves the factors in place, and the product's
+    value is {H}, read once and kept in place of the factors."""
     rng = random.Random(f"fold/{field!r}")
     reps = [e for t in _closure_and_ideal_tables(field, mode, (2, 2, 2)) for e in t.all_reps() if any(e.multidegree)]
     orbit_bases = {}
@@ -566,12 +567,13 @@ def test_orbit_fold_of_a_half_product_is_its_symmetrization(field, mode):
     for _ in range(40):
         for k, make in ((2, je_circ), (3, je_ulin)):
             product = make(*fitting(k))
-            half, d = product._half, product._degree
+            factors, d = product._factors, product._degree
+            sym = (factors[0] * factors[1]).symmetrize()
             orbits = orbit_bases.setdefault(d, OrbitBasis(ComponentBasis(G3, d)))
-            folded = orbits.fold(half)
-            assert orbits.expand(dense(folded)) == dense(coordinates(half.symmetrize(), orbits.basis))
-            assert product._half is half  # folding does not symmetrize
-            assert product.value == half.symmetrize() and product.value is product.value
+            folded = orbits.fold(*factors)
+            assert orbits.expand(dense(folded)) == dense(coordinates(sym, orbits.basis))
+            assert product._factors is factors and product._value is None  # folding does not symmetrize
+            assert product.value == sym and product.value is product.value and product._factors is None
             assert dense(orbits.pick(product.value)) == dense(folded)
 
 
@@ -593,23 +595,24 @@ def test_orbit_views_refuse_asymmetric_and_off_degree_vectors():
         comp.membership(asymmetric)
     with pytest.raises(ValueError, match="not homogeneous"):
         comp.membership(x * y * z)
-    orbits = span.orbits
+    orbits, other = span.orbits, FreePoly.generator(GeneratorSet(("x", "y")), QQ, "x")
     with pytest.raises(ValueError, match="not homogeneous"):
-        orbits.fold(x * y * z)
+        orbits.fold(x * y, z)
     with pytest.raises(ValueError, match="mismatched generator sets"):
-        orbits.fold(FreePoly.generator(GeneratorSet(("x", "y")), QQ, "x"))
+        orbits.fold(other, other)
     assert comp.membership(asymmetric + asymmetric.reverse())[0] == "outside"
 
 
 def test_half_product_where_no_span_is_builds_no_basis():
     """A circle product queried at a multidegree with no span answers by its
     value alone and builds no basis there: False when it is nonzero, True for
-    x o x = 2x^2, which is zero over GF(2) though its half x^2 is not."""
+    x o x = 2x^2, which is zero over GF(2) though its half x*x is not."""
     table = jordan_closure_table(G3, (1, 1, 1), "quadratic", False, GF2)
     bases = dict(table._bases)
     x, y = (JordanElement.generator(G3, GF2, n) for n in "xy")
     xyx, xx = je_circ(je_circ(x, y), x), je_circ(x, x)
-    assert not xx._half.is_zero() and xx.value.is_zero() and xx.multidegree is None
+    left, right = xx._factors
+    assert not (left * right).is_zero() and xx.value.is_zero() and xx.multidegree is None
     assert not table.contains(xyx) and table.contains(je_circ(x, x))
     assert table._bases == bases and (2, 1, 0) not in table._bases and (2, 0, 0) not in table._bases
 
@@ -630,9 +633,10 @@ def test_tested_products_are_never_symmetrized(monkeypatch, field, mode):
 @pytest.mark.parametrize("limit", [(2, 2, 1), (3, 2, 1), (2, 2, 2), (3, 2, 2)], ids=lambda d: "".join(map(str, d)))
 @pytest.mark.parametrize("field, mode", _ORBIT_CASES, ids=_ORBIT_IDS)
 def test_two_factor_fold_is_the_fold_of_the_product(field, mode, limit):
-    """fold(left, right) reads the vector that fold(left*right) reads, on the
-    factor pairs (v, w) of circle and (ba, c) of linearized-U products of
-    seeded table representatives, each scaled by a seeded nonzero scalar.
+    """fold(left, right) reads the orbit coordinates that ``pick`` reads off
+    (left*right).symmetrize(), on the factor pairs (v, w) of circle and
+    (ba, c) of linearized-U products of seeded table representatives, each
+    scaled by a seeded nonzero scalar.
     The samples reach a palindrome orbit, Q factors with denominators, and
     over GF(2) an orbit {w, rev w} whose two entries cancel."""
     rng = random.Random(f"fold2/{field!r}/{limit}")
@@ -652,7 +656,7 @@ def test_two_factor_fold_is_the_fold_of_the_product(field, mode, limit):
         left, right = (v[0], v[1]) if len(v) == 2 else (v[0] * v[2], v[1])
         orbits = orbit_bases.setdefault(d, OrbitBasis(ComponentBasis(G3, d)))
         folded = orbits.fold(left, right)
-        assert dense(folded) == dense(orbits.fold(left * right))
+        assert dense(folded) == dense(orbits.pick((left * right).symmetrize()))
         hit = {orbits.column[w1 + w2] for w1 in left.num for w2 in right.num}
         if hit & set(orbits.palindromes):
             seen.add("palindrome")
@@ -670,7 +674,7 @@ def test_two_factor_fold_refuses_off_degree_and_mismatched_factors():
     a factor over another generator set and factors over two fields."""
     x, y, z = (gen(G3, QQ, n) for n in "xyz")
     orbits = OrbitBasis(ComponentBasis(G3, (2, 2, 1)))
-    assert dense(orbits.fold(x * y, z * y * x)) == dense(orbits.fold(x * y * z * y * x))
+    assert dense(orbits.fold(x * y, z * y * x)) == dense(orbits.pick((x * y * z * y * x).symmetrize()))
     with pytest.raises(ValueError, match="not homogeneous"):
         orbits.fold(x * y, z * x)
     other = FreePoly.generator(GeneratorSet(("x", "y")), QQ, "x")
@@ -719,3 +723,38 @@ def test_non_growing_circle_products_hold_only_their_factors(monkeypatch, field)
         calls.clear()
         assert e.value == circ(left, right) and len(calls) == 3  # one read, two in circ
         assert e._factors is None and e.value is e.value
+
+
+def _holds(e):
+    """The state e is in: "value" when it holds its value and no factors,
+    "factors" when it holds no value and a pair of two ``FreePoly``, and
+    None otherwise."""
+    if e._factors is None:
+        return "value" if isinstance(e._value, FreePoly) else None
+    pair = e._value is None and len(e._factors) == 2 and all(isinstance(p, FreePoly) for p in e._factors)
+    return "factors" if pair else None
+
+
+@pytest.mark.parametrize("field, mode", _ORBIT_CASES, ids=_ORBIT_IDS)
+def test_elements_hold_a_value_or_a_factor_pair(monkeypatch, field, mode):
+    """Through a closure, an outer ideal of x o y and both re-verifiers at
+    (2,2,2), every inserted element and every element a re-verifier tests
+    holds either its value and no factors, or no value and two factors; a
+    ``value`` read moves one of the second kind to the first, with the
+    symmetrized product of its factors as its value."""
+    limit = (2, 2, 2)
+    closure = jordan_closure_table(G3, limit, mode, mode == "quadratic", field)
+    f = je_circ(JordanElement.generator(G3, field, "x"), JordanElement.generator(G3, field, "y"))
+    comp = outer_ideal_component(f, limit, mode, field)
+    tested = []
+    contains = GradedSpanTable.contains
+    monkeypatch.setattr(GradedSpanTable, "contains", lambda t, e: tested.append((e, _holds(e))) or contains(t, e))
+    assert spanning_is_fixed_point(closure, mode) and outer_ideal_is_closed(comp)
+    inserted = [e for t in (closure, comp.table, comp.hull) for d in t.multidegrees() for e in t.inserted(d)]
+    held = [(e, _holds(e)) for e in inserted] + tested
+    assert {kind for _, kind in held} == {"value", "factors"}
+    for e, _ in held:
+        if _holds(e) == "factors":
+            left, right = e._factors
+            value = e.value
+            assert _holds(e) == "value" and e.value is value and value == (left * right).symmetrize()

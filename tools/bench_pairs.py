@@ -10,11 +10,13 @@ directory, the parent first when i is even and the change first when it is
 odd.
 
 The summary of the workload goes into ``benchmark.workloads[<workload>]`` of
-``--out``: ``first``, the summed operation counts and failures, and for each
-end-to-end metric of ``BENCHMARK.json`` every run's value, the medians, the
-inclusive quartiles, ``change_wins`` (pairs in which the change did better)
-and the ratio of the medians.  Every other key of an existing ``--out`` file
-is kept, so the prose and micro timings of a BENCH file can sit around it.
+``--out``: the ``parent`` revision, ``seed`` and ``seconds``, ``first``, the
+summed operation counts and failures, and for each end-to-end metric of
+``BENCHMARK.json`` every run's value, the medians, the inclusive quartiles,
+``change_wins`` (pairs in which the change did better) and the ratio of the
+medians.  Every other key of an existing ``--out`` file is kept, so the prose
+and micro timings of a BENCH file, and workloads measured against other
+parents, can sit around it.
 """
 
 from __future__ import annotations
@@ -106,12 +108,13 @@ def main(argv=None) -> int:
             first.append(order[0])
             results.append({s: run(roots[s], args.workload, args.seed, args.seconds) for s in order})
             print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
-    summary = {"seed": args.seed, "seconds": args.seconds, **summarize(first, results, end_to_end)}
+    summary = {"parent": args.parent, "seed": args.seed, "seconds": args.seconds,
+               **summarize(first, results, end_to_end)}
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     bench = doc.setdefault("benchmark", {})
     bench.setdefault("command", "python3 perfbench/run.py --workload <W> --seed <S> --seconds <T> --trace 0")
-    bench.setdefault("method", f"alternating pairs of the parent ({args.parent}, from git archive) and the change, "
-                               "each run from its own directory; 'first' lists which side ran first per pair; "
+    bench.setdefault("method", "alternating pairs of the parent (each workload's 'parent', from git archive) and the "
+                               "change, each run from its own directory; 'first' lists which side ran first per pair; "
                                "times are reference seconds as printed by run.py; quartiles are inclusive")
     bench.setdefault("workloads", {})[args.workload] = summary
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
