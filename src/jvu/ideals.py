@@ -7,7 +7,7 @@ For a homogeneous Jordan element f this computes, per multidegree:
   elements of the unital hull (``quadratic`` mode), or the plain linear-ideal
   circle closure (``linear`` mode, enough when 1/2 is in the field);
 * the component of the two-sided associative ideal generated by f -- the
-  span of all w1 f w2 over complementary word pairs, enumerated exhaustively.
+  span of the w1 f w2 whose w1 has no factor of f's highest word.
 
 Both are finite linear-algebra problems because the ideals are multigraded.
 The gap witness check asks whether an element lies in the associative
@@ -37,7 +37,7 @@ from .jordan import (
     jordan_closure_table,
     recipe_str,
 )
-from .linalg import ComponentBasis, OrbitSpan, Subspace, coordinates, words_up_to
+from .linalg import ComponentBasis, Coordinates, OrbitSpan, Subspace, coordinates, words_up_to
 
 
 def _sub_multidegrees(limit: MultiDegree) -> list[MultiDegree]:
@@ -189,12 +189,11 @@ class _AssocFields(NamedTuple):
     field: Field
     component_basis: ComponentBasis
     span: Subspace
-    products: list[tuple]  # (w1, w2) pairs aligned with span insert indices
+    products: list[tuple]  # (w1, w2) per span insert; each grew it if f's highest word does not overlap itself
 
 
 class AssocIdealComponent(_AssocFields, _SpanComponent):
-    """The multidegree-d slice of the two-sided associative ideal generated
-    by f: the span of all w1 f w2 over complementary word pairs."""
+    """The multidegree-d slice of the two-sided associative ideal generated by f."""
     __slots__ = ()
 
     def _term_expr(self, i: int) -> str:
@@ -205,7 +204,10 @@ class AssocIdealComponent(_AssocFields, _SpanComponent):
 
 
 def assoc_ideal_component(f: FreePoly, d: MultiDegree) -> AssocIdealComponent:
-    """Span of {w1 * f * w2} over all word pairs with complementary multidegree."""
+    """Span of {w1 * f * w2} over word pairs of complementary multidegree whose
+    w1 has no factor L = max(f.num), each f's store re-keyed to words w1 u w2.
+    The rest add nothing: if w1 = a L b, L leftmost, and f = c L + sum c_m m, then
+    c w1 f w2 = a f (b f w2) - sum c_m (a m b) f w2: pairs with a shorter or lower w1."""
     d = tuple(d)
     df = f.multidegree()
     if df is None:
@@ -213,20 +215,18 @@ def assoc_ideal_component(f: FreePoly, d: MultiDegree) -> AssocIdealComponent:
     rest = degree_residual(d, df)
     if any(c < 0 for c in rest):
         raise ValueError(f"generator multidegree {df} not below target {d}")
-    gens, field = f.gens, f.field
-    words = words_up_to(gens, d)  # every e1, e2 <= rest <= d
-    cb = ComponentBasis(gens, d, words[d])
-    span = Subspace(field, len(cb))
+    words = words_up_to(f.gens, d)  # every e1, e2 <= rest <= d
+    cb = ComponentBasis(f.gens, d, words[d])
+    span = Subspace(f.field, len(cb))
+    top, n = max(f.num), sum(df)
     products: list[tuple] = []
     for e1 in _sub_multidegrees(rest):
-        e2 = degree_residual(rest, e1)
-        rights = [(w2, FreePoly.from_word(gens, field, w2)) for w2 in words[e2]]
-        for w1 in words[e1]:
-            left = FreePoly.from_word(gens, field, w1) * f
-            for w2, right in rights:
-                products.append((w1, w2))
-                span.insert(coordinates(left * right, cb))
-    return AssocIdealComponent(f, d, field, cb, span, products)
+        lefts = [w for w in words[e1] if all(w[i : i + n] != top for i in range(len(w) - n + 1))]
+        for w1, w2 in product(lefts, words[degree_residual(rest, e1)]):
+            products.append((w1, w2))
+            cols = tuple(bisect_left(cb.words, w1 + u + w2) for u in f.num)  # cb.words is sorted
+            span.insert(Coordinates(cols, f.num.values(), f.den, len(cb), f.field))
+    return AssocIdealComponent(f, d, f.field, cb, span, products)
 
 
 class GapWitnessReport(NamedTuple):

@@ -384,3 +384,22 @@ def test_reports_pinned(argv):
     del report["elapsed_ms"]
     text = json.dumps(report, indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[argv]
+
+
+#: sha256 as in REPORT_SHA256, of reports that exit refuted: the witness lies
+#: outside the associative ideal, so its RREF residual is printed there.
+REFUTED_REPORT_SHA256 = {
+    "counterexample --field q --witness sym(x*x*y*y*z)": "0788872896aaeec1841647b8eef66ece5080bb16d4368b23b8e7fef0e4186753",
+    "counterexample --field gf2 --witness sym(x*x*y*y*z)": "46bd03138930cf42d23f581350f7f86a5db85e2485a1299cd3fc3310692496df",
+    "counterexample --field gf3 --witness sym(x*x*y*y*z)": "e88fd61ad66453d007e93a66c3c7bf6efd115c8e29afb110227302d0134ede97",
+}
+
+
+@pytest.mark.parametrize("argv", list(REFUTED_REPORT_SHA256))
+def test_refuted_reports_pinned(argv):
+    code, report = run_command(argv.split())
+    assert (code, report["verdict"], report["data"]["witness_in_assoc"]) == (EXIT_REFUTED, "refuted", False)
+    assert report["certificates"]["witness_assoc_residual"] == "y*y*x*x*z + z*y*y*x*x"
+    del report["elapsed_ms"]
+    text = json.dumps(report, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == REFUTED_REPORT_SHA256[argv]

@@ -1,11 +1,13 @@
 """Graded ideal components on both sides of the Cohn criterion."""
 
 import hashlib
+import random
 import time
+from itertools import product
 
 import pytest
 
-from conftest import dense, vec
+from conftest import dense, rand_scalar, vec
 from jvu import linalg
 from jvu.expr import parse_expr
 from jvu.fields import field_from_name
@@ -28,6 +30,7 @@ from jvu.jordan import (
 )
 from jvu.ideals import (
     _outer_products,
+    _sub_multidegrees,
     assoc_ideal_component,
     cohn_gap_witness,
     outer_ideal_component,
@@ -37,6 +40,7 @@ from jvu.linalg import coordinates
 
 QQ = field_from_name("q")
 GF2 = field_from_name("gf2")
+GF3 = field_from_name("gf3")
 GF5 = field_from_name("gf5")
 
 G3 = GeneratorSet(("x", "y", "z"))
@@ -462,3 +466,133 @@ def test_gap_checks_never_build_dense_vectors(monkeypatch, field, mode):
         assert (report.g_in_assoc, report.g_in_outer) == (inside, False)
         assoc_query = ("inside", assoc.dim, assoc.dim) if inside else ("outside", 0, assoc.dim)
         assert queries == [assoc_query, ("outside", 0, outer.dim)]
+
+
+def has_factor(w, pair) -> bool:
+    return pair in zip(w, w[1:])
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3, GF5], ids=["q", "gf2", "gf3", "gf5"])
+def test_assoc_component_inserts_only_its_basis(monkeypatch, field):
+    """For f = x o y, whose highest word yx does not overlap itself, every
+    kept pair (w1 without a factor yx) grows the span, none is multiplied
+    out, and the dimension is the number of words with a factor xy."""
+    f = setup_elems(field)[3].value
+
+    def no_product(*_):
+        raise AssertionError("assoc_ideal_component multiplied FreePolys")
+
+    monkeypatch.setattr(FreePoly, "__mul__", no_product)
+    for d in [d for d in _sub_multidegrees((3, 3, 2)) if d[0] and d[1]]:
+        comp = assoc_ideal_component(f, d)
+        assert comp.span.n_inserted == comp.dim == len(comp.products)
+        assert comp.dim == sum(has_factor(w, (0, 1)) for w in linalg.words_of_multidegree(G3, d))
+
+
+def grown_pairs(f, d, pairs):
+    """Insert every w1 f w2 of pairs, multiplied out, into one span, in order:
+    the pairs that grew it, and the span."""
+    cb = linalg.ComponentBasis(f.gens, d)
+    span, grown = linalg.Subspace(f.field, len(cb)), []
+    for w1, w2 in pairs:
+        p = FreePoly.from_word(f.gens, f.field, w1) * f * FreePoly.from_word(f.gens, f.field, w2)
+        if span.insert(coordinates(p, cb)):
+            grown.append((w1, w2))
+    return grown, span
+
+
+def all_pairs(f, d):
+    """Every word pair of complementary multidegree, in the enumeration order
+    of the associative component: w1's multidegree, then w1, then w2."""
+    rest, words = degree_residual(d, f.multidegree()), linalg.words_up_to(G3, d)
+    return [pair for e1 in _sub_multidegrees(rest) for pair in product(words[e1], words[degree_residual(rest, e1)])]
+
+
+@pytest.mark.parametrize("text", ["circ(x, y)", "x*y - y*x", "x*y*x + x*x*y", "x*y*z + y*z*x", "x*x"])
+def test_assoc_component_inserts_the_grown_pairs_of_all_pairs(text):
+    """The reference inserts every w1 f w2 multiplied out.  The component
+    keeps only the pairs whose w1 has no factor of f's highest word, yet
+    grows the same pairs in the same order to the same RREF.  Every kept
+    pair grows it, even for xyx, which overlaps itself (at (4, 2, 1) some
+    w1 has a factor xyx), but not for f = x*x: x f and f x are the same
+    kept insert."""
+    overlaps = skipped = 0
+    for field in (QQ, GF2, GF3):
+        f = parse_expr(text, G3, field)
+        for d in sorted(set(_sub_multidegrees((3, 2, 2)) + _sub_multidegrees((4, 2, 1)))):
+            if not all(a >= b for a, b in zip(d, f.multidegree())):
+                continue
+            comp, pairs = assoc_ideal_component(f, d), all_pairs(f, d)
+            skipped += len(pairs) - len(comp.products)
+            grown, ref = grown_pairs(f, d, pairs)
+            assert (comp.dim, comp.span.rows) == (ref.dim, ref.rows)
+            assert grown_pairs(f, d, comp.products)[0] == grown
+            if text == "x*x":
+                overlaps += comp.span.n_inserted - comp.dim
+            else:
+                assert comp.products == grown
+    assert skipped and (text == "x*x") == (overlaps > 0)
+
+
+def rewrite(g, lhs):
+    """Rewrite g by lhs -> -(the other word of x o y) at the leftmost factor
+    lhs of each word, subtracting c * u (x o y) v from a word u lhs v of
+    coefficient c, until no word has the factor: the normal form and the
+    trace {(u, v): summed c}."""
+    field, gens = g.field, g.gens
+    f = circ(*(FreePoly.generator(gens, field, n) for n in "xy"))
+    trace = {}
+    while hits := [w for w in g.num if has_factor(w, lhs)]:
+        w = max(hits)
+        i = list(zip(w, w[1:])).index(lhs)
+        u, v, c = w[:i], w[i + 2 :], g.terms[w]
+        g = g - (FreePoly.from_word(gens, field, u) * f * FreePoly.from_word(gens, field, v)).scale(c)
+        trace[u, v] = field.add(trace.get((u, v), field.zero), c)
+    return g, {k: c for k, c in trace.items() if not field.is_zero(c)}
+
+
+def rewrite_witnesses(rng, f, d):
+    """Seeded random elements, their symmetrizations and random sums of
+    u f v, all of multidegree d; the pinned texts at (2, 2, 1)."""
+    field, words = f.field, linalg.words_of_multidegree(G3, d)
+
+    def rand_elem():
+        return FreePoly(G3, field, {w: rand_scalar(rng, field) for w in rng.sample(words, 4)})
+
+    out = [rand_elem() for _ in range(8)] + [rand_elem().symmetrize() for _ in range(8)]
+    pairs = all_pairs(f, d)
+    for _ in range(8):
+        g = FreePoly(G3, field)
+        for w1, w2 in rng.sample(pairs, 3):
+            u, v = (FreePoly.from_word(G3, field, w) for w in (w1, w2))
+            g = g + (u * f * v).scale(rand_scalar(rng, field))
+        out.append(g)
+    if d == D:
+        out += [parse_expr(t, G3, field) for t in (COMMUTATOR_WITNESS, SYMMETRIZED_PRODUCT, "sym(x*x*y*y*z)")]
+    return [g for g in out if not g.is_zero()]
+
+
+def test_assoc_membership_is_rewriting_to_normal_form():
+    """The ideal of x o y by rewriting (Bergman's diamond lemma: neither xy
+    nor yx overlaps itself).  A witness is inside exactly when its normal
+    form is zero; an "inside" certificate, read as {(w1, w2): coefficient}, is
+    the trace of yx -> -xy at the leftmost yx; an "outside" residual is the
+    normal form under xy -> -yx.  The other direction's trace is a valid
+    certificate too, but differs on some witness, so the test pins it."""
+    rng = random.Random(41)
+    seen = {"inside": 0, "outside": 0, "other_direction_differs": 0}
+    for field in (QQ, GF2, GF3, GF5):
+        f = setup_elems(field)[3].value
+        for d in LADDER_DIMS:
+            comp = assoc_ideal_component(f, d)
+            for g in rewrite_witnesses(rng, f, d):
+                verdict, data = comp.membership(g)
+                (nf_yx, trace_yx), (nf_xy, trace_xy) = rewrite(g, (1, 0)), rewrite(g, (0, 1))
+                assert (verdict == "inside") == nf_yx.is_zero() == nf_xy.is_zero()
+                seen[verdict] += 1
+                if verdict == "outside":
+                    assert data == nf_xy
+                    continue
+                assert {comp.products[i]: c for i, c in data.items()} == trace_yx
+                seen["other_direction_differs"] += trace_xy != trace_yx
+    assert all(seen.values()), seen
